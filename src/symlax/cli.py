@@ -43,7 +43,9 @@ byte-identical across runs of the same config.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -77,6 +79,7 @@ from .equations import (
 )
 from .errors import ConfigInvalid, IoFailure, NonMonotone, SymlaxError
 from .expr import comm
+from .kernels import matmul
 from .numerics import (
     Grid,
     GridField,
@@ -464,8 +467,14 @@ def symbolic_claims(cfg: RunConfig) -> List[Claim]:
 # ---------------------------------------------------------------------------
 
 def _seed_by_provenance(eq: EquationDef, name: str) -> Characteristic:
+    """The named seed of the library, which must sit at level 0: the
+    recursion runs in both directions from the seed's level."""
     for s in seed_characteristics(eq):
         if s.provenance == name:
+            if s.index != 0:
+                raise ConfigInvalid(
+                    f"seed {name!r} sits at level {s.index}; a hierarchy "
+                    f"seed must sit at level 0")
             return s
     known = [s.provenance for s in seed_characteristics(eq)]
     raise ConfigInvalid(f"unknown seed {name!r}; known: {known}")
@@ -715,7 +724,7 @@ def numeric_claims(cfg: RunConfig,
                              and q.body.expr.has_potentials())
                 pot = ctx.potential(i) if needs_pot else None
                 qg = eval_characteristic(q, eq, u, params=cfgp, potential=pot)
-                w = ctx.fields(i).inverse @ qg.values
+                w = matmul(ctx.fields(i).inverse, qg.values)
                 tr = float(np.abs(np.trace(w, axis1=-2, axis2=-1)).max())
                 ok = tr <= cfg.trace_tol
                 return ClaimResult(ok, detail=f"max |trace| = {tr:.3e}"
@@ -732,6 +741,13 @@ def numeric_claims(cfg: RunConfig,
     return claims
 
 
+def _offshell_ratio(off: float, on: float) -> float:
+    """off/on; infinite when only the on-shell residual is exactly zero."""
+    if on > 0:
+        return off / on
+    return math.inf if off > 0 else 0.0
+
+
 def _negative_control_claims(cfg: RunConfig, ctx: _NumericContext) -> List[Claim]:
     eq = ctx.eq
     cfgp = cfg.params()
@@ -744,7 +760,7 @@ def _negative_control_claims(cfg: RunConfig, ctx: _NumericContext) -> List[Claim
             eval_characteristic(seed_q, eq, ctx.u(i), params=cfgp), i)
         on = twin.conservation(
             eval_characteristic(seed_q, eq, twin.u(i), params=cfgp), i)
-        ratio = off.max / max(on.max, 1e-300)
+        ratio = _offshell_ratio(off.max, on.max)
         ok = ratio >= cfg.offshell_factor
         return ClaimResult(ok, residuals=[_stats_dict(off), _stats_dict(on)],
                            detail=f"off/on ratio = {ratio:.3e}")
@@ -755,7 +771,7 @@ def _negative_control_claims(cfg: RunConfig, ctx: _NumericContext) -> List[Claim
                             fields=ctx.fields(i)).compat_residual
         on = integrate_lax(eq, twin.u(i), lam,
                            fields=twin.fields(i)).compat_residual
-        ratio = off / max(on, 1e-300)
+        ratio = _offshell_ratio(off, on)
         ok = ratio >= cfg.offshell_factor
         return ClaimResult(ok, detail=f"off/on ratio = {ratio:.3e} "
                                       f"(off {off:.3e}, on {on:.3e})")
@@ -803,6 +819,8 @@ def lax_claims(cfg: RunConfig,
     offshell = cfg.family == "perturbed-offshell"
     claims: List[Claim] = []
 
+    # each (lambda, rung) integration is computed once, read by the
+    # path-independence claim and released by the symmetry claim after it
     cache: Dict[Tuple[float, int], object] = {}
 
     def lax(lam, i):
@@ -834,10 +852,12 @@ def lax_claims(cfg: RunConfig,
             "lax", compat, expected_fail=offshell))
 
         def sym(lam=lam) -> ClaimResult:
-            stats = [symmetry_residual(eq, lax(lam, i).psi, ctx.u(i),
-                                       margin=ctx.margins[i],
-                                       fields=ctx.fields(i))
-                     for i in range(len(ctx.grids))]
+            stats = []
+            for i in range(len(ctx.grids)):
+                stats.append(symmetry_residual(eq, lax(lam, i).psi, ctx.u(i),
+                                               margin=ctx.margins[i],
+                                               fields=ctx.fields(i)))
+                del cache[(lam, i)]
             return _order_result(stats, ctx.hs, cfg)
         claims.append(Claim(
             f"lax.wavefunction-symmetry.{tag}",
@@ -979,12 +999,20 @@ def _with_common(f):
     return f
 
 
-def _load(config_path, equation, **kw) -> RunConfig:
+@contextlib.contextmanager
+def _config_errors():
+    """Turn a ConfigInvalid into a one-line CLI error, without a
+    traceback."""
     try:
-        return load_config(resolve_config_path(config_path),
-                           equation=equation, **kw)
+        yield
     except ConfigInvalid as exc:
         raise click.ClickException(str(exc))
+
+
+def _load(config_path, equation, **kw) -> RunConfig:
+    with _config_errors():
+        return load_config(resolve_config_path(config_path),
+                           equation=equation, **kw)
 
 
 @click.group()
@@ -1012,7 +1040,9 @@ def gen_hierarchy_cmd(config_path, equation, output, fmt, window, seed):
     cfg = _load(config_path, equation,
                 window=tuple(window) if window else None, seed=seed)
     eq = get_equation(cfg.equation)
-    report = build_report(cfg, run_claims(hierarchy_claims(cfg)))
+    with _config_errors():  # the seed must sit at level 0
+        claims = hierarchy_claims(cfg)
+    report = build_report(cfg, run_claims(claims))
     # attach the serialized closed forms as data
     h = generate_hierarchy(eq, _seed_by_provenance(eq, cfg.seed), *cfg.window)
     levels = {}
@@ -1063,7 +1093,8 @@ def lax_check_cmd(config_path, equation, output, fmt, lambdas):
 def report_cmd(config_path, equation, output, fmt):
     """Run every suite and emit the combined report."""
     cfg = _load(config_path, equation)
-    report = run(cfg)
+    with _config_errors():  # the seed must sit at level 0
+        report = run(cfg)
     _finish(cfg, report, fmt, output)
 
 

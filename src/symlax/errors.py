@@ -75,4 +75,4 @@ class ConfigInvalid(SymlaxError):
 
 
 class IoFailure(SymlaxError):
-    """Report serialization could not be written."""
+    """A report could not be written, or a file could not be read back."""

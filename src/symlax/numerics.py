@@ -28,6 +28,7 @@ from .equations import (
 from .errors import (
     DimensionMismatch,
     GridTooSmall,
+    IoFailure,
     NonMonotone,
     PathInconsistent,
     SingularLambda,
@@ -35,6 +36,7 @@ from .errors import (
     ZeroLambda,
 )
 from .expr import DPotential, Field, InvField, JetExpr, Param, Potential
+from .kernels import commutator, inv, matmul
 
 
 # ---------------------------------------------------------------------------
@@ -119,22 +121,47 @@ def save_snapshot(f, gf: GridField):
 
 
 def load_snapshot(f) -> GridField:
-    header = f.readline().split()
-    if header[:1] != ["symlax-gridfield"]:
-        raise ValueError("not a gridfield snapshot")
-    names = tuple(f.readline().split()[1:])
-    axes = []
-    for _ in names:
-        _, _name, o, h, n = f.readline().split()
-        axes.append(Axis(float(o), float(h), int(n)))
-    nmat = int(f.readline().split()[1])
-    grid = Grid(tuple(axes), names)
-    count = int(np.prod(grid.counts)) * nmat * nmat
-    data = np.empty(count, dtype=complex)
-    for i in range(count):
-        re, im = f.readline().split()
-        data[i] = complex(float(re), float(im))
-    return GridField(grid, data.reshape(grid.counts + (nmat, nmat)))
+    """Read a snapshot written by ``save_snapshot``.  A foreign, truncated
+    or garbled snapshot raises IoFailure."""
+    def line(tag, arity=None):
+        """The values of the next line, which must start with ``tag`` and
+        hold ``arity`` values (one or more when None)."""
+        parts = f.readline().split()
+        if parts[:1] != [tag] or len(parts) < 2 or \
+                (arity is not None and len(parts) != arity + 1):
+            raise IoFailure(f"bad gridfield snapshot: expected a {tag!r} "
+                            f"line, got {parts!r}")
+        return parts[1:]
+
+    try:
+        line("symlax-gridfield")
+        names = tuple(line("axes"))
+        axes = []
+        for name in names:
+            got, o, h, n = line("axis", 4)
+            if got != name:
+                raise IoFailure(f"bad gridfield snapshot: axis {got!r} "
+                                f"where {name!r} was declared")
+            o, h = float(o), float(h)
+            if not (math.isfinite(o) and math.isfinite(h)):
+                raise IoFailure(f"bad gridfield snapshot: axis {name!r} has "
+                                f"origin {o} and spacing {h}")
+            axes.append(Axis(o, h, int(n)))
+        nmat = int(line("matdim", 1)[0])
+        if nmat < 1:
+            raise IoFailure(f"bad gridfield snapshot: matdim {nmat}")
+        grid = Grid(tuple(axes), names)
+        count = int(np.prod(grid.counts)) * nmat * nmat
+        data = np.empty(count, dtype=complex)
+        for i in range(count):
+            parts = f.readline().split()
+            if len(parts) != 2:
+                raise IoFailure(f"bad gridfield snapshot: entry {i} of "
+                                f"{count} has {len(parts)} values")
+            data[i] = complex(float(parts[0]), float(parts[1]))
+        return GridField(grid, data.reshape(grid.counts + (nmat, nmat)))
+    except (ValueError, GridTooSmall) as exc:
+        raise IoFailure(f"bad gridfield snapshot: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +185,6 @@ def dense_expm(M: np.ndarray) -> np.ndarray:
     if nilpotent:
         return out
     return _scipy_expm(M)
-
-
-def _commutator(A, B):
-    return A @ B - B @ A
 
 
 @dataclass(frozen=True)
@@ -220,7 +243,7 @@ def sample_solution(family: SolutionFamily, grid: Grid) -> GridField:
         g = chiral_values(tv, xv)
         T, X = np.meshgrid(tv, xv, indexing="ij")
         pert = np.eye(n) + family.eps * _perturbation(T, X, n)
-        return GridField(grid, g @ pert)
+        return GridField(grid, matmul(g, pert))
 
     if family.kind == "lifted-chiral":
         ay, az, ayb, azb = grid.axes
@@ -236,7 +259,7 @@ def sample_solution(family: SolutionFamily, grid: Grid) -> GridField:
         iz = np.arange(az.n)[None, :, None, None]
         iyb = np.arange(ayb.n)[None, None, :, None]
         izb = np.arange(azb.n)[None, None, None, :]
-        vals = et[iy + iyb] @ ex[iz + izb]
+        vals = matmul(et[iy + iyb], ex[iz + izb])
         return GridField(grid, vals)
 
     raise ValueError(f"unknown family kind {family.kind!r}")
@@ -281,7 +304,7 @@ class GridEnv:
         elif isinstance(a, InvField):
             if a.name not in self.fields:
                 raise UnboundAtom(f"field {a.name!r} not bound")
-            v = np.linalg.inv(self.fields[a.name])
+            v = inv(self.fields[a.name])
         elif isinstance(a, Param):
             if a.name not in self.params:
                 raise UnboundAtom(f"parameter matrix {a.name!r} not bound")
@@ -322,7 +345,7 @@ def eval_on_grid(e: JetExpr, env: GridEnv) -> np.ndarray:
             term = arr * eye if term is None else term * arr
         for a in factors:
             v = env.atom_values(a)
-            term = v if term is None else term @ v
+            term = v if term is None else matmul(term, v)
         if term is None:
             term = eye
         out = out + scal * term
@@ -446,12 +469,12 @@ def conservation_residual(eq: EquationDef, qgrid: GridField, u: GridField,
         raise DimensionMismatch("characteristic and solution grids differ")
     fields = _fields_for(eq, u, fields)
     grid = u.grid
-    w = fields.inverse @ qgrid.values
+    w = matmul(fields.inverse, qgrid.values)
     div = np.zeros_like(w)
     for s, conn in zip(eq.slots, fields.connections):
         cov_axis = grid.axis_index(s.cov_var)
         G = np.gradient(w, grid.axes[cov_axis].h, axis=cov_axis, edge_order=2) \
-            + _commutator(conn, w)
+            + commutator(conn, w)
         div_axis = grid.axis_index(s.div_var)
         div = div + np.gradient(G, grid.axes[div_axis].h, axis=div_axis,
                                 edge_order=2)
@@ -616,10 +639,11 @@ def _point_evaluator(e: JetExpr, env: GridEnv, unknown: str):
             scal = coef
             for c in coords:
                 scal = scal * env.grid.coord_array(c)[idx][..., None, None]
-            term = np.eye(n, dtype=complex)
+            term = None
             for arr in arrays:
-                term = term @ (qval if arr is None else arr[idx])
-            out += scal * term
+                v = qval if arr is None else arr[idx]
+                term = v if term is None else matmul(term, v)
+            out += scal * (np.eye(n) if term is None else term)
         return out
 
     return f
@@ -729,7 +753,7 @@ def integrate_lax(eq: EquationDef, u: GridField, lam: complex,
         phi1, phi2 = _integrate_lax_2d(grid, a, b, lam, phi0)
         resid = float(np.abs(phi1 - phi2).max())
         phi = GridField(grid, phi1)
-        psi = GridField(grid, u.values @ phi1)
+        psi = GridField(grid, matmul(u.values, phi1))
         return LaxIntegration(phi, psi, resid)
 
     if eq.name == "sdym":
@@ -755,10 +779,10 @@ def _march_lines(phi_start, C, h):
         else:
             cm = 0.5 * (c0 + c1)
         p = out[i]
-        k1 = _commutator(c0, p)
-        k2 = _commutator(cm, p + 0.5 * h * k1)
-        k3 = _commutator(cm, p + 0.5 * h * k2)
-        k4 = _commutator(c1, p + h * k3)
+        k1 = commutator(c0, p)
+        k2 = commutator(cm, p + 0.5 * h * k1)
+        k3 = commutator(cm, p + 0.5 * h * k2)
+        k4 = commutator(c1, p + h * k3)
         out[i + 1] = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return out
 
@@ -801,9 +825,9 @@ def _integrate_lax_lifted(eq: EquationDef, u: GridField, lam, phi0):
     eff_grid = Grid((Axis(grid.axes[0].origin + grid.axes[2].origin, hy, nt),
                      Axis(grid.axes[1].origin + grid.axes[3].origin, hz, nx)),
                     ("t", "x"))
-    inv = np.linalg.inv(eff)
-    a = inv @ np.gradient(eff, hy, axis=0, edge_order=2)
-    b = inv @ np.gradient(eff, hz, axis=1, edge_order=2)
+    eff_inv = inv(eff)
+    a = matmul(eff_inv, np.gradient(eff, hy, axis=0, edge_order=2))
+    b = matmul(eff_inv, np.gradient(eff, hz, axis=1, edge_order=2))
     phi1, phi2 = _integrate_lax_2d(eff_grid, a, b, lam, phi0)
     resid = float(np.abs(phi1 - phi2).max())
 
@@ -813,7 +837,7 @@ def _integrate_lax_lifted(eq: EquationDef, u: GridField, lam, phi0):
     izb = np.arange(nzb)[None, None, None, :]
     lift = phi1[iy + iyb, iz + izb]
     phi = GridField(grid, lift)
-    psi = GridField(grid, u.values @ lift)
+    psi = GridField(grid, matmul(u.values, lift))
     return LaxIntegration(phi, psi, resid)
 
 

@@ -1,6 +1,7 @@
 """Configuration loading, claim catalog, report emission, command line."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -10,6 +11,7 @@ from click.testing import CliRunner
 from symlax.cli import (
     CONFIG_DIR_ENV,
     DEFAULT_CONFIG_NAME,
+    _offshell_ratio,
     build_report,
     emit_report,
     hierarchy_claims,
@@ -265,3 +267,34 @@ def test_cli_exit_nonzero_on_failed_claim(tmp_path):
     assert r.exit_code == 1
     rep = json.loads(r.output)
     assert not rep["summary"]["overall_pass"]
+
+
+def test_cli_rejects_seed_off_level_zero():
+    # the chiral left-action characteristic sits at level -1
+    r = CliRunner().invoke(main, ["gen-hierarchy", "--equation", "chiral",
+                                  "--seed", "left-action"])
+    assert r.exit_code != 0
+    assert not isinstance(r.exception, ValueError), r.exception
+    assert "level 0" in r.output
+    with pytest.raises(ConfigInvalid):
+        hierarchy_claims(load_config(seed="left-action"))
+
+
+def test_cli_seed_off_level_zero_only_stops_hierarchy_commands(tmp_path):
+    # the symbolic suite never reads the seed, so a config naming an
+    # off-level seed still runs it; the commands that build the hierarchy
+    # stop with the config error
+    p = tmp_path / "run.ini"
+    p.write_text("[run]\nequation = chiral\nseed = left-action\n")
+    r = CliRunner().invoke(main, ["verify-symbolic", "--config", str(p)])
+    assert r.exit_code == 0, r.output
+    r = CliRunner().invoke(main, ["report", "--config", str(p)])
+    assert r.exit_code != 0
+    assert not isinstance(r.exception, ValueError), r.exception
+    assert "level 0" in r.output
+
+
+def test_offshell_ratio_with_zero_on_shell_residual():
+    assert _offshell_ratio(3.0, 1.5) == 2.0
+    assert _offshell_ratio(1e-12, 0.0) == math.inf
+    assert _offshell_ratio(0.0, 0.0) == 0.0

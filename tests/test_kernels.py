@@ -1,0 +1,61 @@
+"""Batched small-matrix kernels against numpy's ``@`` and ``linalg.inv``."""
+
+import numpy as np
+import pytest
+
+from symlax import kernels
+
+RNG = np.random.default_rng(7)
+
+
+def _complex(*shape):
+    return RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+
+
+def _close(got, want, scale=None):
+    """Agreement to 1e-13 relative to ``scale`` (by default the largest
+    entry of ``want``)."""
+    if scale is None:
+        scale = np.abs(want).max()
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("shape_a,shape_b", [
+    ((), ()),
+    ((17,), (17,)),
+    ((5, 6), (5, 6)),
+    ((), (9, 3)),          # one matrix against a grid of them
+    ((9, 3), ()),
+    ((4, 1, 3), (1, 5, 3)),
+], ids=["single", "lines", "grid", "left-broadcast", "right-broadcast",
+        "outer"])
+def test_matmul_and_commutator_match_numpy(n, shape_a, shape_b):
+    A = _complex(*shape_a, n, n)
+    B = _complex(*shape_b, n, n)
+    AB = A @ B
+    _close(kernels.matmul(A, B), AB)
+    # at n = 1 the commutator is zero, up to the round-off of the products
+    _close(kernels.commutator(A, B), AB - B @ A, scale=np.abs(AB).max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("shape", [(), (17,), (5, 6)])
+def test_inv_matches_numpy(n, shape):
+    A = _complex(*shape, n, n) + 3.0 * np.eye(n)  # well conditioned
+    _close(kernels.inv(A), np.linalg.inv(A))
+
+
+def test_inv_of_real_input_is_real():
+    A = np.array([[2.0, 1.0], [1.0, 3.0]])
+    got = kernels.inv(A)
+    assert got.dtype == np.float64
+    _close(got, np.linalg.inv(A))
+
+
+def test_singular_2x2_raises():
+    A = _complex(3, 2, 2)
+    A[1] = [[1.0, 2.0], [2.0, 4.0]]
+    with pytest.raises(np.linalg.LinAlgError):
+        kernels.inv(A)

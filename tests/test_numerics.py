@@ -12,9 +12,11 @@ import io
 import numpy as np
 import pytest
 
+from symlax import kernels
 from symlax.equations import get_equation, seed_characteristics
 from symlax.errors import (
     GridTooSmall,
+    IoFailure,
     NonMonotone,
     PathInconsistent,
     SingularLambda,
@@ -155,8 +157,42 @@ def test_snapshot_roundtrip():
 
 
 def test_snapshot_rejects_foreign_header():
-    with pytest.raises(ValueError):
+    with pytest.raises(IoFailure):
         load_snapshot(io.StringIO("something-else 1\n"))
+
+
+def _snapshot_text(n=6):
+    buf = io.StringIO()
+    save_snapshot(buf, sample_solution(nilpotent_family(), chiral_grid(n)))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("cut", [1, 3, 5, -1], ids=["header-only", "axes",
+                                                      "matdim", "entries"])
+def test_snapshot_truncated_is_io_failure(cut):
+    lines = _snapshot_text().splitlines(keepends=True)
+    with pytest.raises(IoFailure):
+        load_snapshot(io.StringIO("".join(lines[:cut])))
+
+
+@pytest.mark.parametrize("old,new", [
+    ("matdim 2", "matdim two"),
+    ("axis x", "axis q"),
+    (" 0.0\n", " zero\n"),
+    (" 0.0\n", "\n"),
+    (" 0.0\n", " nan\n"),
+    ("matdim 2", "matdim 0"),
+    ("axis x -0.5 0.2 6", "axis x -0.5 0.2 3"),
+    ("axis x -0.5 0.2 6", "axis x -0.5 nan 6"),
+    ("axis x -0.5 0.2 6", "axis x inf 0.2 6"),
+], ids=["matdim", "axis-name", "entry-text", "entry-arity", "entry-nan",
+        "matdim-zero", "axis-too-short", "axis-nan-spacing",
+        "axis-inf-origin"])
+def test_snapshot_garbled_is_io_failure(old, new):
+    text = _snapshot_text()
+    assert old in text
+    with pytest.raises(IoFailure):
+        load_snapshot(io.StringIO(text.replace(old, new, 1)))
 
 
 def test_dense_expm_nilpotent_is_exact():
@@ -395,6 +431,9 @@ def test_grid_guards():
 # Batched integrators against per-line / per-point loop references
 # ---------------------------------------------------------------------------
 
+_mm = kernels.matmul
+
+
 def _ref_step_line(phi_start, C_line, h):
     """RK4 march of phi' = [C, phi] along one grid line, one step at a time."""
     m = C_line.shape[0]
@@ -409,13 +448,13 @@ def _ref_step_line(phi_start, C_line, h):
         else:
             cm = 0.5 * (c0 + c1)
         p = out[i]
-        k1 = c0 @ p - p @ c0
+        k1 = _mm(c0, p) - _mm(p, c0)
         q = p + 0.5 * h * k1
-        k2 = cm @ q - q @ cm
+        k2 = _mm(cm, q) - _mm(q, cm)
         q = p + 0.5 * h * k2
-        k3 = cm @ q - q @ cm
+        k3 = _mm(cm, q) - _mm(q, cm)
         q = p + h * k3
-        k4 = c1 @ q - q @ c1
+        k4 = _mm(c1, q) - _mm(q, c1)
         out[i + 1] = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return out
 
@@ -448,12 +487,12 @@ def _ref_point_evaluator(e, env, unknown):
             scal = complex(coef)
             for c in coords:
                 scal *= env.grid.coord_array(c)[idx]
-            term = np.eye(n, dtype=complex)
+            term = None
             for a in factors:
                 v = qval if isinstance(a, Field) and a.name == unknown \
                     else env.atom_values(a)[idx]
-                term = term @ v
-            out += scal * term
+                term = v if term is None else _mm(term, v)
+            out += scal * (np.eye(n) if term is None else term)
         return out
 
     return f
@@ -536,9 +575,9 @@ def test_batched_lax_lifted_matches_loop_reference():
             iy, iz = min(it, ny - 1), min(ix, nz - 1)
             eff[it, ix] = u.values[iy, iz, it - iy, ix - iz]
     eff_grid = Grid.regular(("t", "x"), 0.0, hy, eff.shape[0])
-    inv = np.linalg.inv(eff)
-    a = inv @ np.gradient(eff, hy, axis=0, edge_order=2)
-    b = inv @ np.gradient(eff, hz, axis=1, edge_order=2)
+    inv = kernels.inv(eff)
+    a = _mm(inv, np.gradient(eff, hy, axis=0, edge_order=2))
+    b = _mm(inv, np.gradient(eff, hz, axis=1, edge_order=2))
     phi1, phi2 = _ref_lax_2d(eff_grid, a, b, 0.5, phi0)
     lift = np.empty(grid.counts + (2, 2), dtype=complex)
     for iy in range(ny):
@@ -547,16 +586,16 @@ def test_batched_lax_lifted_matches_loop_reference():
 
     assert out.compat_residual == float(np.abs(phi1 - phi2).max())
     assert np.array_equal(out.phi.values, lift)
-    assert np.array_equal(out.psi.values, u.values @ lift)
+    assert np.array_equal(out.psi.values, _mm(u.values, lift))
 
 
 def test_cached_fields_match_fresh_evaluation():
     u = sample_solution(ROTATION_FAMILY, chiral_grid(17))
     fields = SolutionFields(CHIRAL, u)
-    qg = GridField(u.grid, u.values @ NILPOTENT_A.astype(complex))
+    qg = GridField(u.grid, _mm(u.values, NILPOTENT_A.astype(complex)))
     assert conservation_residual(CHIRAL, qg, u, fields=fields) \
         == conservation_residual(CHIRAL, qg, u)
-    assert np.array_equal(fields.inverse, np.linalg.inv(u.values))
+    assert np.array_equal(fields.inverse, kernels.inv(u.values))
     env = make_env(CHIRAL, u)
     for s, conn in zip(CHIRAL.slots, fields.connections):
         assert np.array_equal(conn, eval_on_grid(s.connection, env))
