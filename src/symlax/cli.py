@@ -49,6 +49,7 @@ import math
 import os
 import sys
 import tempfile
+import traceback
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -112,6 +113,10 @@ _DEFAULT_MATRICES = {
     "L": [[0.0, 0.0], [1.0, 0.0]],
 }
 
+# largest field sample a config may ask for on its finest rung, in bytes;
+# a run holds a few dozen arrays of that size at its peak
+FIELD_BYTES_BUDGET = 2 ** 28
+
 _EQ_DEFAULTS = {
     "chiral": dict(family="exponential-product", extent=1.0,
                    counts=(65, 129, 257), seed="right-action"),
@@ -167,6 +172,17 @@ class RunConfig:
         dims = {np.asarray(m).shape[0] for m in self.matrices.values()}
         if len(dims) > 1:
             raise ConfigInvalid("parameter matrices must share one dimension")
+        # one matrix per grid point, entries of the matrices' promoted dtype
+        n = dims.pop() if dims else 1
+        itemsize = np.result_type(
+            float, *(np.asarray(m) for m in self.matrices.values())).itemsize
+        axes = len(get_equation(self.equation).vs.names)
+        nbytes = self.counts[-1] ** axes * n * n * itemsize
+        if nbytes > FIELD_BYTES_BUDGET:
+            raise ConfigInvalid(
+                f"the finest grid ({self.counts[-1]} points per axis) needs "
+                f"{nbytes} bytes per field sample, over the budget of "
+                f"{FIELD_BYTES_BUDGET} bytes")
         if self.equation == "sdym":
             if self.family == "perturbed-offshell":
                 raise ConfigInvalid(
@@ -196,7 +212,7 @@ class RunConfig:
                               self.matrices["B"], eps)
 
     def params(self) -> Dict[str, np.ndarray]:
-        return {k: np.asarray(v, dtype=complex)
+        return {k: np.asarray(v)
                 for k, v in self.matrices.items() if k in ("M", "L")}
 
     def echo(self) -> dict:
@@ -655,7 +671,7 @@ def numeric_claims(cfg: RunConfig,
             def one(i):
                 pot = ctx.potential(i) if needs_pot else None
                 qg = eval_characteristic(q, eq, ctx.u(i), params=cfgp,
-                                         potential=pot)
+                                         potential=pot, fields=ctx.fields(i))
                 return ctx.conservation(qg, i)
             return ladder(one)
         claims.append(Claim(
@@ -696,7 +712,8 @@ def numeric_claims(cfg: RunConfig,
             q = h.charges[-2]
 
             def one(i):
-                qg = eval_characteristic(q, eq, ctx.u(i), params=cfgp)
+                qg = eval_characteristic(q, eq, ctx.u(i), params=cfgp,
+                                         fields=ctx.fields(i))
                 return ctx.conservation(qg, i)
             return ladder(one)
         claims.append(Claim(
@@ -723,7 +740,8 @@ def numeric_claims(cfg: RunConfig,
                 needs_pot = (isinstance(q.body, ClosedForm)
                              and q.body.expr.has_potentials())
                 pot = ctx.potential(i) if needs_pot else None
-                qg = eval_characteristic(q, eq, u, params=cfgp, potential=pot)
+                qg = eval_characteristic(q, eq, u, params=cfgp, potential=pot,
+                                         fields=ctx.fields(i))
                 w = matmul(ctx.fields(i).inverse, qg.values)
                 tr = float(np.abs(np.trace(w, axis1=-2, axis2=-1)).max())
                 ok = tr <= cfg.trace_tol
@@ -757,9 +775,11 @@ def _negative_control_claims(cfg: RunConfig, ctx: _NumericContext) -> List[Claim
 
     def conservation_ratio() -> ClaimResult:
         off = ctx.conservation(
-            eval_characteristic(seed_q, eq, ctx.u(i), params=cfgp), i)
+            eval_characteristic(seed_q, eq, ctx.u(i), params=cfgp,
+                                fields=ctx.fields(i)), i)
         on = twin.conservation(
-            eval_characteristic(seed_q, eq, twin.u(i), params=cfgp), i)
+            eval_characteristic(seed_q, eq, twin.u(i), params=cfgp,
+                                fields=twin.fields(i)), i)
         ratio = _offshell_ratio(off.max, on.max)
         ok = ratio >= cfg.offshell_factor
         return ClaimResult(ok, residuals=[_stats_dict(off), _stats_dict(on)],
@@ -872,14 +892,23 @@ def lax_claims(cfg: RunConfig,
 # ---------------------------------------------------------------------------
 
 def run_claims(claims: Sequence[Claim]) -> List[dict]:
+    """Run each claim; an exception is recorded and never aborts the suite.
+    A package error is an ordinary claim failure.  Any other exception marks
+    the record ``"error": true``, with the innermost traceback frame in its
+    detail."""
     records = []
     for c in claims:
+        error = False
         try:
             res = c.run()
-        except SymlaxError as exc:
-            res = ClaimResult(False, detail=f"{type(exc).__name__}: {exc}")
-        except Exception as exc:  # recorded, never aborts the suite
-            res = ClaimResult(False, detail=f"{type(exc).__name__}: {exc}")
+        except Exception as exc:
+            detail = f"{type(exc).__name__}: {exc}"
+            if not isinstance(exc, SymlaxError):
+                error = True
+                frame = traceback.extract_tb(exc.__traceback__)[-1]
+                detail += (f" (at {os.path.basename(frame.filename)}:"
+                           f"{frame.lineno} in {frame.name})")
+            res = ClaimResult(False, detail=detail)
         rec = {
             "id": c.id,
             "anchor": c.anchor,
@@ -894,14 +923,19 @@ def run_claims(claims: Sequence[Claim]) -> List[dict]:
             rec["residuals"] = res.residuals
         if res.order is not None:
             rec["order"] = res.order
+        if error:
+            rec["error"] = True
         records.append(rec)
     return records
 
 
 def build_report(cfg: RunConfig, records: List[dict]) -> dict:
-    failed = [r for r in records if not r["passed"] and not r["expected_fail"]]
-    expected_failed = [r for r in records
-                       if not r["passed"] and r["expected_fail"]]
+    """The report of a run; a record marked as an error counts as failed
+    even when its claim is expected to fail."""
+    failed = [r for r in records if not r["passed"]
+              and (not r["expected_fail"] or r.get("error"))]
+    expected_failed = [r for r in records if not r["passed"]
+                       and r["expected_fail"] and not r.get("error")]
     return {
         "format": "symlax-report 1",
         "config": cfg.echo(),
@@ -928,8 +962,8 @@ def emit_report(report: dict, fmt: str = "structured") -> str:
     lines.append(f"{'claim':44s} {'kind':10s} {'verdict':10s} order")
     lines.append("-" * 78)
     for r in report["claims"]:
-        verdict = "pass" if r["passed"] else (
-            "xfail" if r["expected_fail"] else "FAIL")
+        verdict = ("pass" if r["passed"] else "ERROR" if r.get("error")
+                   else "xfail" if r["expected_fail"] else "FAIL")
         lines.append(f"{r['id']:44s} {r['kind']:10s} {verdict:10s} "
                      f"{r.get('order', '-')}")
         if r["detail"]:

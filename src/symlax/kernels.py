@@ -7,7 +7,9 @@ small matrices makes one BLAS call per matrix, which dominates at the
 n = 2 and 3 of the configured equations; the kernels here instead
 accumulate broadcast outer products of columns and rows over the inner
 index, n whole-array passes.  The layout of the arrays is unchanged, and
-the leading (batch) axes broadcast as for ``@``.
+the leading (batch) axes broadcast as for ``@``.  Arrays are real or
+complex, by promotion: each result takes the dtype numpy's promotion gives
+from the operands.
 """
 
 from __future__ import annotations

@@ -5,6 +5,12 @@ claim is then re-checked with central differences: field-equation residual,
 conservation residuals of the charge hierarchy, potential consistency and
 path independence, Lax wavefunction integration, and convergence-order
 measurement.  A perturbed off-shell family provides negative controls.
+
+Grid arrays are real or complex, by promotion: every array takes the dtype
+numpy's promotion gives from the inputs, so a real sample with real
+parameter matrices and a real spectral value stays float64 throughout, and
+a complex input (a loaded snapshot, a complex parameter matrix or spectral
+value) makes complex128 wherever it enters.
 """
 
 from __future__ import annotations
@@ -91,7 +97,7 @@ class Grid:
 @dataclass
 class GridField:
     grid: Grid
-    values: np.ndarray  # shape counts + (N, N), complex
+    values: np.ndarray  # shape counts + (N, N), real or complex, by promotion
 
     @property
     def n_dim(self) -> int:
@@ -171,10 +177,10 @@ def load_snapshot(f) -> GridField:
 def dense_expm(M: np.ndarray) -> np.ndarray:
     """Matrix exponential; nilpotent inputs short-circuit to the exact
     finite sum, everything else goes through scaling-and-squaring."""
-    M = np.asarray(M, dtype=complex)
+    M = np.asarray(M)
     n = M.shape[0]
-    P = np.eye(n, dtype=complex)
-    out = np.eye(n, dtype=complex)
+    P = np.eye(n)
+    out = np.eye(n)
     nilpotent = False
     for k in range(1, n + 1):
         P = P @ M / k
@@ -225,8 +231,8 @@ def _perturbation(t, x, n):
 
 
 def sample_solution(family: SolutionFamily, grid: Grid) -> GridField:
-    A = np.asarray(family.A, dtype=complex)
-    B = np.asarray(family.B, dtype=complex)
+    A = np.asarray(family.A)
+    B = np.asarray(family.B)
     n = A.shape[0]
 
     def chiral_values(tv, xv):
@@ -272,7 +278,8 @@ def sample_solution(family: SolutionFamily, grid: Grid) -> GridField:
 class GridEnv:
     """Binding of symbolic atoms to grid data: field samples, parameter
     matrices, potential samples, and a spectral value.  Finite-difference
-    derivative arrays are cached per atom."""
+    derivative arrays are cached per atom; an environment made by ``bind``
+    reads and caches its field atoms in the environment it was bound from."""
 
     def __init__(self, grid: Grid,
                  fields: Dict[str, np.ndarray],
@@ -285,6 +292,18 @@ class GridEnv:
         self.potentials = potentials or {}
         self.lam = lam
         self._cache: Dict[object, np.ndarray] = {}
+        self._field_env: Optional[GridEnv] = None
+
+    def bind(self, params: Optional[Dict[str, np.ndarray]] = None,
+             potentials: Optional[Dict[str, np.ndarray]] = None
+             ) -> "GridEnv":
+        """An environment over the same field samples with its own parameter
+        matrices and potentials.  Field atoms (derivatives and inverses)
+        come from this environment's cache; the new bindings and the atoms
+        computed from them stay in the returned one."""
+        env = GridEnv(self.grid, self.fields, params, potentials)
+        env._field_env = self
+        return env
 
     def derivative(self, base: np.ndarray, orders: tuple) -> np.ndarray:
         out = base
@@ -297,6 +316,8 @@ class GridEnv:
     def atom_values(self, a) -> np.ndarray:
         if a in self._cache:
             return self._cache[a]
+        if self._field_env is not None and isinstance(a, (Field, InvField)):
+            return self._field_env.atom_values(a)
         if isinstance(a, Field):
             if a.name not in self.fields:
                 raise UnboundAtom(f"field {a.name!r} not bound")
@@ -309,7 +330,7 @@ class GridEnv:
             if a.name not in self.params:
                 raise UnboundAtom(f"parameter matrix {a.name!r} not bound")
             n = self.matdim()
-            v = np.broadcast_to(np.asarray(self.params[a.name], dtype=complex),
+            v = np.broadcast_to(np.asarray(self.params[a.name]),
                                 self.grid.counts + (n, n))
         elif isinstance(a, Potential):
             if a.name not in self.potentials:
@@ -331,10 +352,10 @@ def eval_on_grid(e: JetExpr, env: GridEnv) -> np.ndarray:
     """Pointwise evaluation of a normal-form expression over the grid."""
     n = env.matdim()
     shape = env.grid.counts + (n, n)
-    out = np.zeros(shape, dtype=complex)
-    eye = np.broadcast_to(np.eye(n, dtype=complex), shape)
+    out = None
+    eye = np.broadcast_to(np.eye(n), shape)
     for coef, lam, coords, factors in e.mons:
-        scal = complex(coef)
+        scal = float(coef)
         if lam:
             if env.lam is None:
                 raise UnboundAtom("spectral parameter occurs but is not bound")
@@ -348,8 +369,8 @@ def eval_on_grid(e: JetExpr, env: GridEnv) -> np.ndarray:
             term = v if term is None else matmul(term, v)
         if term is None:
             term = eye
-        out = out + scal * term
-    return out
+        out = scal * term if out is None else out + scal * term
+    return np.zeros(shape) if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +523,7 @@ def _staircase(integrands: Dict[int, np.ndarray], grid: Grid,
     ones, giving the axis-aligned staircase path.
     """
     shape = next(iter(integrands.values())).shape
-    total = np.zeros(shape, dtype=complex)
+    total = np.zeros(shape)
     for i, axis in enumerate(order):
         f = integrands[axis]
         # slice later-order axes at 0
@@ -598,14 +619,18 @@ def _extend_integrands_by_invariance(eq, u, env, integrands):
 def eval_characteristic(q: Characteristic, eq: EquationDef, u: GridField,
                         params: Optional[Dict[str, np.ndarray]] = None,
                         potential: Optional[GridField] = None,
-                        tol: Optional[float] = None) -> GridField:
+                        tol: Optional[float] = None,
+                        fields: Optional[SolutionFields] = None) -> GridField:
     """Sample a characteristic on the grid: pointwise for closed forms,
-    path-integrated for implicit pairs."""
+    path-integrated for implicit pairs.  ``fields`` supplies the cached
+    u^-1 and field derivatives of ``u``; ``params`` and ``potential`` bind
+    to this evaluation only."""
     if isinstance(q.body, GridDefined):
         return q.body.field
-    env = make_env(eq, u, params=params,
-                   potentials={eq.potential_name: potential.values}
-                   if potential is not None else None)
+    env = _fields_for(eq, u, fields).env.bind(
+        params=params,
+        potentials={eq.potential_name: potential.values}
+        if potential is not None else None)
     if isinstance(q.body, ClosedForm):
         return GridField(u.grid, eval_on_grid(q.body.expr, env))
     return _integrate_implicit(q.body, eq, u, env, tol=tol)
@@ -631,10 +656,12 @@ def _point_evaluator(e: JetExpr, env: GridEnv, unknown: str):
                 arrays.append(None)  # placeholder for Qval
             else:
                 arrays.append(env.atom_values(a))
-        plans.append((complex(coef), coords, arrays))
+        plans.append((float(coef), coords, arrays))
+    dtype = np.result_type(float, *(arr for _, _, arrays in plans
+                                    for arr in arrays if arr is not None))
 
     def f(idx, qval):
-        out = np.zeros(qval.shape, dtype=complex)
+        out = np.zeros(qval.shape, dtype=np.result_type(qval, dtype))
         for coef, coords, arrays in plans:
             scal = coef
             for c in coords:
@@ -646,7 +673,7 @@ def _point_evaluator(e: JetExpr, env: GridEnv, unknown: str):
             out += scal * (np.eye(n) if term is None else term)
         return out
 
-    return f
+    return f, dtype
 
 
 def _integrate_implicit(body: ImplicitSystem, eq: EquationDef, u: GridField,
@@ -662,6 +689,7 @@ def _integrate_implicit(body: ImplicitSystem, eq: EquationDef, u: GridField,
 
     # classify each equation by the derivative direction of the unknown
     dir_eqs: Dict[int, object] = {}
+    dtypes = []
     for e in body.equations:
         dirs = [a for a in e.atoms()
                 if isinstance(a, Field) and a.name == unknown and sum(a.orders) == 1]
@@ -671,7 +699,8 @@ def _integrate_implicit(body: ImplicitSystem, eq: EquationDef, u: GridField,
         axis = next(i for i, o in enumerate(dirs[0].orders) if o)
         # rhs for stepping: Q_axis = -(rest of the equation)
         rest = e - vs.atom(dirs[0])
-        dir_eqs[axis] = _point_evaluator(rest, env, unknown)
+        dir_eqs[axis], dtype = _point_evaluator(rest, env, unknown)
+        dtypes.append(dtype)
 
     axes = sorted(dir_eqs)
     if set(axes) != set(range(len(grid.axes))):
@@ -680,7 +709,7 @@ def _integrate_implicit(body: ImplicitSystem, eq: EquationDef, u: GridField,
             "numerical integration is underdetermined on this grid")
 
     def sweep(order) -> np.ndarray:
-        Q = np.zeros(grid.counts + (n, n), dtype=complex)
+        Q = np.zeros(grid.counts + (n, n), dtype=np.result_type(*dtypes))
         filled = [1] * len(grid.axes)  # extent already filled per axis
         for axis in order:
             f = dir_eqs[axis]
@@ -745,7 +774,7 @@ def integrate_lax(eq: EquationDef, u: GridField, lam: complex,
         # generic well-conditioned start instead
         rng = np.random.default_rng(2024)
         phi0 = np.eye(n) + 0.5 * rng.standard_normal((n, n))
-    phi0 = np.asarray(phi0, dtype=complex)
+    phi0 = np.asarray(phi0)
 
     if eq.name == "chiral":
         grid = u.grid
@@ -768,7 +797,8 @@ def _march_lines(phi_start, C, h):
     interpolation of the grid samples).  ``C`` has shape (m, lines, n, n)
     and ``phi_start`` (lines, n, n); the result has the shape of ``C``."""
     m = C.shape[0]
-    out = np.empty((m,) + phi_start.shape, dtype=complex)
+    out = np.empty((m,) + phi_start.shape,
+                   dtype=np.result_type(phi_start, C))
     out[0] = phi_start
     for i in range(m - 1):
         c0, c1 = C[i], C[i + 1]

@@ -11,6 +11,9 @@ from click.testing import CliRunner
 from symlax.cli import (
     CONFIG_DIR_ENV,
     DEFAULT_CONFIG_NAME,
+    FIELD_BYTES_BUDGET,
+    Claim,
+    ClaimResult,
     _offshell_ratio,
     build_report,
     emit_report,
@@ -97,6 +100,16 @@ def test_bad_matrix_literal(tmp_path):
     p.write_text("[matrices]\nM = 0 1 2; 0 0\n")
     with pytest.raises(ConfigInvalid):
         load_config(str(p))
+
+
+def test_oversized_grid_rejected_before_allocation():
+    # 257^4 points of 2x2 float64 entries: about 140 GB for one field
+    with pytest.raises(ConfigInvalid) as info:
+        load_config(equation="sdym", counts=(65, 129, 257))
+    assert str(257 ** 4 * 4 * 8) in str(info.value)
+    # the largest default field, sdym's 33^4 points, sits well inside it
+    assert 33 ** 4 * 4 * 8 < FIELD_BYTES_BUDGET // 4
+    load_config(equation="sdym")
 
 
 def test_unknown_equation():
@@ -298,3 +311,38 @@ def test_offshell_ratio_with_zero_on_shell_residual():
     assert _offshell_ratio(3.0, 1.5) == 2.0
     assert _offshell_ratio(1e-12, 0.0) == math.inf
     assert _offshell_ratio(0.0, 0.0) == 0.0
+
+
+def test_unexpected_exception_is_an_error_record():
+    def divide():
+        return ClaimResult(1 / 0 > 0)
+
+    def bad_config():
+        raise ConfigInvalid("no such seed")
+
+    def ok():
+        return ClaimResult(True)
+
+    claims = [Claim("c.zero", "a", "numeric", divide),
+              Claim("c.config", "b", "numeric", bad_config),
+              Claim("c.ok", "c", "numeric", ok)]
+    records = run_claims(claims)
+    zero, config, good = records
+    assert zero["error"] is True and not zero["passed"]
+    assert zero["detail"].startswith("ZeroDivisionError: division by zero")
+    assert "in divide)" in zero["detail"]
+    assert "test_cli.py:" in zero["detail"]
+    # a package error is an ordinary claim failure, without the error key
+    assert "error" not in config and not config["passed"]
+    assert config["detail"] == "ConfigInvalid: no such seed"
+    assert set(good) == {"id", "anchor", "kind", "expected_fail", "passed",
+                         "detail"}
+    # an error fails the run even where the claim is expected to fail
+    claims = [Claim("c.zero", "a", "numeric", divide, expected_fail=True),
+              Claim("c.config", "b", "numeric", bad_config,
+                    expected_fail=True)]
+    s = build_report(load_config(), run_claims(claims))["summary"]
+    assert (s["failed"], s["expected_failures"]) == (1, 1)
+    assert not s["overall_pass"]
+    text = emit_report(build_report(load_config(), records), "text")
+    assert "ERROR" in text

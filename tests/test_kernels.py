@@ -12,6 +12,10 @@ def _complex(*shape):
     return RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
 
 
+def _real(*shape):
+    return RNG.standard_normal(shape)
+
+
 def _close(got, want, scale=None):
     """Agreement to 1e-13 relative to ``scale`` (by default the largest
     entry of ``want``)."""
@@ -21,8 +25,7 @@ def _close(got, want, scale=None):
     assert np.abs(got - want).max() <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("shape_a,shape_b", [
+PAIR_SHAPES = pytest.mark.parametrize("shape_a,shape_b", [
     ((), ()),
     ((17,), (17,)),
     ((5, 6), (5, 6)),
@@ -31,20 +34,48 @@ def _close(got, want, scale=None):
     ((4, 1, 3), (1, 5, 3)),
 ], ids=["single", "lines", "grid", "left-broadcast", "right-broadcast",
         "outer"])
-def test_matmul_and_commutator_match_numpy(n, shape_a, shape_b):
-    A = _complex(*shape_a, n, n)
-    B = _complex(*shape_b, n, n)
+
+
+def _check_products(A, B):
     AB = A @ B
-    _close(kernels.matmul(A, B), AB)
+    got = kernels.matmul(A, B)
+    assert got.dtype == AB.dtype
+    _close(got, AB)
     # at n = 1 the commutator is zero, up to the round-off of the products
-    _close(kernels.commutator(A, B), AB - B @ A, scale=np.abs(AB).max())
+    got = kernels.commutator(A, B)
+    assert got.dtype == AB.dtype
+    _close(got, AB - B @ A, scale=np.abs(AB).max())
+
+
+def _check_inv(A):
+    want = np.linalg.inv(A)
+    got = kernels.inv(A)
+    assert got.dtype == want.dtype
+    _close(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@PAIR_SHAPES
+def test_matmul_and_commutator_match_numpy(n, shape_a, shape_b):
+    _check_products(_complex(*shape_a, n, n), _complex(*shape_b, n, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@PAIR_SHAPES
+def test_real_matmul_and_commutator_match_numpy(n, shape_a, shape_b):
+    _check_products(_real(*shape_a, n, n), _real(*shape_b, n, n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("shape", [(), (17,), (5, 6)])
 def test_inv_matches_numpy(n, shape):
-    A = _complex(*shape, n, n) + 3.0 * np.eye(n)  # well conditioned
-    _close(kernels.inv(A), np.linalg.inv(A))
+    _check_inv(_complex(*shape, n, n) + 3.0 * np.eye(n))  # well conditioned
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("shape", [(), (17,), (5, 6)])
+def test_real_inv_matches_numpy(n, shape):
+    _check_inv(_real(*shape, n, n) + 3.0 * np.eye(n))
 
 
 def test_inv_of_real_input_is_real():

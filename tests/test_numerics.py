@@ -22,7 +22,7 @@ from symlax.errors import (
     SingularLambda,
     ZeroLambda,
 )
-from symlax.expr import Field
+from symlax.expr import Field, InvField, Param, Potential
 from symlax.numerics import (
     NILPOTENT_A,
     NILPOTENT_B,
@@ -437,7 +437,8 @@ _mm = kernels.matmul
 def _ref_step_line(phi_start, C_line, h):
     """RK4 march of phi' = [C, phi] along one grid line, one step at a time."""
     m = C_line.shape[0]
-    out = np.empty((m,) + phi_start.shape, dtype=complex)
+    out = np.empty((m,) + phi_start.shape,
+                   dtype=np.result_type(phi_start, C_line))
     out[0] = phi_start
     for i in range(m - 1):
         c0, c1 = C_line[i], C_line[i + 1]
@@ -466,7 +467,8 @@ def _ref_lax_2d(grid, a, b, lam, phi0):
     Ct = -(lam * b + lam * lam * a) / den
     nt, nx = grid.counts
     ht, hx = grid.spacings
-    phiA = np.empty((nt, nx) + phi0.shape, dtype=complex)
+    phiA = np.empty((nt, nx) + phi0.shape,
+                    dtype=np.result_type(phi0, Cx, Ct))
     phiA[0, :] = _ref_step_line(phi0, Cx[0, :], hx)
     for j in range(nx):
         phiA[:, j] = _ref_step_line(phiA[0, j], Ct[:, j], ht)
@@ -482,9 +484,9 @@ def _ref_point_evaluator(e, env, unknown):
     n = env.matdim()
 
     def f(idx, qval):
-        out = np.zeros((n, n), dtype=complex)
+        out = np.zeros((n, n), dtype=qval.dtype)
         for coef, _lam, coords, factors in e.mons:
-            scal = complex(coef)
+            scal = float(coef)
             for c in coords:
                 scal *= env.grid.coord_array(c)[idx]
             term = None
@@ -508,7 +510,7 @@ def _ref_implicit_sweep(body, eq, u, env, order):
                  and a.name == body.unknown and sum(a.orders) == 1)
         steppers[d.orders.index(1)] = _ref_point_evaluator(
             e - eq.vs.atom(d), env, body.unknown)
-    Q = np.zeros(grid.counts + (n, n), dtype=complex)
+    Q = np.zeros(grid.counts + (n, n), dtype=u.values.dtype)
     filled = [1] * n_axes
     for axis in order:
         f, h = steppers[axis], grid.axes[axis].h
@@ -533,7 +535,7 @@ def test_batched_lax_2d_matches_per_line_reference(family):
     grid = chiral_grid(17)
     u = sample_solution(family, grid)
     a, b = SolutionFields(CHIRAL, u).connections
-    phi0 = np.array([[1.2, -0.4], [0.3, 0.9]], dtype=complex)
+    phi0 = np.array([[1.2, -0.4], [0.3, 0.9]])
     for lam in (0.5, 2.0):
         got = _integrate_lax_2d(grid, a, b, lam, phi0)
         want = _ref_lax_2d(grid, a, b, lam, phi0)
@@ -564,12 +566,12 @@ def test_batched_lax_lifted_matches_loop_reference():
     grid = sdym_grid(7)
     u = sample_solution(SolutionFamily("lifted-chiral", ROTATION_FAMILY.A,
                                        ROTATION_FAMILY.B), grid)
-    phi0 = np.array([[1.2, -0.4], [0.3, 0.9]], dtype=complex)
+    phi0 = np.array([[1.2, -0.4], [0.3, 0.9]])
     out = integrate_lax(SDYM, u, 0.5, phi0=phi0)
 
     ny, nz, nyb, nzb = grid.counts
     hy, hz = grid.spacings[:2]
-    eff = np.empty((ny + nyb - 1, nz + nzb - 1, 2, 2), dtype=complex)
+    eff = np.empty((ny + nyb - 1, nz + nzb - 1, 2, 2), dtype=u.values.dtype)
     for it in range(eff.shape[0]):
         for ix in range(eff.shape[1]):
             iy, iz = min(it, ny - 1), min(ix, nz - 1)
@@ -579,7 +581,7 @@ def test_batched_lax_lifted_matches_loop_reference():
     a = _mm(inv, np.gradient(eff, hy, axis=0, edge_order=2))
     b = _mm(inv, np.gradient(eff, hz, axis=1, edge_order=2))
     phi1, phi2 = _ref_lax_2d(eff_grid, a, b, 0.5, phi0)
-    lift = np.empty(grid.counts + (2, 2), dtype=complex)
+    lift = np.empty(grid.counts + (2, 2), dtype=phi1.dtype)
     for iy in range(ny):
         for iz in range(nz):
             lift[iy, iz] = phi1[iy:iy + nyb, iz:iz + nzb]
@@ -602,3 +604,121 @@ def test_cached_fields_match_fresh_evaluation():
     other = sample_solution(nilpotent_family(), chiral_grid(17))
     with pytest.raises(ValueError):
         conservation_residual(CHIRAL, qg, other, fields=fields)
+
+
+def test_eval_characteristic_reuses_rung_fields():
+    u = sample_solution(ROTATION_FAMILY, chiral_grid(17))
+    fields = SolutionFields(CHIRAL, u)
+    pot = compute_potential(CHIRAL, u, fields=fields).field
+    h = generate_hierarchy(CHIRAL, _seed(CHIRAL, "right-action"), -2, 1)
+    # a closed form, a potential-dependent form and the implicit pair, each
+    # under two parameter bindings evaluated against the same rung cache
+    for level in (0, 1, -2):
+        for P in (NILPOTENT_A, ROTATION_FAMILY.B):
+            params = {"M": P, "L": P}
+            pt = pot if level == 1 else None
+            got = eval_characteristic(h.charges[level], CHIRAL, u,
+                                      params=params, potential=pt,
+                                      fields=fields)
+            want = eval_characteristic(h.charges[level], CHIRAL, u,
+                                       params=params, potential=pt)
+            assert np.array_equal(got.values, want.values)
+    # the rung keeps the field atoms and none of the bindings
+    assert not any(isinstance(a, (Param, Potential))
+                   for a in fields.env._cache)
+    bound = fields.env.bind(params={"L": NILPOTENT_A})
+    assert bound.atom_values(InvField("g")) is fields.inverse
+    assert bound.atom_values(Field("g", (1, 0))) \
+        is fields.env.atom_values(Field("g", (1, 0)))
+    other = sample_solution(nilpotent_family(), chiral_grid(17))
+    with pytest.raises(ValueError):
+        eval_characteristic(h.charges[0], CHIRAL, other,
+                            params={"M": NILPOTENT_A}, fields=fields)
+
+
+# ---------------------------------------------------------------------------
+# Dtypes: real samples stay real, complex inputs promote
+# ---------------------------------------------------------------------------
+
+def _implicit_q(u, L, fields=None):
+    q = generate_hierarchy(CHIRAL, _seed(CHIRAL, "right-action"),
+                           -2, 0).charges[-2]
+    return eval_characteristic(q, CHIRAL, u, params={"L": L},
+                               fields=fields).values
+
+
+def _agree(got, want):
+    assert got.dtype == np.complex128
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("family", [
+    nilpotent_family(), ROTATION_FAMILY,
+    nilpotent_family("perturbed-offshell", eps=0.1)],
+    ids=["nilpotent", "rotation", "offshell"])
+def test_real_chiral_sample_stays_float64(family):
+    u = sample_solution(family, chiral_grid(17))
+    assert u.values.dtype == np.float64
+    fields = SolutionFields(CHIRAL, u)
+    env = fields.env.bind(params={"M": NILPOTENT_A})
+    for atom in (Field("g", (1, 0)), Field("g", (1, 1)), InvField("g"),
+                 Param("M")):
+        assert env.atom_values(atom).dtype == np.float64
+    assert all(c.dtype == np.float64 for c in fields.connections)
+    if family.kind != "perturbed-offshell":
+        assert compute_potential(CHIRAL, u, fields=fields).field.values.dtype \
+            == np.float64
+        assert _implicit_q(u, NILPOTENT_A, fields).dtype == np.float64
+    out = integrate_lax(CHIRAL, u, 0.5, fields=fields)
+    assert out.phi.values.dtype == np.float64
+    assert out.psi.values.dtype == np.float64
+
+
+def test_real_lifted_sample_stays_float64():
+    u = sample_solution(nilpotent_family("lifted-chiral"), sdym_grid(7))
+    assert u.values.dtype == np.float64
+    fields = SolutionFields(SDYM, u)
+    assert all(c.dtype == np.float64 for c in fields.connections)
+    assert compute_potential(SDYM, u, fields=fields).field.values.dtype \
+        == np.float64
+    out = integrate_lax(SDYM, u, 0.5)
+    assert out.phi.values.dtype == np.float64
+    assert out.psi.values.dtype == np.float64
+
+
+def test_complex_parameter_promotes_implicit_charge():
+    u = sample_solution(ROTATION_FAMILY, chiral_grid(17))
+    real = _implicit_q(u, NILPOTENT_A)
+    _agree(_implicit_q(u, NILPOTENT_A.astype(complex)), real)
+
+
+def test_complex_lambda_promotes_lax_integration():
+    u = sample_solution(ROTATION_FAMILY, chiral_grid(17))
+    lam = 0.5 + 0.5j
+    got = integrate_lax(CHIRAL, u, lam)
+    # the same integration with the sample cast to complex up front
+    want = integrate_lax(CHIRAL, GridField(u.grid, u.values.astype(complex)),
+                         lam)
+    _agree(got.phi.values, want.phi.values)
+    _agree(got.psi.values, want.psi.values)
+    assert abs(got.compat_residual - want.compat_residual) <= 1e-12
+    lifted = sample_solution(nilpotent_family("lifted-chiral"), sdym_grid(7))
+    assert integrate_lax(SDYM, lifted, lam).phi.values.dtype == np.complex128
+
+
+def test_snapshot_sample_runs_in_complex():
+    u = sample_solution(ROTATION_FAMILY, chiral_grid(17))
+    buf = io.StringIO()
+    save_snapshot(buf, u)
+    buf.seek(0)
+    back = load_snapshot(buf)
+    assert back.values.dtype == np.complex128
+    real, cplx = SolutionFields(CHIRAL, u), SolutionFields(CHIRAL, back)
+    for c_real, c_cplx in zip(real.connections, cplx.connections):
+        _agree(c_cplx, c_real)
+    _agree(compute_potential(CHIRAL, back, fields=cplx).field.values,
+           compute_potential(CHIRAL, u, fields=real).field.values)
+    _agree(_implicit_q(back, NILPOTENT_A, cplx),
+           _implicit_q(u, NILPOTENT_A, real))
+    _agree(integrate_lax(CHIRAL, back, 0.5, fields=cplx).psi.values,
+           integrate_lax(CHIRAL, u, 0.5, fields=real).psi.values)
