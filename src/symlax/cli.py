@@ -80,7 +80,6 @@ from .equations import (
 )
 from .errors import ConfigInvalid, IoFailure, NonMonotone, SymlaxError
 from .expr import comm
-from .kernels import matmul
 from .numerics import (
     Grid,
     GridField,
@@ -742,7 +741,7 @@ def numeric_claims(cfg: RunConfig,
                 pot = ctx.potential(i) if needs_pot else None
                 qg = eval_characteristic(q, eq, u, params=cfgp, potential=pot,
                                          fields=ctx.fields(i))
-                w = matmul(ctx.fields(i).inverse, qg.values)
+                w = ctx.fields(i).inverse @ qg.values
                 tr = float(np.abs(np.trace(w, axis1=-2, axis2=-1)).max())
                 ok = tr <= cfg.trace_tol
                 return ClaimResult(ok, detail=f"max |trace| = {tr:.3e}"

@@ -1,15 +1,16 @@
 """Batched small-matrix arithmetic on grid arrays.
 
 Grid samples hold one n x n matrix per grid point on their trailing two
-axes; the grid-batched products, commutators and inverses of the numeric
-layer and the CLI go through this module.  numpy's ``@`` on a stack of
-small matrices makes one BLAS call per matrix, which dominates at the
-n = 2 and 3 of the configured equations; the kernels here instead
-accumulate broadcast outer products of columns and rows over the inner
-index, n whole-array passes.  The layout of the arrays is unchanged, and
-the leading (batch) axes broadcast as for ``@``.  Arrays are real or
-complex, by promotion: each result takes the dtype numpy's promotion gives
-from the operands.
+axes.  Grid-batched products are numpy's ``@``, called directly where they
+occur; this module holds the two operations that are more than one
+product: the commutator and the inverse, whose 2 x 2 case has a closed
+form.  For float64 stacks ``@`` beats a broadcast column-times-row
+accumulation at every size the program uses (best of 5 on an Intel Xeon
+with one BLAS thread, numpy 2.4.6: 2.6 against 4.5 ms on a 257^2 grid of
+2 x 2 matrices, 2.6 against 11.9 ms at 3 x 3, and 10 against 24 us for
+the 257 lines of one 2 x 2 Lax-march step).  The leading (batch) axes
+broadcast as for ``@``.  Arrays are real or complex, by promotion: each
+result takes the dtype numpy's promotion gives from the operands.
 """
 
 from __future__ import annotations
@@ -17,17 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 
-def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Batched matrix product over the trailing (n, n) axes."""
-    out = A[..., :, 0, None] * B[..., None, 0, :]
-    for j in range(1, A.shape[-1]):
-        out += A[..., :, j, None] * B[..., None, j, :]
-    return out
-
-
 def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Batched commutator AB - BA."""
-    return matmul(A, B) - matmul(B, A)
+    return A @ B - B @ A
 
 
 def inv(A: np.ndarray) -> np.ndarray:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import expm as _scipy_expm
 
 from .equations import (
@@ -42,7 +41,7 @@ from .errors import (
     ZeroLambda,
 )
 from .expr import DPotential, Field, InvField, JetExpr, Param, Potential
-from .kernels import commutator, inv, matmul
+from .kernels import commutator, inv
 
 
 # ---------------------------------------------------------------------------
@@ -175,21 +174,18 @@ def load_snapshot(f) -> GridField:
 # ---------------------------------------------------------------------------
 
 def dense_expm(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential; nilpotent inputs short-circuit to the exact
-    finite sum, everything else goes through scaling-and-squaring."""
+    """Matrix exponential of one matrix or of a stack ``(..., n, n)``.  A
+    stack whose every matrix is nilpotent short-circuits to the exact finite
+    sum; any other goes whole through scaling-and-squaring."""
     M = np.asarray(M)
-    n = M.shape[0]
+    n = M.shape[-1]
     P = np.eye(n)
     out = np.eye(n)
-    nilpotent = False
     for k in range(1, n + 1):
         P = P @ M / k
-        if np.allclose(P, 0, atol=0.0):
-            nilpotent = True
-            break
+        if not np.any(P):
+            return np.broadcast_to(out, M.shape).copy()
         out = out + P
-    if nilpotent:
-        return out
     return _scipy_expm(M)
 
 
@@ -236,8 +232,8 @@ def sample_solution(family: SolutionFamily, grid: Grid) -> GridField:
     n = A.shape[0]
 
     def chiral_values(tv, xv):
-        et = np.stack([dense_expm(t * A) for t in tv])
-        ex = np.stack([dense_expm(x * B) for x in xv])
+        et = dense_expm(tv[:, None, None] * A)
+        ex = dense_expm(xv[:, None, None] * B)
         return np.einsum("iab,jbc->ijac", et, ex)
 
     if family.kind == "exponential-product":
@@ -249,7 +245,7 @@ def sample_solution(family: SolutionFamily, grid: Grid) -> GridField:
         g = chiral_values(tv, xv)
         T, X = np.meshgrid(tv, xv, indexing="ij")
         pert = np.eye(n) + family.eps * _perturbation(T, X, n)
-        return GridField(grid, matmul(g, pert))
+        return GridField(grid, g @ pert)
 
     if family.kind == "lifted-chiral":
         ay, az, ayb, azb = grid.axes
@@ -259,13 +255,13 @@ def sample_solution(family: SolutionFamily, grid: Grid) -> GridField:
         # g depends only on t = y+yb and x = z+zb; sample the diagonals once
         tv = ay.origin + ayb.origin + ay.h * np.arange(ay.n + ayb.n - 1)
         xv = az.origin + azb.origin + az.h * np.arange(az.n + azb.n - 1)
-        et = np.stack([dense_expm(t * A) for t in tv])
-        ex = np.stack([dense_expm(x * B) for x in xv])
+        et = dense_expm(tv[:, None, None] * A)
+        ex = dense_expm(xv[:, None, None] * B)
         iy = np.arange(ay.n)[:, None, None, None]
         iz = np.arange(az.n)[None, :, None, None]
         iyb = np.arange(ayb.n)[None, None, :, None]
         izb = np.arange(azb.n)[None, None, None, :]
-        vals = matmul(et[iy + iyb], ex[iz + izb])
+        vals = et[iy + iyb] @ ex[iz + izb]
         return GridField(grid, vals)
 
     raise ValueError(f"unknown family kind {family.kind!r}")
@@ -366,7 +362,7 @@ def eval_on_grid(e: JetExpr, env: GridEnv) -> np.ndarray:
             term = arr * eye if term is None else term * arr
         for a in factors:
             v = env.atom_values(a)
-            term = v if term is None else matmul(term, v)
+            term = v if term is None else term @ v
         if term is None:
             term = eye
         out = scal * term if out is None else out + scal * term
@@ -490,7 +486,7 @@ def conservation_residual(eq: EquationDef, qgrid: GridField, u: GridField,
         raise DimensionMismatch("characteristic and solution grids differ")
     fields = _fields_for(eq, u, fields)
     grid = u.grid
-    w = matmul(fields.inverse, qgrid.values)
+    w = fields.inverse @ qgrid.values
     div = np.zeros_like(w)
     for s, conn in zip(eq.slots, fields.connections):
         cov_axis = grid.axis_index(s.cov_var)
@@ -530,11 +526,22 @@ def _staircase(integrands: Dict[int, np.ndarray], grid: Grid,
         idx = [slice(None)] * len(grid.axes)
         for later in order[i + 1:]:
             idx[later] = slice(0, 1)
-        seg = f[tuple(idx)]
-        part = cumulative_trapezoid(seg, dx=grid.axes[axis].h, axis=axis,
-                                    initial=0.0)
+        part = _cumulative_trapezoid(f[tuple(idx)], grid.axes[axis].h, axis)
         total = total + np.broadcast_to(part, shape)
     return total
+
+
+def _cumulative_trapezoid(y: np.ndarray, dx: float, axis: int) -> np.ndarray:
+    """Running trapezoid integral of ``y`` along ``axis`` from 0 at the first
+    point: the expression of scipy's ``cumulative_trapezoid(y, dx=dx,
+    axis=axis, initial=0.0)``, without importing scipy.integrate."""
+    lo = [slice(None)] * y.ndim
+    hi = [slice(None)] * y.ndim
+    lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+    steps = np.cumsum(dx * (y[tuple(hi)] + y[tuple(lo)]) / 2.0, axis=axis)
+    out = np.zeros(y.shape, dtype=steps.dtype)
+    out[tuple(hi)] = steps
+    return out
 
 
 @dataclass(frozen=True)
@@ -669,7 +676,7 @@ def _point_evaluator(e: JetExpr, env: GridEnv, unknown: str):
             term = None
             for arr in arrays:
                 v = qval if arr is None else arr[idx]
-                term = v if term is None else matmul(term, v)
+                term = v if term is None else term @ v
             out += scal * (np.eye(n) if term is None else term)
         return out
 
@@ -782,7 +789,7 @@ def integrate_lax(eq: EquationDef, u: GridField, lam: complex,
         phi1, phi2 = _integrate_lax_2d(grid, a, b, lam, phi0)
         resid = float(np.abs(phi1 - phi2).max())
         phi = GridField(grid, phi1)
-        psi = GridField(grid, matmul(u.values, phi1))
+        psi = GridField(grid, u.values @ phi1)
         return LaxIntegration(phi, psi, resid)
 
     if eq.name == "sdym":
@@ -856,8 +863,8 @@ def _integrate_lax_lifted(eq: EquationDef, u: GridField, lam, phi0):
                      Axis(grid.axes[1].origin + grid.axes[3].origin, hz, nx)),
                     ("t", "x"))
     eff_inv = inv(eff)
-    a = matmul(eff_inv, np.gradient(eff, hy, axis=0, edge_order=2))
-    b = matmul(eff_inv, np.gradient(eff, hz, axis=1, edge_order=2))
+    a = eff_inv @ np.gradient(eff, hy, axis=0, edge_order=2)
+    b = eff_inv @ np.gradient(eff, hz, axis=1, edge_order=2)
     phi1, phi2 = _integrate_lax_2d(eff_grid, a, b, lam, phi0)
     resid = float(np.abs(phi1 - phi2).max())
 
@@ -867,7 +874,7 @@ def _integrate_lax_lifted(eq: EquationDef, u: GridField, lam, phi0):
     izb = np.arange(nzb)[None, None, None, :]
     lift = phi1[iy + iyb, iz + izb]
     phi = GridField(grid, lift)
-    psi = GridField(grid, matmul(u.values, lift))
+    psi = GridField(grid, u.values @ lift)
     return LaxIntegration(phi, psi, resid)
 
 

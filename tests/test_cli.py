@@ -3,11 +3,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import symlax
 from symlax.cli import (
     CONFIG_DIR_ENV,
     DEFAULT_CONFIG_NAME,
@@ -346,3 +349,15 @@ def test_unexpected_exception_is_an_error_record():
     assert not s["overall_pass"]
     text = emit_report(build_report(load_config(), records), "text")
     assert "ERROR" in text
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy.integrate pulls in scipy.special, scipy.optimize and
+    # scipy.sparse: a large share of start-up time and memory
+    src = os.path.dirname(os.path.dirname(symlax.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, symlax.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

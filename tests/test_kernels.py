@@ -1,4 +1,7 @@
-"""Batched small-matrix kernels against numpy's ``@`` and ``linalg.inv``."""
+"""Batched small-matrix kernels against numpy's ``@`` and ``linalg.inv``.
+
+Products are numpy's ``@`` itself; the product tests check the commutator
+built from them, for every broadcast shape the products take."""
 
 import numpy as np
 import pytest
@@ -38,9 +41,6 @@ PAIR_SHAPES = pytest.mark.parametrize("shape_a,shape_b", [
 
 def _check_products(A, B):
     AB = A @ B
-    got = kernels.matmul(A, B)
-    assert got.dtype == AB.dtype
-    _close(got, AB)
     # at n = 1 the commutator is zero, up to the round-off of the products
     got = kernels.commutator(A, B)
     assert got.dtype == AB.dtype

@@ -31,6 +31,7 @@ from symlax.numerics import (
     GridField,
     SolutionFamily,
     SolutionFields,
+    _cumulative_trapezoid,
     _integrate_implicit,
     _integrate_lax_2d,
     compute_potential,
@@ -209,6 +210,32 @@ def test_dense_expm_generic_matches_rotation():
     assert np.allclose(R, expected, atol=1e-12)
 
 
+# the so(3) generators of bench/configs/chiral-so3.ini
+SO3_A = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+SO3_B = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, -0.3], [-0.5, 0.3, 0.0]])
+
+
+@pytest.mark.parametrize("M", [
+    NILPOTENT_A, NILPOTENT_B, np.diag([1.0, 2.0], k=1),
+    np.diag([1.0, 2.0], k=-1), SO3_A, SO3_B,
+    np.array([[0.0, -1.0], [1.0, 0.0]])],
+    ids=["nilpotent-2-A", "nilpotent-2-B", "nilpotent-3-upper",
+         "nilpotent-3-lower", "so3-A", "so3-B", "rotation-2"])
+@pytest.mark.parametrize("ts", [
+    np.arange(257) / 256.0,                 # starts at t = 0
+    np.linspace(-2.0, 1.0, 65),
+    np.zeros(3)],
+    ids=["ladder-from-0", "signed", "all-zero"])
+def test_dense_expm_stack_matches_per_matrix(M, ts):
+    stack = dense_expm(ts[:, None, None] * M)
+    loop = np.stack([dense_expm(t * M) for t in ts])
+    assert stack.shape == loop.shape and stack.dtype == loop.dtype
+    assert np.array_equal(stack, loop)
+    # a grid of stacks, as for two sampled axes at once
+    grid = dense_expm(np.stack([ts, ts[::-1]])[..., None, None] * M)
+    assert np.array_equal(grid, np.stack([loop, loop[::-1]]))
+
+
 # ---------------------------------------------------------------------------
 # Field-equation residual
 # ---------------------------------------------------------------------------
@@ -236,6 +263,20 @@ def test_fd_residual_offshell_does_not_converge():
 # ---------------------------------------------------------------------------
 # Potential integration
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(9, 17), (5, 6, 7, 8), (9, 17, 2, 2)],
+                         ids=["2d", "4d", "2d-matrix"])
+def test_cumulative_trapezoid_matches_scipy(shape):
+    from scipy.integrate import cumulative_trapezoid
+
+    y = np.random.default_rng(11).standard_normal(shape)
+    for axis in range(len(shape)):
+        for dx in (1.0 / 64, 0.3):
+            want = cumulative_trapezoid(y, dx=dx, axis=axis, initial=0.0)
+            got = _cumulative_trapezoid(y, dx, axis)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
 
 def test_potential_matches_closed_form():
     grid = chiral_grid(65)
@@ -431,7 +472,7 @@ def test_grid_guards():
 # Batched integrators against per-line / per-point loop references
 # ---------------------------------------------------------------------------
 
-_mm = kernels.matmul
+_mm = np.matmul
 
 
 def _ref_step_line(phi_start, C_line, h):
