@@ -55,14 +55,11 @@ from .equations import (
     Characteristic,
     ClosedForm,
     EquationDef,
-    GridDefined,
     ImplicitSystem,
     Verdict,
-    catalog_characteristics,
     equation_names,
     field_equation_residual,
     get_equation,
-    seed_characteristics,
     symmetry_condition,
     symmetry_condition_covariant,
     verify_symmetry,
@@ -104,7 +101,6 @@ from .numerics import (
     sample_solution,
     save_snapshot,
     scaled_margins,
-    symmetry_residual,
 )
 from . import sexpr
 

@@ -69,11 +69,9 @@ from .equations import (
     ClosedForm,
     EquationDef,
     ImplicitSystem,
-    catalog_characteristics,
     equation_names,
     field_equation_residual,
     get_equation,
-    seed_characteristics,
     symmetry_condition,
     symmetry_condition_covariant,
     verify_symmetry,
@@ -94,9 +92,9 @@ from .numerics import (
     integrate_lax,
     sample_solution,
     scaled_margins,
-    symmetry_residual,
 )
 from .recursion import (
+    Hierarchy,
     generate_hierarchy,
     lax_pair,
     lax_truncation_residues,
@@ -116,12 +114,8 @@ _DEFAULT_MATRICES = {
 # a run holds a few dozen arrays of that size at its peak
 FIELD_BYTES_BUDGET = 2 ** 28
 
-_EQ_DEFAULTS = {
-    "chiral": dict(family="exponential-product", extent=1.0,
-                   counts=(65, 129, 257), seed="right-action"),
-    "sdym": dict(family="lifted-chiral", extent=0.5,
-                 counts=(9, 17, 33), seed="right-action"),
-}
+# every registered equation has a right-action seed at level 0
+DEFAULT_SEED = "right-action"
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +125,7 @@ _EQ_DEFAULTS = {
 @dataclass
 class RunConfig:
     equation: str = "chiral"
-    seed: str = "right-action"
+    seed: str = DEFAULT_SEED
     window: Tuple[int, int] = (-2, 1)
     family: str = "exponential-product"
     lambdas: Tuple[float, ...] = (0.25, 0.5, 1.0, 2.0)
@@ -150,6 +144,11 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.equation not in equation_names():
             raise ConfigInvalid(f"unknown equation {self.equation!r}")
+        eq = get_equation(self.equation)
+        if self.family not in eq.families:
+            raise ConfigInvalid(
+                f"family {self.family!r} cannot sample {self.equation}; "
+                f"known: {list(eq.families)}")
         if not (self.window[0] <= 0 <= self.window[1]):
             raise ConfigInvalid("hierarchy window must contain 0")
         if any(l == 0 for l in self.lambdas):
@@ -175,23 +174,20 @@ class RunConfig:
         n = dims.pop() if dims else 1
         itemsize = np.result_type(
             float, *(np.asarray(m) for m in self.matrices.values())).itemsize
-        axes = len(get_equation(self.equation).vs.names)
+        axes = len(eq.vs.names)
         nbytes = self.counts[-1] ** axes * n * n * itemsize
         if nbytes > FIELD_BYTES_BUDGET:
             raise ConfigInvalid(
                 f"the finest grid ({self.counts[-1]} points per axis) needs "
                 f"{nbytes} bytes per field sample, over the budget of "
                 f"{FIELD_BYTES_BUDGET} bytes")
-        if self.equation == "sdym":
-            if self.family == "perturbed-offshell":
-                raise ConfigInvalid(
-                    "the off-shell control family is two-dimensional; "
-                    "use equation = chiral with it")
+        if eq.traceless:
             for name in ("A", "B", "M", "L"):
                 m = np.asarray(self.matrices[name])
                 if abs(np.trace(m)) > 1e-12:
                     raise ConfigInvalid(
-                        f"matrix {name!r} must be traceless for sdym")
+                        f"matrix {name!r} must be traceless for "
+                        f"{self.equation}")
         return self
 
     def grids(self) -> List[Grid]:
@@ -284,23 +280,23 @@ def load_config(path: Optional[str] = None, **overrides) -> RunConfig:
         return default
 
     equation = overrides.pop("equation", None) or get("run", "equation", "chiral")
-    if equation not in _EQ_DEFAULTS:
+    if equation not in equation_names():
         raise ConfigInvalid(f"unknown equation {equation!r}")
-    eqd = _EQ_DEFAULTS[equation]
+    eq = get_equation(equation)
 
     try:
         cfg = RunConfig(
             equation=equation,
-            seed=get("run", "seed", eqd["seed"]),
+            seed=get("run", "seed", DEFAULT_SEED),
             window=tuple(int(x) for x in get("run", "window", "-2 1").split()),
-            family=get("run", "family", eqd["family"]),
+            family=get("run", "family", eq.families[0]),
             lambdas=tuple(float(x) for x in
                           get("run", "lambdas", "0.25 0.5 1 2").split()),
             origin=float(get("grid", "origin", "0.0")),
-            extent=float(get("grid", "extent", str(eqd["extent"]))),
+            extent=float(get("grid", "extent", str(eq.extent))),
             counts=tuple(int(x) for x in
                          get("grid", "counts",
-                             " ".join(map(str, eqd["counts"]))).split()),
+                             " ".join(map(str, eq.counts))).split()),
             base_margin=int(get("grid", "base_margin", "3")),
             min_order=float(get("tolerances", "min_order", "1.8")),
             zero_floor=float(get("tolerances", "zero_floor", "1e-9")),
@@ -365,10 +361,11 @@ def _sym_result(e) -> ClaimResult:
                        detail=f"surviving residue: {e!r}")
 
 
-def _order_result(residuals: Sequence[ResidualStats], hs: Sequence[float],
-                  cfg: RunConfig, norm: str = "max") -> ClaimResult:
-    vals = [getattr(r, norm) for r in residuals]
-    stats = [_stats_dict(r) for r in residuals]
+def _order_result(vals: Sequence[float], stats: List[dict],
+                  hs: Sequence[float], cfg: RunConfig) -> ClaimResult:
+    """The verdict of a convergence ladder: its residuals ``vals`` at the
+    spacings ``hs`` must vanish or converge at ``cfg.min_order``; ``stats``
+    are the residual records the result carries."""
     try:
         est = convergence_order(vals, hs, zero_floor=cfg.zero_floor)
     except NonMonotone as exc:
@@ -451,7 +448,7 @@ def symbolic_claims(cfg: RunConfig) -> List[Claim]:
         "the linearized potential relations are cross-derivative consistent "
         "on-shell for a symmetry direction", potential_frechet_cross)
 
-    for q in catalog_characteristics(eq):
+    for q in eq.catalog:
         def check(q=q):
             v = verify_symmetry(eq, q)
             if v.holds:
@@ -484,27 +481,29 @@ def symbolic_claims(cfg: RunConfig) -> List[Claim]:
 def _seed_by_provenance(eq: EquationDef, name: str) -> Characteristic:
     """The named seed of the library, which must sit at level 0: the
     recursion runs in both directions from the seed's level."""
-    for s in seed_characteristics(eq):
+    for s in eq.seeds:
         if s.provenance == name:
             if s.index != 0:
                 raise ConfigInvalid(
                     f"seed {name!r} sits at level {s.index}; a hierarchy "
                     f"seed must sit at level 0")
             return s
-    known = [s.provenance for s in seed_characteristics(eq)]
+    known = [s.provenance for s in eq.seeds]
     raise ConfigInvalid(f"unknown seed {name!r}; known: {known}")
 
 
-def hierarchy_claims(cfg: RunConfig) -> List[Claim]:
+def hierarchy_claims(cfg: RunConfig,
+                     h: Optional[Hierarchy] = None) -> List[Claim]:
+    """The hierarchy claims, on ``h`` when given; otherwise the first claim
+    run generates the hierarchy and the others share it."""
     eq = get_equation(cfg.equation)
-    vs = eq.vs
     seed = _seed_by_provenance(eq, cfg.seed)
-    state: dict = {}
 
     def hierarchy():
-        if "h" not in state:
-            state["h"] = generate_hierarchy(eq, seed, *cfg.window)
-        return state["h"]
+        nonlocal h
+        if h is None:
+            h = generate_hierarchy(eq, seed, *cfg.window)
+        return h
 
     claims: List[Claim] = []
 
@@ -525,7 +524,7 @@ def hierarchy_claims(cfg: RunConfig) -> List[Claim]:
         "every generated hierarchy level passes its symmetry verification",
         "hierarchy", levels_verified))
 
-    expected = {n: f for n, f in _expected_forms(eq, cfg.seed).items()
+    expected = {n: f for n, f in eq.expected_forms.get(cfg.seed, {}).items()
                 if cfg.window[0] <= n <= cfg.window[1]}
     for level, form in sorted(expected.items()):
         def check(level=level, form=form):
@@ -576,23 +575,6 @@ def hierarchy_claims(cfg: RunConfig) -> List[Claim]:
     return claims
 
 
-def _expected_forms(eq: EquationDef, seed: str) -> dict:
-    """Frozen expected closed forms per recursion level, keyed by level."""
-    vs = eq.vs
-    u, ui = eq.u(), eq.u_inv()
-    X, M, L = vs.pot(eq.potential_name), vs.param("M"), vs.param("L")
-    if eq.name == "chiral" and seed == "right-action":
-        return {1: u * comm(X, M), 0: u * M, -1: L * u, -2: "implicit"}
-    if eq.name == "sdym" and seed == "right-action":
-        return {1: u * comm(X, M), 0: u * M, -1: L * u, -2: "implicit"}
-    if eq.name == "sdym" and seed == "y-translation":
-        return {1: u * vs.pot(eq.potential_name, "y"),
-                0: vs.field(eq.field_name, "y"),
-                -1: vs.field(eq.field_name, "zb"),
-                -2: "implicit"}
-    return {}
-
-
 # ---------------------------------------------------------------------------
 # Numeric claim catalog
 # ---------------------------------------------------------------------------
@@ -637,7 +619,7 @@ class _NumericContext:
     def onshell_twin(self) -> "_NumericContext":
         """The unperturbed counterpart, for off-shell ratio claims."""
         cfg2 = RunConfig(**{**self.cfg.__dict__,
-                            "family": _EQ_DEFAULTS[self.cfg.equation]["family"]})
+                            "family": self.eq.families[0]})
         return _NumericContext(cfg2)
 
 
@@ -651,7 +633,8 @@ def numeric_claims(cfg: RunConfig,
 
     def ladder(fn) -> ClaimResult:
         stats = [fn(i) for i in range(len(ctx.grids))]
-        return _order_result(stats, ctx.hs, cfg)
+        return _order_result([s.max for s in stats],
+                             [_stats_dict(s) for s in stats], ctx.hs, cfg)
 
     claims.append(Claim(
         "num.field-equation",
@@ -662,7 +645,7 @@ def numeric_claims(cfg: RunConfig,
             eq, ctx.u(i), margin=ctx.margins[i], fields=ctx.fields(i))),
         expected_fail=offshell))
 
-    for q in catalog_characteristics(eq):
+    for q in eq.catalog:
         needs_pot = (isinstance(q.body, ClosedForm)
                      and q.body.expr.has_potentials())
 
@@ -704,9 +687,9 @@ def numeric_claims(cfg: RunConfig,
         "relations to second order",
         "numeric", potential_consistency, expected_fail=offshell))
 
-    if eq.name == "chiral":
+    if not eq.lift:
         def implicit_charge() -> ClaimResult:
-            seed = _seed_by_provenance(eq, "right-action")
+            seed = _seed_by_provenance(eq, DEFAULT_SEED)
             h = generate_hierarchy(eq, seed, -2, 0)
             q = h.charges[-2]
 
@@ -721,7 +704,7 @@ def numeric_claims(cfg: RunConfig,
             "the seed is conserved to the expected order",
             "numeric", implicit_charge, expected_fail=offshell))
 
-    if eq.name == "sdym":
+    if eq.traceless:
         def det_preserved() -> ClaimResult:
             u = ctx.u(len(ctx.grids) - 1)
             dev = float(np.abs(np.linalg.det(u.values) - 1.0).max())
@@ -732,7 +715,7 @@ def numeric_claims(cfg: RunConfig,
             "the sampled solution stays unimodular at every grid point",
             "numeric", det_preserved))
 
-        for q in catalog_characteristics(eq):
+        for q in eq.catalog:
             def trace_check(q=q) -> ClaimResult:
                 i = len(ctx.grids) - 1
                 u = ctx.u(i)
@@ -770,7 +753,7 @@ def _negative_control_claims(cfg: RunConfig, ctx: _NumericContext) -> List[Claim
     cfgp = cfg.params()
     twin = ctx.onshell_twin()
     i = len(ctx.grids) - 1
-    seed_q = _seed_by_provenance(eq, "right-action")
+    seed_q = _seed_by_provenance(eq, DEFAULT_SEED)
 
     def conservation_ratio() -> ClaimResult:
         off = ctx.conservation(
@@ -853,17 +836,9 @@ def lax_claims(cfg: RunConfig,
 
         def compat(lam=lam) -> ClaimResult:
             vals = [lax(lam, i).compat_residual for i in range(len(ctx.grids))]
-            stats = [{"max": _fmt(v), "h": _fmt(ctx.hs[i])}
-                     for i, v in enumerate(vals)]
-            try:
-                est = convergence_order(vals, ctx.hs, zero_floor=cfg.zero_floor)
-            except NonMonotone as exc:
-                return ClaimResult(False, residuals=stats,
-                                   order="non-monotone", detail=str(exc))
-            if est.exact:
-                return ClaimResult(True, residuals=stats, order="exact")
-            ok = est.order >= cfg.min_order
-            return ClaimResult(ok, residuals=stats, order=_fmt(est.order))
+            stats = [{"max": _fmt(v), "h": _fmt(h)}
+                     for v, h in zip(vals, ctx.hs)]
+            return _order_result(vals, stats, ctx.hs, cfg)
         claims.append(Claim(
             f"lax.path-independence.{tag}",
             f"the two staircase integrations of the wavefunction agree to "
@@ -873,11 +848,11 @@ def lax_claims(cfg: RunConfig,
         def sym(lam=lam) -> ClaimResult:
             stats = []
             for i in range(len(ctx.grids)):
-                stats.append(symmetry_residual(eq, lax(lam, i).psi, ctx.u(i),
-                                               margin=ctx.margins[i],
-                                               fields=ctx.fields(i)))
+                # S(psi; u) is the conservation residual of psi
+                stats.append(ctx.conservation(lax(lam, i).psi, i))
                 del cache[(lam, i)]
-            return _order_result(stats, ctx.hs, cfg)
+            return _order_result([s.max for s in stats],
+                                 [_stats_dict(s) for s in stats], ctx.hs, cfg)
         claims.append(Claim(
             f"lax.wavefunction-symmetry.{tag}",
             f"the integrated wavefunction satisfies the linearized equation "
@@ -987,13 +962,18 @@ def write_atomic(path: str, text: str):
         raise IoFailure(f"cannot write {path!r}: {exc}")
 
 
-def run(cfg: RunConfig) -> dict:
-    """Full pipeline: symbolic suite, hierarchy, numeric suite, Lax checks;
-    the numeric and Lax claims share one sampled ladder."""
+def all_claims(cfg: RunConfig) -> List[Claim]:
+    """The full catalog in report order: symbolic suite, hierarchy, numeric
+    suite, Lax checks; the numeric and Lax claims share one sampled
+    ladder.  Building it runs no claim."""
     ctx = _NumericContext(cfg)
-    claims = (symbolic_claims(cfg) + hierarchy_claims(cfg)
-              + numeric_claims(cfg, ctx) + lax_claims(cfg, ctx))
-    return build_report(cfg, run_claims(claims))
+    return (symbolic_claims(cfg) + hierarchy_claims(cfg)
+            + numeric_claims(cfg, ctx) + lax_claims(cfg, ctx))
+
+
+def run(cfg: RunConfig) -> dict:
+    """Full pipeline: every claim of the catalog, then the report."""
+    return build_report(cfg, run_claims(all_claims(cfg)))
 
 
 # ---------------------------------------------------------------------------
@@ -1074,10 +1054,10 @@ def gen_hierarchy_cmd(config_path, equation, output, fmt, window, seed):
                 window=tuple(window) if window else None, seed=seed)
     eq = get_equation(cfg.equation)
     with _config_errors():  # the seed must sit at level 0
-        claims = hierarchy_claims(cfg)
-    report = build_report(cfg, run_claims(claims))
+        seed = _seed_by_provenance(eq, cfg.seed)
+    h = generate_hierarchy(eq, seed, *cfg.window)
+    report = build_report(cfg, run_claims(hierarchy_claims(cfg, h)))
     # attach the serialized closed forms as data
-    h = generate_hierarchy(eq, _seed_by_provenance(eq, cfg.seed), *cfg.window)
     levels = {}
     for n in sorted(h.charges):
         q = h.charges[n]

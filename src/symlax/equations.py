@@ -3,13 +3,17 @@
 Two equations are registered: the principal chiral field model in two
 variables and the self-dual Yang-Mills (SDYM) equation in four.  Each
 declares its divergence components, pure-gauge connections, the
-leading-derivative solved form used for on-shell reduction, the nonlocal
-potential defining system, and the library of seed symmetry characteristics.
+leading-derivative solved form used for on-shell reduction and the nonlocal
+potential defining system, together with every fact the verification chain
+reads about it: the seed symmetry characteristics, the closed forms one
+recursion step derives from them, the expected hierarchy forms per seed,
+the solution families that sample it and its default grid ladder.  A new
+equation is one ``_make_*`` function and its registry entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from .calculus import (
@@ -20,7 +24,7 @@ from .calculus import (
     total_derivative,
 )
 from .errors import UnknownConnection
-from .expr import JetExpr, VarSpace
+from .expr import JetExpr, VarSpace, comm
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,28 @@ class EquationDef:
     potential_rules: Dict[str, Dict[str, JetExpr]]
     potential_name: str
     traceless: bool
+    seeds: Tuple[Characteristic, ...]    # the built-in seed library
+    derived: Tuple[Characteristic, ...]  # closed forms one step derives
+    # expected form per hierarchy level, keyed by seed provenance; a level
+    # with no closed form expects the marker "implicit"
+    expected_forms: Dict[str, Dict[int, object]]
+    families: Tuple[str, ...]              # sampling families, default first
+    extent: float                          # default per-axis grid length
+    counts: Tuple[int, ...]                # default refinement ladder
+
+    @property
+    def catalog(self) -> Tuple[Characteristic, ...]:
+        """The full verification catalog: the seeds, then the derived
+        closed forms."""
+        return self.seeds + self.derived
+
+    @property
+    def lift(self) -> Dict[str, str]:
+        """Plain-to-barred variable pairs of a slot whose covariant
+        variable differs from its divergence variable; empty for an
+        equation whose slots pair each variable with itself."""
+        return {s.cov_var: s.div_var for s in self.slots
+                if s.cov_var != s.div_var}
 
     def slot(self, which: str) -> ConnSlot:
         for s in self.slots:
@@ -63,10 +89,7 @@ class EquationDef:
     def divergence_components(self) -> Dict[str, JetExpr]:
         """Conserved-current components of F itself, keyed by divergence
         variable: F = sum_v D_v(component_v)."""
-        return {s.div_var: self.connection_of(s) for s in self.slots}
-
-    def connection_of(self, s: ConnSlot) -> JetExpr:
-        return s.connection
+        return {s.div_var: s.connection for s in self.slots}
 
     def bt_K(self, q: JetExpr) -> JetExpr:
         """BT kernel K(Q'; u) = u^-1 Q'."""
@@ -96,11 +119,6 @@ class ImplicitSystem:
     the two equations (each equation is an expression equal to zero)."""
     unknown: str
     equations: Tuple[JetExpr, JetExpr]
-
-
-@dataclass(frozen=True)
-class GridDefined:
-    field: object  # numerics.GridField; kept untyped to avoid a hard import
 
 
 @dataclass(frozen=True)
@@ -169,53 +187,17 @@ def verify_symmetry(eq: EquationDef, q) -> Verdict:
     return Verdict(holds=r.is_zero, residue=None if r.is_zero else r)
 
 
-def seed_characteristics(eq: EquationDef):
-    """The built-in seed library of known symmetry characteristics."""
-    vs, u = eq.vs, eq.field_name
-    if eq.name == "chiral":
-        return [
-            Characteristic(0, ClosedForm(vs.field(u) * vs.param("M")), "right-action"),
-            Characteristic(-1, ClosedForm(vs.param("L") * vs.field(u)), "left-action"),
-            Characteristic(0, ClosedForm(vs.field(u, "t")), "t-translation"),
-            Characteristic(0, ClosedForm(vs.field(u, "x")), "x-translation"),
-        ]
-    if eq.name == "sdym":
-        return [
-            Characteristic(0, ClosedForm(vs.field(u) * vs.param("M")), "right-action"),
-            Characteristic(0, ClosedForm(vs.field(u, "y")), "y-translation"),
-            Characteristic(0, ClosedForm(vs.field(u, "z")), "z-translation"),
-            Characteristic(0, ClosedForm(vs.field(u, "yb")), "yb-translation"),
-            Characteristic(0, ClosedForm(vs.field(u, "zb")), "zb-translation"),
-        ]
-    raise KeyError(f"no seed library for equation {eq.name!r}")
-
-
-def catalog_characteristics(eq: EquationDef):
-    """The full verification catalog: seeds plus the closed-form potential
-    characteristics one recursion step produces from them."""
-    vs, u = eq.vs, eq.field_name
-    if eq.name == "chiral":
-        gxm = vs.field(u) * (vs.pot("X") * vs.param("M")
-                             - vs.param("M") * vs.pot("X"))
-        return seed_characteristics(eq) + [
-            Characteristic(1, ClosedForm(gxm), "potential-commutator"),
-        ]
-    if eq.name == "sdym":
-        jxm = vs.field(u) * (vs.pot("X") * vs.param("M")
-                             - vs.param("M") * vs.pot("X"))
-        return seed_characteristics(eq) + [
-            Characteristic(-1, ClosedForm(vs.param("L") * vs.field(u)),
-                           "left-action"),
-            Characteristic(1, ClosedForm(jxm), "potential-commutator"),
-            Characteristic(1, ClosedForm(vs.field(u) * vs.pot("X", "y")),
-                           "potential-translation"),
-        ]
-    raise KeyError(f"no catalog for equation {eq.name!r}")
-
-
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
+
+def _right_action_forms(vs: VarSpace, u: JetExpr) -> Dict[int, object]:
+    """Hierarchy from the right-action seed u M: the potential commutator
+    above it, the left action below it, then an implicit level."""
+    M = vs.param("M")
+    return {1: u * comm(vs.pot("X"), M), 0: u * M, -1: vs.param("L") * u,
+            -2: "implicit"}
+
 
 def _make_chiral() -> EquationDef:
     vs = VarSpace(("t", "x"))
@@ -226,6 +208,7 @@ def _make_chiral() -> EquationDef:
     rhs = (vs.field("g", "t") * gi * vs.field("g", "t")
            + vs.field("g", "x") * gi * vs.field("g", "x")
            - vs.field("g", "x", "x"))
+    M, X = vs.param("M"), vs.pot("X")
     return EquationDef(
         name="chiral",
         vs=vs,
@@ -239,18 +222,33 @@ def _make_chiral() -> EquationDef:
         potential_rules={"X": {"x": a, "t": -1 * b}},
         potential_name="X",
         traceless=False,
+        seeds=(
+            Characteristic(0, ClosedForm(g * M), "right-action"),
+            Characteristic(-1, ClosedForm(vs.param("L") * g), "left-action"),
+            Characteristic(0, ClosedForm(vs.field("g", "t")), "t-translation"),
+            Characteristic(0, ClosedForm(vs.field("g", "x")), "x-translation"),
+        ),
+        derived=(
+            Characteristic(1, ClosedForm(g * comm(X, M)),
+                           "potential-commutator"),
+        ),
+        expected_forms={"right-action": _right_action_forms(vs, g)},
+        families=("exponential-product", "perturbed-offshell"),
+        extent=1.0,
+        counts=(65, 129, 257),
     )
 
 
 def _make_sdym() -> EquationDef:
     vs = VarSpace(("y", "z", "yb", "zb"))
-    ji = vs.inv("J")
+    J, ji = vs.field("J"), vs.inv("J")
     ay = ji * vs.field("J", "y")
     az = ji * vs.field("J", "z")
     # J_{y yb} = J_yb J^-1 J_y + J_zb J^-1 J_z - J_{z zb}
     rhs = (vs.field("J", "yb") * ji * vs.field("J", "y")
            + vs.field("J", "zb") * ji * vs.field("J", "z")
            - vs.field("J", "z", "zb"))
+    M, X = vs.param("M"), vs.pot("X")
     return EquationDef(
         name="sdym",
         vs=vs,
@@ -264,6 +262,32 @@ def _make_sdym() -> EquationDef:
         potential_rules={"X": {"zb": ay, "yb": -1 * az}},
         potential_name="X",
         traceless=True,
+        seeds=(
+            Characteristic(0, ClosedForm(J * M), "right-action"),
+            Characteristic(0, ClosedForm(vs.field("J", "y")), "y-translation"),
+            Characteristic(0, ClosedForm(vs.field("J", "z")), "z-translation"),
+            Characteristic(0, ClosedForm(vs.field("J", "yb")),
+                           "yb-translation"),
+            Characteristic(0, ClosedForm(vs.field("J", "zb")),
+                           "zb-translation"),
+        ),
+        derived=(
+            Characteristic(-1, ClosedForm(vs.param("L") * J), "left-action"),
+            Characteristic(1, ClosedForm(J * comm(X, M)),
+                           "potential-commutator"),
+            Characteristic(1, ClosedForm(J * vs.pot("X", "y")),
+                           "potential-translation"),
+        ),
+        expected_forms={
+            "right-action": _right_action_forms(vs, J),
+            "y-translation": {1: J * vs.pot("X", "y"),
+                              0: vs.field("J", "y"),
+                              -1: vs.field("J", "zb"),
+                              -2: "implicit"},
+        },
+        families=("lifted-chiral",),
+        extent=0.5,
+        counts=(9, 17, 33),
     )
 
 

@@ -541,7 +541,6 @@ def evaluate(e: Union[RawExpr, JetExpr], assign: Mapping, n: int,
         if a in assign:
             return assign[a]
         if isinstance(a, InvField):
-            base = Field(a.name, None)
             for k in assign:
                 if isinstance(k, Field) and k.name == a.name and k.is_bare():
                     return mat_inv(assign[k])

@@ -26,7 +26,6 @@ from .equations import (
     Characteristic,
     ClosedForm,
     EquationDef,
-    GridDefined,
     ImplicitSystem,
     field_equation_residual,
 )
@@ -498,14 +497,6 @@ def conservation_residual(eq: EquationDef, qgrid: GridField, u: GridField,
     return residual_stats(div, grid, margin)
 
 
-def symmetry_residual(eq: EquationDef, psi: GridField, u: GridField,
-                      margin: int = 3,
-                      fields: Optional[SolutionFields] = None) -> ResidualStats:
-    """S(psi; u) by central differences; the conserved-divergence form and
-    the linearized-equation form coincide, so this shares the computation."""
-    return conservation_residual(eq, psi, u, margin=margin, fields=fields)
-
-
 # ---------------------------------------------------------------------------
 # Potential integration
 # ---------------------------------------------------------------------------
@@ -589,19 +580,19 @@ def _potential_tolerance(grid: Grid, integrands) -> float:
 
 
 def _extend_integrands_by_invariance(eq, u, env, integrands):
-    """The four-variable potential system only pins the derivatives along
-    the two barred directions.  For translation-lifted samples (the ones
-    this package generates) the derivative along y equals the one along yb
-    and likewise for z/zb, which supplies the missing base-plane transport.
-    The invariance is measured, not assumed."""
+    """The potential system of a lifted equation only pins the derivatives
+    along the barred directions of ``eq.lift``.  For translation-lifted
+    samples (the ones this package generates) the derivative along each
+    plain variable equals the one along its barred partner, which supplies
+    the missing base-plane transport.  The invariance is measured, not
+    assumed."""
     grid = u.grid
-    pairs = {"y": "yb", "z": "zb"}
 
     def first_derivative(axis):
         orders = tuple(int(a == axis) for a in range(len(grid.axes)))
         return env.atom_values(Field(eq.field_name, orders))
 
-    for plain, barred in pairs.items():
+    for plain, barred in eq.lift.items():
         ia, ib = grid.axis_index(plain), grid.axis_index(barred)
         ha, hb = grid.axes[ia].h, grid.axes[ib].h
         da = first_derivative(ia)
@@ -612,11 +603,8 @@ def _extend_integrands_by_invariance(eq, u, env, integrands):
                 "potential underdetermined: sample is not translation-lifted "
                 f"(d/d{plain} vs d/d{barred} deviation {dev:.3e})",
                 residual=dev)
-    # X_y = X_yb rule and X_z = X_zb rule, both already in integrands
-    iyb = grid.axis_index("yb")
-    izb = grid.axis_index("zb")
-    integrands[grid.axis_index("y")] = integrands[iyb]
-    integrands[grid.axis_index("z")] = integrands[izb]
+        # the X_plain rule is the X_barred one, already in integrands
+        integrands[ia] = integrands[ib]
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +620,6 @@ def eval_characteristic(q: Characteristic, eq: EquationDef, u: GridField,
     path-integrated for implicit pairs.  ``fields`` supplies the cached
     u^-1 and field derivatives of ``u``; ``params`` and ``potential`` bind
     to this evaluation only."""
-    if isinstance(q.body, GridDefined):
-        return q.body.field
     env = _fields_for(eq, u, fields).env.bind(
         params=params,
         potentials={eq.potential_name: potential.values}
@@ -772,8 +758,9 @@ def integrate_lax(eq: EquationDef, u: GridField, lam: complex,
     """Integrate the explicit first-order form of the Lax pair for the
     wavefunction phi = u^-1 Psi, along both staircase orders; the maximum
     pointwise difference between the two sweeps is the compatibility
-    residual (it vanishes with h only on-shell).  ``fields`` supplies the
-    cached connections of ``u`` for the two-variable equation."""
+    residual (it vanishes with h only on-shell).  A lifted equation is
+    integrated on its diagonals; otherwise ``fields`` supplies the cached
+    connections of ``u``."""
     _check_lambda(lam)
     n = u.n_dim
     if phi0 is None:
@@ -783,19 +770,15 @@ def integrate_lax(eq: EquationDef, u: GridField, lam: complex,
         phi0 = np.eye(n) + 0.5 * rng.standard_normal((n, n))
     phi0 = np.asarray(phi0)
 
-    if eq.name == "chiral":
-        grid = u.grid
-        a, b = _fields_for(eq, u, fields).connections
-        phi1, phi2 = _integrate_lax_2d(grid, a, b, lam, phi0)
-        resid = float(np.abs(phi1 - phi2).max())
-        phi = GridField(grid, phi1)
-        psi = GridField(grid, u.values @ phi1)
-        return LaxIntegration(phi, psi, resid)
-
-    if eq.name == "sdym":
-        return _integrate_lax_lifted(eq, u, lam, phi0)
-
-    raise ValueError(f"no Lax integrator for equation {eq.name!r}")
+    if eq.lift:
+        return _integrate_lax_lifted(u, lam, phi0)
+    grid = u.grid
+    a, b = _fields_for(eq, u, fields).connections
+    phi1, phi2 = _integrate_lax_2d(grid, a, b, lam, phi0)
+    resid = float(np.abs(phi1 - phi2).max())
+    phi = GridField(grid, phi1)
+    psi = GridField(grid, u.values @ phi1)
+    return LaxIntegration(phi, psi, resid)
 
 
 def _march_lines(phi_start, C, h):
@@ -842,7 +825,7 @@ def _integrate_lax_2d(grid: Grid, a, b, lam, phi0):
     return phiA, phiB
 
 
-def _integrate_lax_lifted(eq: EquationDef, u: GridField, lam, phi0):
+def _integrate_lax_lifted(u: GridField, lam, phi0):
     """SDYM Lax integration for translation-lifted samples: on such fields
     the four-variable pair collapses to the two-variable one on the
     diagonals t = y+yb, x = z+zb, which is solved and lifted back."""

@@ -45,7 +45,6 @@ class BTSystem:
     unknown_level: int
     unknown_name: str
     equations: Tuple[JetExpr, JetExpr]
-    compat_residue: JetExpr
 
 
 def _known_expr(q: Characteristic) -> JetExpr:
@@ -57,9 +56,9 @@ def _known_expr(q: Characteristic) -> JetExpr:
 
 def bt_step(eq: EquationDef, q: Characteristic, direction: str) -> BTSystem:
     """Build the constraint pair with the unknown at level n+1 (forward) or
-    n-1 (backward), and attach the on-shell compatibility residue.  A nonzero
-    residue means the known characteristic was not a symmetry and raises
-    IncompatibleSystem."""
+    n-1 (backward), after checking its on-shell compatibility.  A nonzero
+    compatibility residue means the known characteristic was not a symmetry
+    and raises IncompatibleSystem."""
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward|backward, got {direction!r}")
     qe = _known_expr(q)
@@ -93,7 +92,7 @@ def bt_step(eq: EquationDef, q: Characteristic, direction: str) -> BTSystem:
             f"BT {direction} step from level {q.index} is incompatible "
             f"(known characteristic is not a symmetry)",
             residue=compat, level=q.index)
-    return BTSystem(eq, q, direction, level, unknown, (e1, e2), compat)
+    return BTSystem(eq, q, direction, level, unknown, (e1, e2))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +128,6 @@ def _backward_candidates(eq: EquationDef, qe: JetExpr) -> List[JetExpr]:
 def _satisfies(eq: EquationDef, sys: BTSystem, candidate: JetExpr) -> bool:
     """Check a closed-form candidate for the unknown against both equations,
     on-shell and modulo the potential defining relations."""
-    rules = {}
     unknown = sys.unknown_name
     ctx = eq.frechet_ctx(candidate)
     for e in sys.equations:
@@ -153,15 +151,11 @@ def _replace_field(e: JetExpr, name: str, value: JetExpr) -> JetExpr:
     return rewrite(e, matcher)
 
 
-def _eliminate_potentials(e: JetExpr, eq: EquationDef) -> JetExpr:
-    return reduce_mod_field_equation(e, eq)
-
-
-def _is_degenerate(eq: EquationDef, expr: JetExpr, seed_expr: JetExpr) -> Tuple[bool, JetExpr]:
+def _is_degenerate(eq: EquationDef, expr: JetExpr) -> Tuple[bool, JetExpr]:
     """A produced charge is unproductive when, after eliminating the
     potential, it is a local expression proportional to a coordinate
     derivative of the field (nothing new beyond the known local symmetries)."""
-    flat = _eliminate_potentials(expr, eq)
+    flat = reduce_mod_field_equation(expr, eq)
     if flat.has_potentials():
         return False, expr
     if len(flat.mons) == 1:
@@ -188,14 +182,14 @@ def integrate_bt_symbolic(sys: BTSystem) -> Characteristic:
         for w in _forward_candidates(eq, qe):
             cand = u * w
             if _satisfies(eq, sys, cand):
-                degen, expr = _is_degenerate(eq, cand, qe)
+                degen, expr = _is_degenerate(eq, cand)
                 return Characteristic(sys.unknown_level, ClosedForm(expr),
                                       provenance=f"bt-forward from {sys.known.provenance}",
                                       degenerate=degen)
     else:
         for cand in _backward_candidates(eq, qe):
             if _satisfies(eq, sys, cand):
-                degen, expr = _is_degenerate(eq, cand, qe)
+                degen, expr = _is_degenerate(eq, cand)
                 return Characteristic(sys.unknown_level, ClosedForm(expr),
                                       provenance=f"bt-backward from {sys.known.provenance}",
                                       degenerate=degen)
@@ -220,10 +214,6 @@ class Hierarchy:
     charges: Dict[int, Characteristic] = dc_field(default_factory=dict)
     verdicts: Dict[int, str] = dc_field(default_factory=dict)
     notes: List[str] = dc_field(default_factory=list)
-
-    def window(self) -> Tuple[int, int]:
-        ks = sorted(self.charges)
-        return (ks[0], ks[-1])
 
 
 def generate_hierarchy(eq: EquationDef, seed: Characteristic,

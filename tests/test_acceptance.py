@@ -23,9 +23,7 @@ from symlax.cli import (
 from symlax.equations import (
     ClosedForm,
     ImplicitSystem,
-    catalog_characteristics,
     get_equation,
-    seed_characteristics,
 )
 from symlax.expr import JetExpr, comm, normalize
 from symlax.recursion import generate_hierarchy
@@ -51,7 +49,7 @@ def test_criterion_1_symbolic_identity_suite():
                 "sym.lax-on-shell"} <= ids
         # the full characteristic catalog is covered
         eq = get_equation(eq_name)
-        for q in catalog_characteristics(eq):
+        for q in eq.catalog:
             assert f"sym.characteristic.{q.provenance}" in ids
     assert time.monotonic() - start < 10.0
 
@@ -61,8 +59,7 @@ def test_criterion_2_hierarchy_reproduction():
 
     chiral = get_equation("chiral")
     vs = chiral.vs
-    seed = next(s for s in seed_characteristics(chiral)
-                if s.provenance == "right-action")
+    seed = next(s for s in chiral.seeds if s.provenance == "right-action")
     h = generate_hierarchy(chiral, seed, -2, 1)
     assert h.charges[1].body.expr == chiral.u() * comm(vs.pot("X"),
                                                        vs.param("M"))
@@ -76,8 +73,7 @@ def test_criterion_2_hierarchy_reproduction():
              svs.param("L") * sdym.u()),
             ("y-translation", sdym.u() * svs.pot("X", "y"),
              svs.field("J", "zb"))):
-        sseed = next(s for s in seed_characteristics(sdym)
-                     if s.provenance == prov)
+        sseed = next(s for s in sdym.seeds if s.provenance == prov)
         sh = generate_hierarchy(sdym, sseed, -2, 1)
         assert sh.charges[1].body.expr == top
         assert sh.charges[-1].body.expr == bottom
@@ -127,6 +123,12 @@ def test_criterion_4_negative_controls():
     assert survivors <= {"num.conservation.left-action"}
     assert not by_id["num.field-equation"]["passed"]
     assert not by_id["num.conservation.right-action"]["passed"]
+    # a failing ladder says why, path independence included
+    for r in records:
+        if r["id"].startswith("lax.path-independence."):
+            assert not r["passed"]
+            assert r["detail"].startswith("order "), r
+            assert r["detail"].endswith(f" < required {cfg.min_order}"), r
     _assert_all_pass(records)
 
 

@@ -18,6 +18,7 @@ from symlax.cli import (
     Claim,
     ClaimResult,
     _offshell_ratio,
+    all_claims,
     build_report,
     emit_report,
     hierarchy_claims,
@@ -82,6 +83,10 @@ def test_overrides_beat_file(tmp_path):
     dict(counts=(9, 17)),
     dict(base_margin=5, counts=(9, 17, 33)),
     dict(equation="sdym", family="perturbed-offshell"),
+    # a family that cannot sample the equation, or no family at all
+    dict(equation="sdym", family="exponential-product"),
+    dict(family="lifted-chiral"),
+    dict(family="exponential-prodcut"),
 ])
 def test_invalid_configs_rejected(kw):
     with pytest.raises(ConfigInvalid):
@@ -182,6 +187,52 @@ def test_negative_controls_marked_expected_fail():
     assert any(c.expected_fail for c in claims)
 
 
+_HIER_IDS = ["hier.levels-verified", "hier.level.-2", "hier.level.-1",
+             "hier.level.0", "hier.level.1", "hier.truncation-boundary"]
+_LAX_IDS = [f"lax.{kind}.{tag}" for tag in ("0.25", "0.5", "1", "2")
+            for kind in ("path-independence", "wavefunction-symmetry")]
+_CHIRAL_CATALOG = ["right-action", "left-action", "t-translation",
+                   "x-translation", "potential-commutator"]
+_SDYM_CATALOG = ["right-action", "y-translation", "z-translation",
+                 "yb-translation", "zb-translation", "left-action",
+                 "potential-commutator", "potential-translation"]
+
+
+def _sym_ids(catalog):
+    return (["sym.solved-form-consistency", "sym.zero-curvature",
+             "sym.operator-identity", "sym.linearization-routes-agree",
+             "sym.potential-cross-consistency",
+             "sym.potential-linearized-cross-consistency"]
+            + [f"sym.characteristic.{q}" for q in catalog]
+            + ["sym.lax-cross-identity", "sym.lax-covariant-identity",
+               "sym.lax-on-shell"])
+
+
+_CHIRAL_NUM_IDS = (["num.field-equation"]
+                   + [f"num.conservation.{q}" for q in _CHIRAL_CATALOG]
+                   + ["num.potential-defining-relations",
+                      "num.implicit-charge"])
+
+
+@pytest.mark.parametrize("kw,size,expected", [
+    (dict(), 36, _sym_ids(_CHIRAL_CATALOG) + _HIER_IDS + _CHIRAL_NUM_IDS
+     + _LAX_IDS),
+    (dict(equation="sdym"), 50,
+     _sym_ids(_SDYM_CATALOG) + _HIER_IDS + ["num.field-equation"]
+     + [f"num.conservation.{q}" for q in _SDYM_CATALOG]
+     + ["num.potential-defining-relations", "num.determinant-preserved"]
+     + [f"num.trace-constraint.{q}" for q in _SDYM_CATALOG] + _LAX_IDS),
+    (dict(family="perturbed-offshell", eps=0.1, counts=(17, 33, 65)), 39,
+     _sym_ids(_CHIRAL_CATALOG) + _HIER_IDS + _CHIRAL_NUM_IDS
+     + ["neg.conservation-ratio", "neg.lax-compatibility-ratio",
+        "neg.residual-nonconvergence"] + _LAX_IDS),
+], ids=["chiral", "sdym", "offshell"])
+def test_claim_catalog_is_frozen(kw, size, expected):
+    # the full catalog, in report order, built without running a claim
+    assert len(expected) == size
+    assert _ids(all_claims(load_config(**kw))) == expected
+
+
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -258,6 +309,21 @@ def test_cli_gen_hierarchy_attaches_levels():
     levels = rep["hierarchy"]["levels"]
     assert set(levels) == {"-1", "0", "1"}
     assert all(l["form"] == "closed" for l in levels.values())
+
+
+def test_cli_gen_hierarchy_generates_once(monkeypatch):
+    import symlax.cli as cli
+    calls = []
+    generate = cli.generate_hierarchy
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_hierarchy", counting)
+    r = CliRunner().invoke(main, ["gen-hierarchy"])
+    assert r.exit_code == 0, r.output
+    assert len(calls) == 1
 
 
 def test_cli_output_file(tmp_path):

@@ -6,11 +6,9 @@ from symlax.calculus import reduce_mod_field_equation, total_derivative
 from symlax.equations import (
     Characteristic,
     ClosedForm,
-    catalog_characteristics,
     equation_names,
     field_equation_residual,
     get_equation,
-    seed_characteristics,
     symmetry_condition,
     symmetry_condition_covariant,
     verify_symmetry,
@@ -68,10 +66,10 @@ def test_divergence_components_rebuild_residual():
 
 
 def test_seed_library_contents():
-    chiral = {s.provenance for s in seed_characteristics(get_equation("chiral"))}
+    chiral = {s.provenance for s in get_equation("chiral").seeds}
     assert chiral == {"right-action", "left-action", "t-translation",
                       "x-translation"}
-    sdym = {s.provenance for s in seed_characteristics(get_equation("sdym"))}
+    sdym = {s.provenance for s in get_equation("sdym").seeds}
     assert sdym == {"right-action", "y-translation", "z-translation",
                     "yb-translation", "zb-translation"}
 
@@ -79,7 +77,7 @@ def test_seed_library_contents():
 def test_every_catalog_characteristic_verifies():
     for name in equation_names():
         eq = get_equation(name)
-        for q in catalog_characteristics(eq):
+        for q in eq.catalog:
             v = verify_symmetry(eq, q)
             assert v.holds, f"{name}/{q.provenance}: {v.residue!r}"
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from symlax import kernels
-from symlax.equations import get_equation, seed_characteristics
+from symlax.equations import get_equation
 from symlax.errors import (
     GridTooSmall,
     IoFailure,
@@ -49,7 +49,6 @@ from symlax.numerics import (
     sample_solution,
     save_snapshot,
     scaled_margins,
-    symmetry_residual,
 )
 from symlax.recursion import generate_hierarchy
 
@@ -321,8 +320,7 @@ def test_potential_underdetermined_without_lift():
 # ---------------------------------------------------------------------------
 
 def _seed(eq, provenance):
-    return next(s for s in seed_characteristics(eq)
-                if s.provenance == provenance)
+    return next(s for s in eq.seeds if s.provenance == provenance)
 
 
 def test_closed_form_characteristic_is_pointwise():
@@ -421,7 +419,7 @@ def test_lax_on_shell_convergence():
     for u, m in ladder():
         out = integrate_lax(CHIRAL, u, 0.5)
         maxes.append(out.compat_residual)
-        stats = symmetry_residual(CHIRAL, out.psi, u, margin=m)
+        stats = conservation_residual(CHIRAL, out.psi, u, margin=m)
         syms.append(stats.max)
         hs.append(max(u.grid.spacings))
     for seq in (maxes, syms):

@@ -10,7 +10,6 @@ from symlax.equations import (
     ClosedForm,
     ImplicitSystem,
     get_equation,
-    seed_characteristics,
     verify_symmetry,
 )
 from symlax.errors import IncompatibleSystem, ZeroLambda
@@ -26,8 +25,7 @@ from symlax.recursion import (
 
 
 def _seed(eq, provenance):
-    return next(s for s in seed_characteristics(eq)
-                if s.provenance == provenance)
+    return next(s for s in eq.seeds if s.provenance == provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +36,6 @@ def test_forward_step_structure_chiral():
     eq = get_equation("chiral")
     sys = bt_step(eq, _seed(eq, "right-action"), "forward")
     assert sys.unknown_level == 1
-    assert sys.compat_residue.is_zero
     assert len(sys.equations) == 2
 
 
