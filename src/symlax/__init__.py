@@ -96,7 +96,6 @@ from .numerics import (
     fd_residual_field_equation,
     integrate_lax,
     load_snapshot,
-    make_env,
     nilpotent_family,
     sample_solution,
     save_snapshot,

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
-from .errors import DerivativeOrderOverflow, UnboundField, UnknownConnection
+from .errors import DerivativeOrderOverflow, UnboundField
 from .expr import (
     DPotential,
     Field,
@@ -83,6 +83,20 @@ def d_multi(e: JetExpr, orders: tuple) -> JetExpr:
     return e
 
 
+def _lower_potential(orders: tuple, rules: Dict[str, JetExpr], vs: VarSpace,
+                     image: Callable[[JetExpr], JetExpr]) -> Optional[JetExpr]:
+    """A differentiated potential lowered through its defining rule: for the
+    first variable v with a rule along which ``orders`` differentiates,
+    D^(orders - e_v) of ``image(rules[v])``; None when there is no such v."""
+    for v in vs.names:
+        i = vs.index(v)
+        if v in rules and orders[i] > 0:
+            rest = list(orders)
+            rest[i] -= 1
+            return d_multi(image(rules[v]), tuple(rest))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Linearization (directional derivative along a characteristic)
 # ---------------------------------------------------------------------------
@@ -134,15 +148,9 @@ def _frechet_atom(a, ctx: FrechetContext) -> Optional[JetExpr]:
         inv = vs.atom(InvField(a.name))
         return (inv * q * inv).scale(-1)
     if isinstance(a, Potential):
-        rules = ctx.potential_rules.get(a.name)
-        if rules:
-            for v in vs.names:
-                i = vs.index(v)
-                if v in rules and a.orders[i] > 0:
-                    rest = list(a.orders)
-                    rest[i] -= 1
-                    return d_multi(frechet_derivative(rules[v], ctx), tuple(rest))
-        return vs.atom(DPotential(a.name, a.orders))
+        img = _lower_potential(a.orders, ctx.potential_rules.get(a.name, {}),
+                               vs, lambda r: frechet_derivative(r, ctx))
+        return img if img is not None else vs.atom(DPotential(a.name, a.orders))
     if isinstance(a, DPotential):
         raise UnboundField(
             f"second linearization of potential {a.name!r} is outside the fragment")
@@ -180,24 +188,12 @@ def reduce_mod_field_equation(e: JetExpr, eq,
             delta = tuple(o - l for o, l in zip(a.orders, lead))
             img = d_multi(eq.solved_rhs, delta)
         elif isinstance(a, Potential) and a.name in eq.potential_rules:
-            rules = eq.potential_rules[a.name]
-            for v in vs.names:
-                i = vs.index(v)
-                if v in rules and a.orders[i] > 0:
-                    rest = list(a.orders)
-                    rest[i] -= 1
-                    img = d_multi(rules[v], tuple(rest))
-                    break
+            img = _lower_potential(a.orders, eq.potential_rules[a.name], vs,
+                                   lambda r: r)
         elif isinstance(a, DPotential) and ctx is not None \
                 and a.name in eq.potential_rules:
-            rules = eq.potential_rules[a.name]
-            for v in vs.names:
-                i = vs.index(v)
-                if v in rules and a.orders[i] > 0:
-                    rest = list(a.orders)
-                    rest[i] -= 1
-                    img = d_multi(frechet_derivative(rules[v], ctx), tuple(rest))
-                    break
+            img = _lower_potential(a.orders, eq.potential_rules[a.name], vs,
+                                   lambda r: frechet_derivative(r, ctx))
         cache[a] = img
         return img
 

@@ -84,12 +84,13 @@ from .numerics import (
     ResidualStats,
     SolutionFamily,
     SolutionFields,
-    compute_potential,
     conservation_residual,
     convergence_order,
     eval_characteristic,
+    eval_on_grid,
     fd_residual_field_equation,
     integrate_lax,
+    residual_stats,
     sample_solution,
     scaled_margins,
 )
@@ -580,9 +581,10 @@ def hierarchy_claims(cfg: RunConfig,
 # ---------------------------------------------------------------------------
 
 class _NumericContext:
-    """Lazily sampled solution ladder shared by the numeric claims, with the
-    arrays derived from each rung's sample (u^-1, field derivatives, slot
-    connections, potential) cached for the context's lifetime."""
+    """Lazily sampled solution ladder shared by the numeric and Lax claims.
+    Rung i is sampled once, on first use, and kept for the context's
+    lifetime as a ``SolutionFields``, which caches the arrays derived from
+    the sample (u^-1, field derivatives, slot connections, potential)."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -590,31 +592,17 @@ class _NumericContext:
         self.grids = cfg.grids()
         self.margins = cfg.margins()
         self.hs = [max(g.spacings) for g in self.grids]
-        self._u: Dict[int, GridField] = {}
-        self._fields: Dict[int, SolutionFields] = {}
-        self._pot: Dict[int, GridField] = {}
+        self._rungs: Dict[int, SolutionFields] = {}
 
-    def u(self, i: int) -> GridField:
-        if i not in self._u:
-            self._u[i] = sample_solution(self.cfg.family_obj(), self.grids[i])
-        return self._u[i]
-
-    def fields(self, i: int) -> SolutionFields:
-        if i not in self._fields:
-            self._fields[i] = SolutionFields(self.eq, self.u(i))
-        return self._fields[i]
-
-    def potential(self, i: int) -> GridField:
-        if i not in self._pot:
-            self._pot[i] = compute_potential(self.eq, self.u(i),
-                                             fields=self.fields(i)).field
-        return self._pot[i]
+    def rung(self, i: int) -> SolutionFields:
+        if i not in self._rungs:
+            u = sample_solution(self.cfg.family_obj(), self.grids[i])
+            self._rungs[i] = SolutionFields(self.eq, u)
+        return self._rungs[i]
 
     def conservation(self, qg: GridField, i: int) -> ResidualStats:
         """Conservation residual of a characteristic sample on rung i."""
-        return conservation_residual(self.eq, qg, self.u(i),
-                                     margin=self.margins[i],
-                                     fields=self.fields(i))
+        return conservation_residual(self.rung(i), qg, self.margins[i])
 
     def onshell_twin(self) -> "_NumericContext":
         """The unperturbed counterpart, for off-shell ratio claims."""
@@ -642,20 +630,13 @@ def numeric_claims(cfg: RunConfig,
         "second order on the sampled solution",
         "numeric",
         lambda: ladder(lambda i: fd_residual_field_equation(
-            eq, ctx.u(i), margin=ctx.margins[i], fields=ctx.fields(i))),
+            ctx.rung(i), ctx.margins[i])),
         expected_fail=offshell))
 
     for q in eq.catalog:
-        needs_pot = (isinstance(q.body, ClosedForm)
-                     and q.body.expr.has_potentials())
-
-        def cons(q=q, needs_pot=needs_pot) -> ClaimResult:
-            def one(i):
-                pot = ctx.potential(i) if needs_pot else None
-                qg = eval_characteristic(q, eq, ctx.u(i), params=cfgp,
-                                         potential=pot, fields=ctx.fields(i))
-                return ctx.conservation(qg, i)
-            return ladder(one)
+        def cons(q=q) -> ClaimResult:
+            return ladder(lambda i: ctx.conservation(
+                eval_characteristic(q, ctx.rung(i), cfgp), i))
         claims.append(Claim(
             f"num.conservation.{q.provenance}",
             f"the conserved current of the {q.provenance} characteristic has "
@@ -663,19 +644,15 @@ def numeric_claims(cfg: RunConfig,
             "numeric", cons, expected_fail=offshell))
 
     def potential_consistency() -> ClaimResult:
-        from .numerics import eval_on_grid
-
         def one(i):
-            pot = ctx.potential(i)
+            rung = ctx.rung(i)
             grid = ctx.grids[i]
-            env = ctx.fields(i).env
             worst = None
             for v, rhs in eq.potential_rules[eq.potential_name].items():
                 ax = grid.axis_index(v)
-                dX = np.gradient(pot.values, grid.axes[ax].h, axis=ax,
+                dX = np.gradient(rung.potential, grid.axes[ax].h, axis=ax,
                                  edge_order=2)
-                r = dX - eval_on_grid(rhs, env)
-                from .numerics import residual_stats
+                r = dX - eval_on_grid(rhs, rung.env)
                 st = residual_stats(r, grid, ctx.margins[i])
                 if worst is None or st.max > worst.max:
                     worst = st
@@ -692,12 +669,8 @@ def numeric_claims(cfg: RunConfig,
             seed = _seed_by_provenance(eq, DEFAULT_SEED)
             h = generate_hierarchy(eq, seed, -2, 0)
             q = h.charges[-2]
-
-            def one(i):
-                qg = eval_characteristic(q, eq, ctx.u(i), params=cfgp,
-                                         fields=ctx.fields(i))
-                return ctx.conservation(qg, i)
-            return ladder(one)
+            return ladder(lambda i: ctx.conservation(
+                eval_characteristic(q, ctx.rung(i), cfgp), i))
         claims.append(Claim(
             "num.implicit-charge",
             "the path-integrated implicit characteristic two levels below "
@@ -706,7 +679,7 @@ def numeric_claims(cfg: RunConfig,
 
     if eq.traceless:
         def det_preserved() -> ClaimResult:
-            u = ctx.u(len(ctx.grids) - 1)
+            u = ctx.rung(len(ctx.grids) - 1).u
             dev = float(np.abs(np.linalg.det(u.values) - 1.0).max())
             ok = dev <= 1e-10
             return ClaimResult(ok, detail=f"max |det - 1| = {dev:.3e}")
@@ -717,14 +690,9 @@ def numeric_claims(cfg: RunConfig,
 
         for q in eq.catalog:
             def trace_check(q=q) -> ClaimResult:
-                i = len(ctx.grids) - 1
-                u = ctx.u(i)
-                needs_pot = (isinstance(q.body, ClosedForm)
-                             and q.body.expr.has_potentials())
-                pot = ctx.potential(i) if needs_pot else None
-                qg = eval_characteristic(q, eq, u, params=cfgp, potential=pot,
-                                         fields=ctx.fields(i))
-                w = ctx.fields(i).inverse @ qg.values
+                rung = ctx.rung(len(ctx.grids) - 1)
+                qg = eval_characteristic(q, rung, cfgp)
+                w = rung.inverse @ qg.values
                 tr = float(np.abs(np.trace(w, axis1=-2, axis2=-1)).max())
                 ok = tr <= cfg.trace_tol
                 return ClaimResult(ok, detail=f"max |trace| = {tr:.3e}"
@@ -757,11 +725,9 @@ def _negative_control_claims(cfg: RunConfig, ctx: _NumericContext) -> List[Claim
 
     def conservation_ratio() -> ClaimResult:
         off = ctx.conservation(
-            eval_characteristic(seed_q, eq, ctx.u(i), params=cfgp,
-                                fields=ctx.fields(i)), i)
+            eval_characteristic(seed_q, ctx.rung(i), cfgp), i)
         on = twin.conservation(
-            eval_characteristic(seed_q, eq, twin.u(i), params=cfgp,
-                                fields=twin.fields(i)), i)
+            eval_characteristic(seed_q, twin.rung(i), cfgp), i)
         ratio = _offshell_ratio(off.max, on.max)
         ok = ratio >= cfg.offshell_factor
         return ClaimResult(ok, residuals=[_stats_dict(off), _stats_dict(on)],
@@ -769,18 +735,15 @@ def _negative_control_claims(cfg: RunConfig, ctx: _NumericContext) -> List[Claim
 
     def lax_ratio() -> ClaimResult:
         lam = cfg.lambdas[0]
-        off = integrate_lax(eq, ctx.u(i), lam,
-                            fields=ctx.fields(i)).compat_residual
-        on = integrate_lax(eq, twin.u(i), lam,
-                           fields=twin.fields(i)).compat_residual
+        off = integrate_lax(ctx.rung(i), lam).compat_residual
+        on = integrate_lax(twin.rung(i), lam).compat_residual
         ratio = _offshell_ratio(off, on)
         ok = ratio >= cfg.offshell_factor
         return ClaimResult(ok, detail=f"off/on ratio = {ratio:.3e} "
                                       f"(off {off:.3e}, on {on:.3e})")
 
     def nonconvergence() -> ClaimResult:
-        stats = [fd_residual_field_equation(eq, ctx.u(j), margin=ctx.margins[j],
-                                            fields=ctx.fields(j))
+        stats = [fd_residual_field_equation(ctx.rung(j), ctx.margins[j])
                  for j in range(len(ctx.grids))]
         vals = [s.max for s in stats]
         try:
@@ -817,7 +780,6 @@ def _negative_control_claims(cfg: RunConfig, ctx: _NumericContext) -> List[Claim
 def lax_claims(cfg: RunConfig,
                ctx: Optional[_NumericContext] = None) -> List[Claim]:
     ctx = ctx or _NumericContext(cfg)
-    eq = ctx.eq
     offshell = cfg.family == "perturbed-offshell"
     claims: List[Claim] = []
 
@@ -827,8 +789,7 @@ def lax_claims(cfg: RunConfig,
 
     def lax(lam, i):
         if (lam, i) not in cache:
-            cache[(lam, i)] = integrate_lax(eq, ctx.u(i), lam,
-                                            fields=ctx.fields(i))
+            cache[(lam, i)] = integrate_lax(ctx.rung(i), lam)
         return cache[(lam, i)]
 
     for lam in cfg.lambdas:

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Union
 
-from .errors import (
-    DerivativeOrderOverflow,
-    InverseOfComposite,
-    NonTerminating,
-    UnboundAtom,
-)
+from .errors import InverseOfComposite, NonTerminating, UnboundAtom
 
 Scalar = Union[int, Fraction]
 

@@ -6,6 +6,11 @@ conservation residuals of the charge hierarchy, potential consistency and
 path independence, Lax wavefunction integration, and convergence-order
 measurement.  A perturbed off-shell family provides negative controls.
 
+Every grid check takes one rung of a ladder, a ``SolutionFields``: the
+equation, the sampled solution and what is derived from the sample
+(u^-1, field derivatives, slot connections and the potential), each
+computed once on first use.
+
 Grid arrays are real or complex, by promotion: every array takes the dtype
 numpy's promotion gives from the inputs, so a real sample with real
 parameter matrices and a real spectral value stays float64 throughout, and
@@ -16,8 +21,8 @@ value) makes complex128 wherever it enters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import expm as _scipy_expm
@@ -423,25 +428,19 @@ def residual_stats(arr: np.ndarray, grid: Grid, margin: int) -> ResidualStats:
 # Residual evaluations
 # ---------------------------------------------------------------------------
 
-def make_env(eq: EquationDef, u: GridField,
-             params: Optional[Dict[str, np.ndarray]] = None,
-             potentials: Optional[Dict[str, np.ndarray]] = None,
-             lam: Optional[complex] = None) -> GridEnv:
-    return GridEnv(u.grid, {eq.field_name: u.values}, params=params,
-                   potentials=potentials, lam=lam)
-
-
 class SolutionFields:
-    """Arrays derived from one sampled solution, computed on first use and
-    kept for every later check on the same sample: the grid environment of
-    ``u`` (finite-difference derivatives and ``u^-1``, cached per atom) and
-    the slot connections."""
+    """One rung of a solution ladder: the sampled solution ``u`` of ``eq``
+    and the arrays derived from it, each computed on first use and kept for
+    every later check on the same sample.  These are the grid environment of
+    ``u`` (finite-difference derivatives and ``u^-1``, cached per atom), the
+    slot connections and the samples of the equation's potential."""
 
     def __init__(self, eq: EquationDef, u: GridField):
         self.eq = eq
         self.u = u
-        self.env = make_env(eq, u)
+        self.env = GridEnv(u.grid, {eq.field_name: u.values})
         self._connections: Optional[Tuple[np.ndarray, ...]] = None
+        self._potential: Optional[np.ndarray] = None
 
     @property
     def inverse(self) -> np.ndarray:
@@ -455,39 +454,33 @@ class SolutionFields:
                                       for s in self.eq.slots)
         return self._connections
 
+    @property
+    def potential(self) -> np.ndarray:
+        """Samples of the potential, integrated by ``compute_potential`` on
+        first use.  An off-shell sample raises PathInconsistent on every
+        use."""
+        if self._potential is None:
+            self._potential = compute_potential(self).field.values
+        return self._potential
 
-def _fields_for(eq: EquationDef, u: GridField,
-                fields: Optional[SolutionFields]) -> SolutionFields:
-    if fields is None:
-        return SolutionFields(eq, u)
-    if fields.u is not u or fields.eq is not eq:
-        raise ValueError("cached fields belong to another sample or equation")
-    return fields
 
-
-def fd_residual_field_equation(eq: EquationDef, u: GridField,
-                               margin: int = 3,
-                               fields: Optional[SolutionFields] = None
-                               ) -> ResidualStats:
+def fd_residual_field_equation(fields: SolutionFields,
+                               margin: int = 3) -> ResidualStats:
     """Central-difference evaluation of F[u] over interior points."""
-    env = _fields_for(eq, u, fields).env
-    F = eval_on_grid(field_equation_residual(eq), env)
-    return residual_stats(F, u.grid, margin)
+    F = eval_on_grid(field_equation_residual(fields.eq), fields.env)
+    return residual_stats(F, fields.u.grid, margin)
 
 
-def conservation_residual(eq: EquationDef, qgrid: GridField, u: GridField,
-                          margin: int = 3,
-                          fields: Optional[SolutionFields] = None
-                          ) -> ResidualStats:
+def conservation_residual(fields: SolutionFields, qgrid: GridField,
+                          margin: int = 3) -> ResidualStats:
     """Divergence of the conserved current pair built from a characteristic
     sample: sum_slots D_div(A_slot(u^-1 q))."""
-    if qgrid.grid is not u.grid and qgrid.grid != u.grid:
+    grid = fields.u.grid
+    if qgrid.grid is not grid and qgrid.grid != grid:
         raise DimensionMismatch("characteristic and solution grids differ")
-    fields = _fields_for(eq, u, fields)
-    grid = u.grid
     w = fields.inverse @ qgrid.values
     div = np.zeros_like(w)
-    for s, conn in zip(eq.slots, fields.connections):
+    for s, conn in zip(fields.eq.slots, fields.connections):
         cov_axis = grid.axis_index(s.cov_var)
         G = np.gradient(w, grid.axes[cov_axis].h, axis=cov_axis, edge_order=2) \
             + commutator(conn, w)
@@ -541,22 +534,19 @@ class PotentialResult:
     path_residual: float
 
 
-def compute_potential(eq: EquationDef, u: GridField,
-                      tol: Optional[float] = None,
-                      fields: Optional[SolutionFields] = None
-                      ) -> PotentialResult:
-    """Integrate the potential defining system from the origin (base value
-    zero) along a staircase path; the transposed path measures
+def compute_potential(fields: SolutionFields,
+                      tol: Optional[float] = None) -> PotentialResult:
+    """Integrate the potential defining system of a rung from the origin
+    (base value zero) along a staircase path; the transposed path measures
     path-independence, which fails off-shell."""
-    grid = u.grid
-    env = _fields_for(eq, u, fields).env
+    eq, grid = fields.eq, fields.u.grid
     rules = eq.potential_rules[eq.potential_name]
     integrands: Dict[int, np.ndarray] = {}
     for v, rhs in rules.items():
-        integrands[grid.axis_index(v)] = eval_on_grid(rhs, env)
+        integrands[grid.axis_index(v)] = eval_on_grid(rhs, fields.env)
 
     if len(integrands) < len(grid.axes):
-        _extend_integrands_by_invariance(eq, u, env, integrands)
+        _extend_integrands_by_invariance(fields, integrands)
 
     order = sorted(integrands)
     X1 = _staircase(integrands, grid, order)
@@ -579,18 +569,19 @@ def _potential_tolerance(grid: Grid, integrands) -> float:
     return 20.0 * (1.0 + scale) * extent * h ** 2
 
 
-def _extend_integrands_by_invariance(eq, u, env, integrands):
+def _extend_integrands_by_invariance(fields: SolutionFields, integrands):
     """The potential system of a lifted equation only pins the derivatives
     along the barred directions of ``eq.lift``.  For translation-lifted
     samples (the ones this package generates) the derivative along each
     plain variable equals the one along its barred partner, which supplies
     the missing base-plane transport.  The invariance is measured, not
     assumed."""
+    eq, u = fields.eq, fields.u
     grid = u.grid
 
     def first_derivative(axis):
         orders = tuple(int(a == axis) for a in range(len(grid.axes)))
-        return env.atom_values(Field(eq.field_name, orders))
+        return fields.env.atom_values(Field(eq.field_name, orders))
 
     for plain, barred in eq.lift.items():
         ia, ib = grid.axis_index(plain), grid.axis_index(barred)
@@ -611,22 +602,22 @@ def _extend_integrands_by_invariance(eq, u, env, integrands):
 # Characteristic evaluation (closed-form and implicit)
 # ---------------------------------------------------------------------------
 
-def eval_characteristic(q: Characteristic, eq: EquationDef, u: GridField,
+def eval_characteristic(q: Characteristic, fields: SolutionFields,
                         params: Optional[Dict[str, np.ndarray]] = None,
-                        potential: Optional[GridField] = None,
-                        tol: Optional[float] = None,
-                        fields: Optional[SolutionFields] = None) -> GridField:
-    """Sample a characteristic on the grid: pointwise for closed forms,
-    path-integrated for implicit pairs.  ``fields`` supplies the cached
-    u^-1 and field derivatives of ``u``; ``params`` and ``potential`` bind
-    to this evaluation only."""
-    env = _fields_for(eq, u, fields).env.bind(
-        params=params,
-        potentials={eq.potential_name: potential.values}
-        if potential is not None else None)
-    if isinstance(q.body, ClosedForm):
-        return GridField(u.grid, eval_on_grid(q.body.expr, env))
-    return _integrate_implicit(q.body, eq, u, env, tol=tol)
+                        tol: Optional[float] = None) -> GridField:
+    """Sample a characteristic on a rung: pointwise for closed forms,
+    path-integrated for implicit pairs.  The rung supplies the cached u^-1
+    and field derivatives, and its potential when ``q`` contains one;
+    ``params`` bind to this evaluation only."""
+    body = q.body
+    exprs = (body.expr,) if isinstance(body, ClosedForm) else body.equations
+    potentials = None
+    if any(e.has_potentials() for e in exprs):
+        potentials = {fields.eq.potential_name: fields.potential}
+    env = fields.env.bind(params=params, potentials=potentials)
+    if isinstance(body, ClosedForm):
+        return GridField(fields.u.grid, eval_on_grid(body.expr, env))
+    return _integrate_implicit(body, env, tol=tol)
 
 
 def _point_evaluator(e: JetExpr, env: GridEnv, unknown: str):
@@ -669,16 +660,15 @@ def _point_evaluator(e: JetExpr, env: GridEnv, unknown: str):
     return f, dtype
 
 
-def _integrate_implicit(body: ImplicitSystem, eq: EquationDef, u: GridField,
-                        env: GridEnv, tol: Optional[float] = None) -> GridField:
+def _integrate_implicit(body: ImplicitSystem, env: GridEnv,
+                        tol: Optional[float] = None) -> GridField:
     """Integrate the defining pair Q_a - Q u^-1 u_a - rhs_a = 0 from
     Q(origin) = 0 by Heun stepping along staircase paths, with a
     path-independence check.  Each step advances the whole slab of points
     already reached along the other axes."""
-    grid = u.grid
+    grid = env.grid
     unknown = body.unknown
-    vs = eq.vs
-    n = u.n_dim
+    n = env.matdim()
 
     # classify each equation by the derivative direction of the unknown
     dir_eqs: Dict[int, object] = {}
@@ -691,7 +681,7 @@ def _integrate_implicit(body: ImplicitSystem, eq: EquationDef, u: GridField,
                               "first derivative of the unknown per equation")
         axis = next(i for i, o in enumerate(dirs[0].orders) if o)
         # rhs for stepping: Q_axis = -(rest of the equation)
-        rest = e - vs.atom(dirs[0])
+        rest = e - e.vs.atom(dirs[0])
         dir_eqs[axis], dtype = _point_evaluator(rest, env, unknown)
         dtypes.append(dtype)
 
@@ -752,16 +742,16 @@ def _check_lambda(lam):
         raise SingularLambda("1 + lambda^2 vanishes; elimination is singular")
 
 
-def integrate_lax(eq: EquationDef, u: GridField, lam: complex,
-                  phi0: Optional[np.ndarray] = None,
-                  fields: Optional[SolutionFields] = None) -> LaxIntegration:
+def integrate_lax(fields: SolutionFields, lam: complex,
+                  phi0: Optional[np.ndarray] = None) -> LaxIntegration:
     """Integrate the explicit first-order form of the Lax pair for the
-    wavefunction phi = u^-1 Psi, along both staircase orders; the maximum
-    pointwise difference between the two sweeps is the compatibility
-    residual (it vanishes with h only on-shell).  A lifted equation is
-    integrated on its diagonals; otherwise ``fields`` supplies the cached
-    connections of ``u``."""
+    wavefunction phi = u^-1 Psi on a rung, along both staircase orders; the
+    maximum pointwise difference between the two sweeps is the
+    compatibility residual (it vanishes with h only on-shell).  A lifted
+    equation is integrated on its diagonals; otherwise on the rung's
+    cached connections."""
     _check_lambda(lam)
+    u = fields.u
     n = u.n_dim
     if phi0 is None:
         # identity is a fixed point of the commutator flow; default to a
@@ -770,10 +760,10 @@ def integrate_lax(eq: EquationDef, u: GridField, lam: complex,
         phi0 = np.eye(n) + 0.5 * rng.standard_normal((n, n))
     phi0 = np.asarray(phi0)
 
-    if eq.lift:
+    if fields.eq.lift:
         return _integrate_lax_lifted(u, lam, phi0)
     grid = u.grid
-    a, b = _fields_for(eq, u, fields).connections
+    a, b = fields.connections
     phi1, phi2 = _integrate_lax_2d(grid, a, b, lam, phi0)
     resid = float(np.abs(phi1 - phi2).max())
     phi = GridField(grid, phi1)

@@ -13,10 +13,12 @@ Q_t - Q u^-1 u_t = ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, List, Optional, Tuple
+from fractions import Fraction
+from typing import Dict, List, Tuple
 
 from .calculus import (
     covariant_derivative,
+    d_multi,
     reduce_mod_field_equation,
     total_derivative,
 )
@@ -30,7 +32,7 @@ from .equations import (
     verify_symmetry,
 )
 from .errors import IncompatibleSystem, ZeroLambda
-from .expr import Field, JetExpr, Potential, comm
+from .expr import Field, JetExpr, comm, rewrite
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +142,6 @@ def _satisfies(eq: EquationDef, sys: BTSystem, candidate: JetExpr) -> bool:
 def _replace_field(e: JetExpr, name: str, value: JetExpr) -> JetExpr:
     """Substitute a closed form for a field symbol, mapping derivative atoms
     to total derivatives of the value."""
-    from .calculus import d_multi
-    from .expr import rewrite
-
     def matcher(a):
         if isinstance(a, Field) and a.name == name:
             return d_multi(value, a.orders)
@@ -217,14 +216,11 @@ class Hierarchy:
 
 
 def generate_hierarchy(eq: EquationDef, seed: Characteristic,
-                       n_min: int, n_max: int,
-                       numeric_check: Optional[Callable[[Characteristic], str]] = None
-                       ) -> Hierarchy:
+                       n_min: int, n_max: int) -> Hierarchy:
     """Iterate the BT in both directions from a level-0 seed.
 
-    Closed forms are re-verified symbolically; implicit levels are checked
-    by ``numeric_check`` when supplied, otherwise marked deferred.
-    Iteration in a direction stops once an implicit level is reached (the
+    Closed forms are re-verified symbolically; implicit levels are marked
+    deferred to the grid checks.  Iteration in a direction stops once an implicit level is reached (the
     BT step needs a closed-form known side).
     """
     if not (n_min <= 0 <= n_max):
@@ -234,7 +230,7 @@ def generate_hierarchy(eq: EquationDef, seed: Characteristic,
 
     h = Hierarchy(eq_name=eq.name, seed=seed)
     h.charges[0] = seed
-    h.verdicts[0] = _verdict_of(eq, seed, numeric_check)
+    h.verdicts[0] = _verdict_of(eq, seed)
 
     for direction, levels in (("forward", range(1, n_max + 1)),
                               ("backward", range(-1, n_min - 1, -1))):
@@ -247,19 +243,17 @@ def generate_hierarchy(eq: EquationDef, seed: Characteristic,
             sys = bt_step(eq, prev, direction)
             nxt = integrate_bt_symbolic(sys)
             h.charges[n] = nxt
-            h.verdicts[n] = _verdict_of(eq, nxt, numeric_check)
+            h.verdicts[n] = _verdict_of(eq, nxt)
             if nxt.degenerate:
                 h.notes.append(f"level {n} is degenerate (no new symmetry)")
             prev = nxt
     return h
 
 
-def _verdict_of(eq, q: Characteristic, numeric_check) -> str:
+def _verdict_of(eq, q: Characteristic) -> str:
     if isinstance(q.body, ClosedForm):
         v = verify_symmetry(eq, q)
         return "holds" if v.holds else f"fails: {v.residue}"
-    if numeric_check is not None:
-        return numeric_check(q)
     return "deferred-numeric"
 
 
@@ -298,16 +292,10 @@ def laurent_assemble(charges: Dict[int, Characteristic], lam) -> LaurentSeries:
             raise ValueError(f"level {n} has no closed form to assemble")
         e = q.body.expr
         vs = e.vs
-        term = vs.lam(n) * e if symbolic else e.scale(_pow(lam, n))
+        term = vs.lam(n) * e if symbolic else e.scale(Fraction(lam) ** n)
         total = term if total is None else total + term
     return LaurentSeries(dict(charges), None if symbolic else lam,
                          (ks[0], ks[-1]), total)
-
-
-def _pow(lam, n: int):
-    from fractions import Fraction
-    l = Fraction(lam)
-    return l ** n
 
 
 @dataclass(frozen=True)
@@ -321,6 +309,17 @@ class LaxSystem:
     symmetry_form: JetExpr        # S(psi; u)
 
 
+def _lax_constraints(eq: EquationDef, w: JetExpr) -> Tuple[JetExpr, JetExpr]:
+    """The linear constraint pair on the transported wavefunction
+    w = u^-1 Psi, symbolic in the spectral scalar lam:
+    D_{d2} w - lam A_1 w and D_{d1} w + lam A_2 w."""
+    s1, s2 = eq.slots
+    lam = eq.vs.lam(1)
+    e1 = total_derivative(w, s2.div_var) - lam * covariant_derivative(w, eq, s1.name)
+    e2 = total_derivative(w, s1.div_var) + lam * covariant_derivative(w, eq, s2.name)
+    return e1, e2
+
+
 def lax_pair(eq: EquationDef, psi_name: str = "psi") -> LaxSystem:
     """The linear constraint pair on the wavefunction, symbolic in the
     spectral scalar, with its two integrability residues attached."""
@@ -328,9 +327,7 @@ def lax_pair(eq: EquationDef, psi_name: str = "psi") -> LaxSystem:
     s1, s2 = eq.slots
     lam = vs.lam(1)
     w = eq.u_inv() * vs.field(psi_name)
-
-    e1 = total_derivative(w, s2.div_var) - lam * covariant_derivative(w, eq, s1.name)
-    e2 = total_derivative(w, s1.div_var) + lam * covariant_derivative(w, eq, s2.name)
+    e1, e2 = _lax_constraints(eq, w)
 
     S = (total_derivative(covariant_derivative(w, eq, s1.name), s1.div_var)
          + total_derivative(covariant_derivative(w, eq, s2.name), s2.div_var))
@@ -356,15 +353,9 @@ def lax_truncation_residues(eq: EquationDef, charges: Dict[int, Characteristic]
     collect the surviving coefficient of each spectral power (on-shell,
     potentials eliminated).  Interior powers must cancel by the BT
     recursion; leftovers live only at the boundary orders."""
-    vs = eq.vs
-    s1, s2 = eq.slots
     series = laurent_assemble(charges, "symbolic")
-    w = eq.u_inv() * series.expr
-    lam = vs.lam(1)
-    e1 = total_derivative(w, s2.div_var) - lam * covariant_derivative(w, eq, s1.name)
-    e2 = total_derivative(w, s1.div_var) + lam * covariant_derivative(w, eq, s2.name)
     out = []
-    for e in (e1, e2):
+    for e in _lax_constraints(eq, eq.u_inv() * series.expr):
         r = reduce_mod_field_equation(e, eq)
         out.append({p: r.lam_coefficient(p) for p in sorted(r.lam_powers())})
     return out

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from .errors import IoFailure
 from .expr import (

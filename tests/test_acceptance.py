@@ -13,10 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from symlax.calculus import FrechetContext, frechet_derivative, total_derivative
 from symlax.cli import (
-    hierarchy_claims,
-    lax_claims,
+    all_claims,
     load_config,
-    numeric_claims,
     run_claims,
     symbolic_claims,
 )
@@ -35,6 +33,11 @@ def _assert_all_pass(records):
     bad = [r for r in records if not r["passed"] and not r["expected_fail"]]
     assert not bad, "failing claims:\n" + "\n".join(
         f"  {r['id']}: {r['detail']}" for r in bad)
+
+
+def _grid_claims(cfg):
+    """The numeric and Lax claims of the catalog, on one sampled ladder."""
+    return [c for c in all_claims(cfg) if c.kind in ("numeric", "lax")]
 
 
 def test_criterion_1_symbolic_identity_suite():
@@ -91,7 +94,7 @@ def test_criterion_3_numeric_on_shell_suite():
         assert cfg.lambdas == (0.25, 0.5, 1.0, 2.0)
         assert cfg.counts[0] == {"chiral": 65, "sdym": 9}[eq_name]
         assert cfg.min_order == 1.8
-        records = run_claims(numeric_claims(cfg) + lax_claims(cfg))
+        records = run_claims(_grid_claims(cfg))
         _assert_all_pass(records)
         assert any(r["id"] == "num.field-equation" for r in records)
         assert sum(r["id"].startswith("num.conservation.")
@@ -106,7 +109,7 @@ def test_criterion_3_numeric_on_shell_suite():
 def test_criterion_4_negative_controls():
     cfg = load_config(family="perturbed-offshell", eps=0.1,
                       counts=(17, 33, 65))
-    records = run_claims(numeric_claims(cfg) + lax_claims(cfg))
+    records = run_claims(_grid_claims(cfg))
     by_id = {r["id"]: r for r in records}
     # the off-shell field breaks conservation and Lax compatibility by
     # at least the configured factor (1000) at equal spacing

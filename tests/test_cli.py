@@ -27,6 +27,7 @@ from symlax.cli import (
     main,
     numeric_claims,
     resolve_config_path,
+    run,
     run_claims,
     symbolic_claims,
     write_atomic,
@@ -324,6 +325,23 @@ def test_cli_gen_hierarchy_generates_once(monkeypatch):
     r = CliRunner().invoke(main, ["gen-hierarchy"])
     assert r.exit_code == 0, r.output
     assert len(calls) == 1
+
+
+def test_run_integrates_each_rung_potential_once(monkeypatch):
+    import symlax.numerics as numerics
+    calls = []
+    compute = numerics.compute_potential
+
+    def counting(fields, *args, **kwargs):
+        calls.append(fields)
+        return compute(fields, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "compute_potential", counting)
+    cfg = load_config(equation="chiral")
+    report = run(cfg)
+    assert report["summary"]["overall_pass"]
+    assert len(calls) == len(cfg.counts) == 3
+    assert len({id(f) for f in calls}) == 3
 
 
 def test_cli_output_file(tmp_path):

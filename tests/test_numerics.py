@@ -28,6 +28,7 @@ from symlax.numerics import (
     NILPOTENT_B,
     Axis,
     Grid,
+    GridEnv,
     GridField,
     SolutionFamily,
     SolutionFields,
@@ -43,7 +44,6 @@ from symlax.numerics import (
     fd_residual_field_equation,
     integrate_lax,
     load_snapshot,
-    make_env,
     nilpotent_family,
     residual_stats,
     sample_solution,
@@ -138,7 +138,7 @@ def test_lifted_sample_constant_on_translation_level_sets():
 def test_perturbed_family_leaves_the_solution_set():
     grid = chiral_grid(33)
     g = sample_solution(nilpotent_family("perturbed-offshell", eps=0.1), grid)
-    stats = fd_residual_field_equation(CHIRAL, g, margin=3)
+    stats = fd_residual_field_equation(SolutionFields(CHIRAL, g), 3)
     assert stats.max > 1e-2
 
 
@@ -240,20 +240,21 @@ def test_dense_expm_stack_matches_per_matrix(M, ts):
 # ---------------------------------------------------------------------------
 
 def test_fd_residual_second_order_on_shell():
-    stats = [fd_residual_field_equation(CHIRAL, u, margin=m)
+    stats = [fd_residual_field_equation(SolutionFields(CHIRAL, u), m)
              for u, m in ladder()]
     est = convergence_order([s.max for s in stats], [s.h for s in stats])
     assert est.exact or est.order >= 1.8
 
 
 def test_fd_residual_identity_field_exactly_zero():
-    stats = fd_residual_field_equation(CHIRAL, identity_field(chiral_grid(9)))
+    stats = fd_residual_field_equation(
+        SolutionFields(CHIRAL, identity_field(chiral_grid(9))))
     assert stats.max == 0.0
 
 
 def test_fd_residual_offshell_does_not_converge():
     fam = nilpotent_family("perturbed-offshell", eps=0.1)
-    stats = [fd_residual_field_equation(CHIRAL, u, margin=m)
+    stats = [fd_residual_field_equation(SolutionFields(CHIRAL, u), m)
              for u, m in ladder(family=fam)]
     with pytest.raises(NonMonotone):
         convergence_order([s.max for s in stats], [s.h for s in stats])
@@ -280,7 +281,7 @@ def test_cumulative_trapezoid_matches_scipy(shape):
 def test_potential_matches_closed_form():
     grid = chiral_grid(65)
     u = sample_solution(nilpotent_family(), grid)
-    res = compute_potential(CHIRAL, u)
+    res = compute_potential(SolutionFields(CHIRAL, u))
     h = max(grid.spacings)
     err = float(np.abs(res.field.values - closed_potential(grid)).max())
     assert err < 5.0 * h ** 2
@@ -288,7 +289,8 @@ def test_potential_matches_closed_form():
 
 
 def test_potential_of_identity_field_is_zero():
-    res = compute_potential(CHIRAL, identity_field(chiral_grid(9)))
+    res = compute_potential(
+        SolutionFields(CHIRAL, identity_field(chiral_grid(9))))
     assert float(np.abs(res.field.values).max()) == 0.0
 
 
@@ -296,12 +298,12 @@ def test_potential_offshell_is_path_dependent():
     u = sample_solution(nilpotent_family("perturbed-offshell", eps=0.1),
                         chiral_grid(33))
     with pytest.raises(PathInconsistent):
-        compute_potential(CHIRAL, u)
+        compute_potential(SolutionFields(CHIRAL, u))
 
 
 def test_potential_lifted_sample():
     u = sample_solution(nilpotent_family("lifted-chiral"), sdym_grid(9))
-    res = compute_potential(SDYM, u)
+    res = compute_potential(SolutionFields(SDYM, u))
     assert res.path_residual < 1e-2
 
 
@@ -312,7 +314,7 @@ def test_potential_underdetermined_without_lift():
     bump = 0.3 * np.sin(3.0 * grid.coord_array("y"))
     vals[..., 0, 1] = vals[..., 0, 1] + bump
     with pytest.raises(PathInconsistent):
-        compute_potential(SDYM, GridField(grid, vals))
+        compute_potential(SolutionFields(SDYM, GridField(grid, vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +329,8 @@ def test_closed_form_characteristic_is_pointwise():
     grid = chiral_grid(9)
     u = sample_solution(nilpotent_family(), grid)
     M = NILPOTENT_A
-    q = eval_characteristic(_seed(CHIRAL, "right-action"), CHIRAL, u,
-                            params={"M": M})
+    q = eval_characteristic(_seed(CHIRAL, "right-action"),
+                            SolutionFields(CHIRAL, u), params={"M": M})
     assert np.allclose(q.values, u.values @ M, atol=1e-14)
 
 
@@ -337,9 +339,9 @@ def test_potential_characteristic_matches_closed_potential():
     u = sample_solution(nilpotent_family(), grid)
     M = NILPOTENT_A
     h = generate_hierarchy(CHIRAL, _seed(CHIRAL, "right-action"), 0, 1)
-    pot = compute_potential(CHIRAL, u).field
-    q = eval_characteristic(h.charges[1], CHIRAL, u, params={"M": M},
-                            potential=pot)
+    # the rung integrates the potential that the form at level 1 contains
+    q = eval_characteristic(h.charges[1], SolutionFields(CHIRAL, u),
+                            params={"M": M})
     X = closed_potential(grid)
     expected = u.values @ (X @ M - M @ X)
     hmax = max(grid.spacings)
@@ -350,9 +352,10 @@ def test_conservation_residual_on_shell_converges():
     M = NILPOTENT_A
     maxes, hs = [], []
     for u, m in ladder():
-        q = eval_characteristic(_seed(CHIRAL, "right-action"), CHIRAL, u,
+        rung = SolutionFields(CHIRAL, u)
+        q = eval_characteristic(_seed(CHIRAL, "right-action"), rung,
                                 params={"M": M})
-        stats = conservation_residual(CHIRAL, q, u, margin=m)
+        stats = conservation_residual(rung, q, m)
         maxes.append(stats.max)
         hs.append(stats.h)
     est = convergence_order(maxes, hs)
@@ -364,7 +367,8 @@ def test_constant_characteristic_not_conserved():
     u = sample_solution(nilpotent_family(), grid)
     qvals = np.broadcast_to(NILPOTENT_A.astype(complex),
                             grid.counts + (2, 2)).copy()
-    stats = conservation_residual(CHIRAL, GridField(grid, qvals), u, margin=3)
+    stats = conservation_residual(SolutionFields(CHIRAL, u),
+                                  GridField(grid, qvals), 3)
     assert stats.max > 1e-2
 
 
@@ -374,7 +378,7 @@ def test_conservation_residual_identity_field_exact():
     q = GridField(grid, np.broadcast_to(
         NILPOTENT_A.astype(complex), grid.counts + (2, 2)).copy())
     # w = u^-1 q is constant and the connections vanish: exact zero
-    assert conservation_residual(CHIRAL, q, u).max == 0.0
+    assert conservation_residual(SolutionFields(CHIRAL, u), q).max == 0.0
 
 
 def test_implicit_characteristic_is_conserved():
@@ -382,8 +386,9 @@ def test_implicit_characteristic_is_conserved():
     h = generate_hierarchy(CHIRAL, _seed(CHIRAL, "right-action"), -2, 0)
     maxes, hs = [], []
     for u, m in ladder():
-        q = eval_characteristic(h.charges[-2], CHIRAL, u, params={"L": L})
-        stats = conservation_residual(CHIRAL, q, u, margin=m)
+        rung = SolutionFields(CHIRAL, u)
+        q = eval_characteristic(h.charges[-2], rung, params={"L": L})
+        stats = conservation_residual(rung, q, m)
         maxes.append(stats.max)
         hs.append(stats.h)
     est = convergence_order(maxes, hs)
@@ -398,7 +403,7 @@ def test_lax_identity_field_is_stationary():
     grid = chiral_grid(9)
     u = identity_field(grid)
     phi0 = np.array([[1.0, 2.0], [0.0, 1.0]])
-    out = integrate_lax(CHIRAL, u, 0.5, phi0=phi0)
+    out = integrate_lax(SolutionFields(CHIRAL, u), 0.5, phi0=phi0)
     assert out.compat_residual == 0.0
     assert np.array_equal(out.phi.values,
                           np.broadcast_to(phi0.astype(complex),
@@ -407,19 +412,21 @@ def test_lax_identity_field_is_stationary():
 
 
 def test_lax_lambda_guards():
-    u = sample_solution(nilpotent_family(), chiral_grid(9))
+    rung = SolutionFields(CHIRAL,
+                          sample_solution(nilpotent_family(), chiral_grid(9)))
     with pytest.raises(ZeroLambda):
-        integrate_lax(CHIRAL, u, 0.0)
+        integrate_lax(rung, 0.0)
     with pytest.raises(SingularLambda):
-        integrate_lax(CHIRAL, u, 1.0j)
+        integrate_lax(rung, 1.0j)
 
 
 def test_lax_on_shell_convergence():
     maxes, syms, hs = [], [], []
     for u, m in ladder():
-        out = integrate_lax(CHIRAL, u, 0.5)
+        rung = SolutionFields(CHIRAL, u)
+        out = integrate_lax(rung, 0.5)
         maxes.append(out.compat_residual)
-        stats = conservation_residual(CHIRAL, out.psi, u, margin=m)
+        stats = conservation_residual(rung, out.psi, m)
         syms.append(stats.max)
         hs.append(max(u.grid.spacings))
     for seq in (maxes, syms):
@@ -429,7 +436,7 @@ def test_lax_on_shell_convergence():
 
 def test_lax_lifted_agrees_with_diagonal_problem():
     u = sample_solution(nilpotent_family("lifted-chiral"), sdym_grid(9))
-    out = integrate_lax(SDYM, u, 0.5)
+    out = integrate_lax(SolutionFields(SDYM, u), 0.5)
     # the lifted wavefunction inherits the level-set structure
     assert np.allclose(out.phi.values[1:, :, :-1, :],
                        out.phi.values[:-1, :, 1:, :], atol=1e-12)
@@ -589,15 +596,16 @@ def test_batched_implicit_matches_per_point_reference(family):
     L = NILPOTENT_A
     q = generate_hierarchy(CHIRAL, _seed(CHIRAL, "right-action"),
                            -2, 0).charges[-2]
-    env = make_env(CHIRAL, u, params={"L": L})
+    rung = SolutionFields(CHIRAL, u)
+    env = rung.env.bind(params={"L": L})
     q1 = _ref_implicit_sweep(q.body, CHIRAL, u, env, [0, 1])
     q2 = _ref_implicit_sweep(q.body, CHIRAL, u, env, [1, 0])
-    got = eval_characteristic(q, CHIRAL, u, params={"L": L}, tol=1.0)
+    got = eval_characteristic(q, rung, params={"L": L}, tol=1.0)
     assert np.array_equal(got.values, q1)
     # a negative tolerance always trips the path check, which reports the
     # sweep difference: this compares the reversed sweep as well
     with pytest.raises(PathInconsistent) as info:
-        _integrate_implicit(q.body, CHIRAL, u, env, tol=-1.0)
+        _integrate_implicit(q.body, env, tol=-1.0)
     assert info.value.residual == float(np.abs(q1 - q2).max())
 
 
@@ -606,7 +614,7 @@ def test_batched_lax_lifted_matches_loop_reference():
     u = sample_solution(SolutionFamily("lifted-chiral", ROTATION_FAMILY.A,
                                        ROTATION_FAMILY.B), grid)
     phi0 = np.array([[1.2, -0.4], [0.3, 0.9]])
-    out = integrate_lax(SDYM, u, 0.5, phi0=phi0)
+    out = integrate_lax(SolutionFields(SDYM, u), 0.5, phi0=phi0)
 
     ny, nz, nyb, nzb = grid.counts
     hy, hz = grid.spacings[:2]
@@ -634,33 +642,28 @@ def test_cached_fields_match_fresh_evaluation():
     u = sample_solution(ROTATION_FAMILY, chiral_grid(17))
     fields = SolutionFields(CHIRAL, u)
     qg = GridField(u.grid, _mm(u.values, NILPOTENT_A.astype(complex)))
-    assert conservation_residual(CHIRAL, qg, u, fields=fields) \
-        == conservation_residual(CHIRAL, qg, u)
+    first = conservation_residual(fields, qg)
+    # again on the warm rung, and on a fresh rung of the same sample
+    assert conservation_residual(fields, qg) == first
+    assert conservation_residual(SolutionFields(CHIRAL, u), qg) == first
     assert np.array_equal(fields.inverse, kernels.inv(u.values))
-    env = make_env(CHIRAL, u)
+    env = GridEnv(u.grid, {CHIRAL.field_name: u.values})
     for s, conn in zip(CHIRAL.slots, fields.connections):
         assert np.array_equal(conn, eval_on_grid(s.connection, env))
-    other = sample_solution(nilpotent_family(), chiral_grid(17))
-    with pytest.raises(ValueError):
-        conservation_residual(CHIRAL, qg, other, fields=fields)
 
 
 def test_eval_characteristic_reuses_rung_fields():
     u = sample_solution(ROTATION_FAMILY, chiral_grid(17))
     fields = SolutionFields(CHIRAL, u)
-    pot = compute_potential(CHIRAL, u, fields=fields).field
     h = generate_hierarchy(CHIRAL, _seed(CHIRAL, "right-action"), -2, 1)
     # a closed form, a potential-dependent form and the implicit pair, each
     # under two parameter bindings evaluated against the same rung cache
     for level in (0, 1, -2):
         for P in (NILPOTENT_A, ROTATION_FAMILY.B):
             params = {"M": P, "L": P}
-            pt = pot if level == 1 else None
-            got = eval_characteristic(h.charges[level], CHIRAL, u,
-                                      params=params, potential=pt,
-                                      fields=fields)
-            want = eval_characteristic(h.charges[level], CHIRAL, u,
-                                       params=params, potential=pt)
+            got = eval_characteristic(h.charges[level], fields, params)
+            want = eval_characteristic(h.charges[level],
+                                       SolutionFields(CHIRAL, u), params)
             assert np.array_equal(got.values, want.values)
     # the rung keeps the field atoms and none of the bindings
     assert not any(isinstance(a, (Param, Potential))
@@ -669,21 +672,38 @@ def test_eval_characteristic_reuses_rung_fields():
     assert bound.atom_values(InvField("g")) is fields.inverse
     assert bound.atom_values(Field("g", (1, 0))) \
         is fields.env.atom_values(Field("g", (1, 0)))
-    other = sample_solution(nilpotent_family(), chiral_grid(17))
-    with pytest.raises(ValueError):
-        eval_characteristic(h.charges[0], CHIRAL, other,
-                            params={"M": NILPOTENT_A}, fields=fields)
+
+
+@pytest.mark.parametrize("eq,family,grid,provenance", [
+    (CHIRAL, ROTATION_FAMILY, chiral_grid(17), "potential-commutator"),
+    (SDYM, nilpotent_family("lifted-chiral"), sdym_grid(9),
+     "potential-translation")], ids=["chiral", "sdym"])
+def test_eval_characteristic_binds_the_rung_potential(eq, family, grid,
+                                                      provenance):
+    u = sample_solution(family, grid)
+    q = next(c for c in eq.catalog if c.provenance == provenance)
+    assert q.body.expr.has_potentials()
+    params = {"M": NILPOTENT_A, "L": NILPOTENT_B}
+    rung = SolutionFields(eq, u)
+    got = eval_characteristic(q, rung, params)
+    # the same form with the integrated potential bound by hand
+    X = compute_potential(SolutionFields(eq, u)).field.values
+    env = GridEnv(grid, {eq.field_name: u.values}, params=params,
+                  potentials={eq.potential_name: X})
+    assert np.array_equal(got.values, eval_on_grid(q.body.expr, env))
+    # the rung integrates its potential once and keeps it
+    assert np.array_equal(rung.potential, X)
+    assert rung.potential is rung.potential
 
 
 # ---------------------------------------------------------------------------
 # Dtypes: real samples stay real, complex inputs promote
 # ---------------------------------------------------------------------------
 
-def _implicit_q(u, L, fields=None):
+def _implicit_q(fields, L):
     q = generate_hierarchy(CHIRAL, _seed(CHIRAL, "right-action"),
                            -2, 0).charges[-2]
-    return eval_characteristic(q, CHIRAL, u, params={"L": L},
-                               fields=fields).values
+    return eval_characteristic(q, fields, params={"L": L}).values
 
 
 def _agree(got, want):
@@ -705,10 +725,9 @@ def test_real_chiral_sample_stays_float64(family):
         assert env.atom_values(atom).dtype == np.float64
     assert all(c.dtype == np.float64 for c in fields.connections)
     if family.kind != "perturbed-offshell":
-        assert compute_potential(CHIRAL, u, fields=fields).field.values.dtype \
-            == np.float64
-        assert _implicit_q(u, NILPOTENT_A, fields).dtype == np.float64
-    out = integrate_lax(CHIRAL, u, 0.5, fields=fields)
+        assert fields.potential.dtype == np.float64
+        assert _implicit_q(fields, NILPOTENT_A).dtype == np.float64
+    out = integrate_lax(fields, 0.5)
     assert out.phi.values.dtype == np.float64
     assert out.psi.values.dtype == np.float64
 
@@ -718,31 +737,32 @@ def test_real_lifted_sample_stays_float64():
     assert u.values.dtype == np.float64
     fields = SolutionFields(SDYM, u)
     assert all(c.dtype == np.float64 for c in fields.connections)
-    assert compute_potential(SDYM, u, fields=fields).field.values.dtype \
-        == np.float64
-    out = integrate_lax(SDYM, u, 0.5)
+    assert fields.potential.dtype == np.float64
+    out = integrate_lax(fields, 0.5)
     assert out.phi.values.dtype == np.float64
     assert out.psi.values.dtype == np.float64
 
 
 def test_complex_parameter_promotes_implicit_charge():
-    u = sample_solution(ROTATION_FAMILY, chiral_grid(17))
-    real = _implicit_q(u, NILPOTENT_A)
-    _agree(_implicit_q(u, NILPOTENT_A.astype(complex)), real)
+    fields = SolutionFields(CHIRAL,
+                            sample_solution(ROTATION_FAMILY, chiral_grid(17)))
+    real = _implicit_q(fields, NILPOTENT_A)
+    _agree(_implicit_q(fields, NILPOTENT_A.astype(complex)), real)
 
 
 def test_complex_lambda_promotes_lax_integration():
     u = sample_solution(ROTATION_FAMILY, chiral_grid(17))
     lam = 0.5 + 0.5j
-    got = integrate_lax(CHIRAL, u, lam)
+    got = integrate_lax(SolutionFields(CHIRAL, u), lam)
     # the same integration with the sample cast to complex up front
-    want = integrate_lax(CHIRAL, GridField(u.grid, u.values.astype(complex)),
-                         lam)
+    cast = GridField(u.grid, u.values.astype(complex))
+    want = integrate_lax(SolutionFields(CHIRAL, cast), lam)
     _agree(got.phi.values, want.phi.values)
     _agree(got.psi.values, want.psi.values)
     assert abs(got.compat_residual - want.compat_residual) <= 1e-12
     lifted = sample_solution(nilpotent_family("lifted-chiral"), sdym_grid(7))
-    assert integrate_lax(SDYM, lifted, lam).phi.values.dtype == np.complex128
+    assert integrate_lax(SolutionFields(SDYM, lifted), lam).phi.values.dtype \
+        == np.complex128
 
 
 def test_snapshot_sample_runs_in_complex():
@@ -755,9 +775,7 @@ def test_snapshot_sample_runs_in_complex():
     real, cplx = SolutionFields(CHIRAL, u), SolutionFields(CHIRAL, back)
     for c_real, c_cplx in zip(real.connections, cplx.connections):
         _agree(c_cplx, c_real)
-    _agree(compute_potential(CHIRAL, back, fields=cplx).field.values,
-           compute_potential(CHIRAL, u, fields=real).field.values)
-    _agree(_implicit_q(back, NILPOTENT_A, cplx),
-           _implicit_q(u, NILPOTENT_A, real))
-    _agree(integrate_lax(CHIRAL, back, 0.5, fields=cplx).psi.values,
-           integrate_lax(CHIRAL, u, 0.5, fields=real).psi.values)
+    _agree(cplx.potential, real.potential)
+    _agree(_implicit_q(cplx, NILPOTENT_A), _implicit_q(real, NILPOTENT_A))
+    _agree(integrate_lax(cplx, 0.5).psi.values,
+           integrate_lax(real, 0.5).psi.values)
