@@ -66,9 +66,7 @@ from .calculus import (
 )
 from .equations import (
     Characteristic,
-    ClosedForm,
     EquationDef,
-    ImplicitSystem,
     equation_names,
     field_equation_residual,
     get_equation,
@@ -510,16 +508,11 @@ def hierarchy_claims(cfg: RunConfig,
 
     def levels_verified():
         h = hierarchy()
-        bad = {n: v for n, v in h.verdicts.items()
-               if v not in ("holds",) and not v.startswith("deferred")}
+        bad = {n: v for n, v in h.verdicts.items() if v != "holds"}
         if bad:
             return ClaimResult(False, detail=f"failing levels: {bad}")
-        counts = {"closed": sum(isinstance(q.body, ClosedForm)
-                                for q in h.charges.values()),
-                  "implicit": sum(isinstance(q.body, ImplicitSystem)
-                                  for q in h.charges.values())}
         return ClaimResult(True, symbolic="holds",
-                           detail=f"levels {sorted(h.charges)}, {counts}")
+                           detail=f"levels {sorted(h.charges)}")
     claims.append(Claim(
         "hier.levels-verified",
         "every generated hierarchy level passes its symmetry verification",
@@ -529,20 +522,11 @@ def hierarchy_claims(cfg: RunConfig,
                 if cfg.window[0] <= n <= cfg.window[1]}
     for level, form in sorted(expected.items()):
         def check(level=level, form=form):
-            h = hierarchy()
-            if level not in h.charges:
-                return ClaimResult(False, detail=f"level {level} not generated")
-            body = h.charges[level].body
-            if form == "implicit":
-                ok = isinstance(body, ImplicitSystem)
-                return ClaimResult(ok, symbolic="implicit-pair" if ok else
-                                   "unexpected-closed-form")
-            if not isinstance(body, ClosedForm):
-                return ClaimResult(False, detail="expected a closed form")
-            ok = body.expr == form
+            got = hierarchy().charges[level].body.expr
+            ok = got == form
             return ClaimResult(ok, symbolic="match" if ok else "mismatch",
                                detail="" if ok else
-                               f"got {body.expr!r}, expected {form!r}")
+                               f"got {got!r}, expected {form!r}")
         claims.append(Claim(
             f"hier.level.{level}",
             f"recursion level {level} reproduces the known form exactly",
@@ -550,15 +534,8 @@ def hierarchy_claims(cfg: RunConfig,
 
     def truncation():
         h = hierarchy()
-        closed = {n: q for n, q in h.charges.items()
-                  if isinstance(q.body, ClosedForm)}
-        ks = sorted(closed)
-        window = {n: closed[n] for n in
-                  range(ks[0], ks[-1] + 1) if n in closed}
-        if sorted(window) != list(range(ks[0], ks[-1] + 1)):
-            return ClaimResult(False, detail="closed-form window not contiguous")
-        residues = lax_truncation_residues(eq, window)
-        lo, hi = ks[0], ks[-1]
+        residues = lax_truncation_residues(eq, h.charges)
+        lo, hi = min(h.charges), max(h.charges)
         boundary = {lo - 1, hi, lo, hi + 1}
         for per_eq in residues:
             interior = {p: r for p, r in per_eq.items()
@@ -665,7 +642,7 @@ def numeric_claims(cfg: RunConfig,
         "numeric", potential_consistency, expected_fail=offshell))
 
     if not eq.lift:
-        def implicit_charge() -> ClaimResult:
+        def tower_charge() -> ClaimResult:
             seed = _seed_by_provenance(eq, DEFAULT_SEED)
             h = generate_hierarchy(eq, seed, -2, 0)
             q = h.charges[-2]
@@ -673,9 +650,10 @@ def numeric_claims(cfg: RunConfig,
                 eval_characteristic(q, ctx.rung(i), cfgp), i))
         claims.append(Claim(
             "num.implicit-charge",
-            "the path-integrated implicit characteristic two levels below "
-            "the seed is conserved to the expected order",
-            "numeric", implicit_charge, expected_fail=offshell))
+            "the characteristic two levels below the seed, in its "
+            "path-integrated tower potential, is conserved to the expected "
+            "order",
+            "numeric", tower_charge, expected_fail=offshell))
 
     if eq.traceless:
         def det_preserved() -> ClaimResult:
@@ -1018,20 +996,19 @@ def gen_hierarchy_cmd(config_path, equation, output, fmt, window, seed):
         seed = _seed_by_provenance(eq, cfg.seed)
     h = generate_hierarchy(eq, seed, *cfg.window)
     report = build_report(cfg, run_claims(hierarchy_claims(cfg, h)))
-    # attach the serialized closed forms as data
+    # attach the serialized closed forms, with the defining rules of the
+    # tower potentials each one uses, as data
     levels = {}
     for n in sorted(h.charges):
         q = h.charges[n]
-        if isinstance(q.body, ClosedForm):
-            levels[str(n)] = {"form": "closed",
-                              "expr": sexpr.dumps(q.body.expr),
-                              "verdict": h.verdicts.get(n, ""),
-                              "degenerate": q.degenerate}
-        elif isinstance(q.body, ImplicitSystem):
-            levels[str(n)] = {"form": "implicit",
-                              "equations": [sexpr.dumps(e)
-                                            for e in q.body.equations],
-                              "verdict": h.verdicts.get(n, "")}
+        levels[str(n)] = {"form": "closed",
+                          "expr": sexpr.dumps(q.body.expr),
+                          "verdict": h.verdicts[n],
+                          "degenerate": q.degenerate}
+        if q.potentials:
+            levels[str(n)]["potentials"] = {
+                name: {v: sexpr.dumps(r) for v, r in rules.items()}
+                for name, rules in q.potentials.items()}
     report["hierarchy"] = {"seed": cfg.seed, "levels": levels,
                            "notes": list(h.notes)}
     _finish(cfg, report, fmt, output)

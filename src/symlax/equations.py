@@ -13,7 +13,7 @@ equation is one ``_make_*`` function and its registry entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Dict, Optional, Tuple
 
 from .calculus import (
@@ -51,9 +51,7 @@ class EquationDef:
     traceless: bool
     seeds: Tuple[Characteristic, ...]    # the built-in seed library
     derived: Tuple[Characteristic, ...]  # closed forms one step derives
-    # expected form per hierarchy level, keyed by seed provenance; a level
-    # with no closed form expects the marker "implicit"
-    expected_forms: Dict[str, Dict[int, object]]
+    expected_forms: Dict[str, Dict[int, JetExpr]]  # per level, by seed
     families: Tuple[str, ...]              # sampling families, default first
     extent: float                          # default per-axis grid length
     counts: Tuple[int, ...]                # default refinement ladder
@@ -95,6 +93,14 @@ class EquationDef:
         """BT kernel K(Q'; u) = u^-1 Q'."""
         return self.u_inv() * q
 
+    def with_potentials(self, *chars: "Characteristic") -> "EquationDef":
+        """This equation with the defining rules of the tower potentials
+        that ``chars`` carry added to its own potential rules."""
+        rules = {name: r for q in chars for name, r in q.potentials.items()}
+        if not rules:
+            return self
+        return replace(self, potential_rules={**self.potential_rules, **rules})
+
     def frechet_ctx(self, q: JetExpr) -> FrechetContext:
         return FrechetContext(
             vs=self.vs,
@@ -112,25 +118,24 @@ class ClosedForm:
     expr: JetExpr
 
 
+# No longer built: bench/tracer.py imports it to name its spans.
 @dataclass(frozen=True)
 class ImplicitSystem:
-    """Defining pair for a characteristic with no recognized closed form.
-    ``unknown`` is the field symbol standing for the characteristic inside
-    the two equations (each equation is an expression equal to zero)."""
     unknown: str
     equations: Tuple[JetExpr, JetExpr]
 
 
 @dataclass(frozen=True)
 class Characteristic:
+    """A symmetry characteristic at a hierarchy level.  ``potentials``
+    holds the defining rules ({variable: first derivative}) of the tower
+    potentials its form uses, in the order they were defined: each rule
+    reads only the equation's own potential and earlier tower ones."""
     index: int
-    body: object
+    body: ClosedForm
     provenance: str = ""
     degenerate: bool = False
-
-    @property
-    def closed(self) -> bool:
-        return isinstance(self.body, ClosedForm)
+    potentials: Dict[str, Dict[str, JetExpr]] = dc_field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +184,13 @@ class Verdict:
 
 
 def verify_symmetry(eq: EquationDef, q) -> Verdict:
-    """Does S(Q; u) reduce to zero on-shell?  Returns the surviving residue
+    """Does S(Q; u) reduce to zero on-shell, modulo the rules of the tower
+    potentials a characteristic carries?  Returns the surviving residue
     verbatim when it does not."""
-    qexpr = q.body.expr if isinstance(q, Characteristic) else q
+    if isinstance(q, Characteristic):
+        eq, qexpr = eq.with_potentials(q), q.body.expr
+    else:
+        qexpr = q
     s = symmetry_condition(eq, qexpr)
     r = reduce_mod_field_equation(s, eq, ctx=eq.frechet_ctx(qexpr))
     return Verdict(holds=r.is_zero, residue=None if r.is_zero else r)
@@ -191,12 +200,13 @@ def verify_symmetry(eq: EquationDef, q) -> Verdict:
 # Registry
 # ---------------------------------------------------------------------------
 
-def _right_action_forms(vs: VarSpace, u: JetExpr) -> Dict[int, object]:
+def _right_action_forms(vs: VarSpace, u: JetExpr) -> Dict[int, JetExpr]:
     """Hierarchy from the right-action seed u M: the potential commutator
-    above it, the left action below it, then an implicit level."""
+    above it, the left action below it, then the first backward tower
+    potential."""
     M = vs.param("M")
     return {1: u * comm(vs.pot("X"), M), 0: u * M, -1: vs.param("L") * u,
-            -2: "implicit"}
+            -2: vs.pot("Z2") * u}
 
 
 def _make_chiral() -> EquationDef:
@@ -283,7 +293,7 @@ def _make_sdym() -> EquationDef:
             "y-translation": {1: J * vs.pot("X", "y"),
                               0: vs.field("J", "y"),
                               -1: vs.field("J", "zb"),
-                              -2: "implicit"},
+                              -2: vs.pot("Z2") * J},
         },
         families=("lifted-chiral",),
         extent=0.5,

@@ -9,7 +9,9 @@ measurement.  A perturbed off-shell family provides negative controls.
 Every grid check takes one rung of a ladder, a ``SolutionFields``: the
 equation, the sampled solution and what is derived from the sample
 (u^-1, field derivatives, slot connections and the potential), each
-computed once on first use.
+computed once on first use.  The tower potentials a characteristic carries
+go through the same staircase integration on each evaluation, since their
+rules read the parameter matrices bound to it.
 
 Grid arrays are real or complex, by promotion: every array takes the dtype
 numpy's promotion gives from the inputs, so a real sample with real
@@ -27,13 +29,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import expm as _scipy_expm
 
-from .equations import (
-    Characteristic,
-    ClosedForm,
-    EquationDef,
-    ImplicitSystem,
-    field_equation_residual,
-)
+from .equations import Characteristic, EquationDef, field_equation_residual
 from .errors import (
     DimensionMismatch,
     GridTooSmall,
@@ -539,11 +535,23 @@ def compute_potential(fields: SolutionFields,
     """Integrate the potential defining system of a rung from the origin
     (base value zero) along a staircase path; the transposed path measures
     path-independence, which fails off-shell."""
-    eq, grid = fields.eq, fields.u.grid
-    rules = eq.potential_rules[eq.potential_name]
+    eq = fields.eq
+    X, resid = _integrate_potential(fields, eq.potential_rules[eq.potential_name],
+                                    fields.env, tol)
+    return PotentialResult(GridField(fields.u.grid, X), resid)
+
+
+def _integrate_potential(fields: SolutionFields, rules: Dict[str, JetExpr],
+                         env: GridEnv, tol: Optional[float]
+                         ) -> Tuple[np.ndarray, float]:
+    """Samples of the potential whose first derivatives are ``rules``,
+    evaluated in ``env`` over the rung ``fields``, and the largest
+    difference between the two staircase orders; a difference above ``tol``
+    raises PathInconsistent."""
+    grid = fields.u.grid
     integrands: Dict[int, np.ndarray] = {}
     for v, rhs in rules.items():
-        integrands[grid.axis_index(v)] = eval_on_grid(rhs, fields.env)
+        integrands[grid.axis_index(v)] = eval_on_grid(rhs, env)
 
     if len(integrands) < len(grid.axes):
         _extend_integrands_by_invariance(fields, integrands)
@@ -559,7 +567,7 @@ def compute_potential(fields: SolutionFields,
             f"potential integration is path-dependent "
             f"(residual {resid:.3e} > tol {tol:.3e}); input is off-shell",
             residual=resid)
-    return PotentialResult(GridField(grid, X1), resid)
+    return X1, resid
 
 
 def _potential_tolerance(grid: Grid, integrands) -> float:
@@ -570,12 +578,13 @@ def _potential_tolerance(grid: Grid, integrands) -> float:
 
 
 def _extend_integrands_by_invariance(fields: SolutionFields, integrands):
-    """The potential system of a lifted equation only pins the derivatives
-    along the barred directions of ``eq.lift``.  For translation-lifted
-    samples (the ones this package generates) the derivative along each
-    plain variable equals the one along its barred partner, which supplies
-    the missing base-plane transport.  The invariance is measured, not
-    assumed."""
+    """The potential system of a lifted equation pins at most the
+    derivatives along the barred directions of ``eq.lift``.  For
+    translation-lifted samples (the ones this package generates) the
+    derivative along each plain variable equals the one along its barred
+    partner, which supplies the missing base-plane transport.  The
+    invariance is measured, not assumed.  A system that leaves a barred
+    direction free raises UnboundAtom."""
     eq, u = fields.eq, fields.u
     grid = u.grid
 
@@ -585,6 +594,10 @@ def _extend_integrands_by_invariance(fields: SolutionFields, integrands):
 
     for plain, barred in eq.lift.items():
         ia, ib = grid.axis_index(plain), grid.axis_index(barred)
+        if ib not in integrands:
+            raise UnboundAtom(
+                f"potential system leaves the {barred!r} direction free; "
+                f"numerical integration is underdetermined on this grid")
         ha, hb = grid.axes[ia].h, grid.axes[ib].h
         da = first_derivative(ia)
         db = first_derivative(ib)
@@ -594,134 +607,32 @@ def _extend_integrands_by_invariance(fields: SolutionFields, integrands):
                 "potential underdetermined: sample is not translation-lifted "
                 f"(d/d{plain} vs d/d{barred} deviation {dev:.3e})",
                 residual=dev)
-        # the X_plain rule is the X_barred one, already in integrands
+        # the plain rule is the barred one, already in integrands
         integrands[ia] = integrands[ib]
 
 
 # ---------------------------------------------------------------------------
-# Characteristic evaluation (closed-form and implicit)
+# Characteristic evaluation
 # ---------------------------------------------------------------------------
 
 def eval_characteristic(q: Characteristic, fields: SolutionFields,
-                        params: Optional[Dict[str, np.ndarray]] = None,
-                        tol: Optional[float] = None) -> GridField:
-    """Sample a characteristic on a rung: pointwise for closed forms,
-    path-integrated for implicit pairs.  The rung supplies the cached u^-1
-    and field derivatives, and its potential when ``q`` contains one;
-    ``params`` bind to this evaluation only."""
-    body = q.body
-    exprs = (body.expr,) if isinstance(body, ClosedForm) else body.equations
-    potentials = None
-    if any(e.has_potentials() for e in exprs):
-        potentials = {fields.eq.potential_name: fields.potential}
-    env = fields.env.bind(params=params, potentials=potentials)
-    if isinstance(body, ClosedForm):
-        return GridField(fields.u.grid, eval_on_grid(body.expr, env))
-    return _integrate_implicit(body, env, tol=tol)
-
-
-def _point_evaluator(e: JetExpr, env: GridEnv, unknown: str):
-    """Build f(idx, Qval) evaluating e with the bare unknown field bound to
-    Qval on the grid points selected by ``idx`` (an index tuple that may
-    hold slices; Qval has the selection's shape plus the matrix axes).
-    Non-unknown atoms come from cached grid arrays; derivative atoms of the
-    unknown must not occur."""
-    n = env.matdim()
-    plans = []
-    for coef, lam, coords, factors in e.mons:
-        if lam:
-            raise UnboundAtom("spectral scalar in implicit pair")
-        arrays = []
-        for a in factors:
-            if isinstance(a, Field) and a.name == unknown:
-                if not a.is_bare():
-                    raise UnboundAtom(
-                        f"stray derivative of unknown {unknown!r} in implicit pair")
-                arrays.append(None)  # placeholder for Qval
-            else:
-                arrays.append(env.atom_values(a))
-        plans.append((float(coef), coords, arrays))
-    dtype = np.result_type(float, *(arr for _, _, arrays in plans
-                                    for arr in arrays if arr is not None))
-
-    def f(idx, qval):
-        out = np.zeros(qval.shape, dtype=np.result_type(qval, dtype))
-        for coef, coords, arrays in plans:
-            scal = coef
-            for c in coords:
-                scal = scal * env.grid.coord_array(c)[idx][..., None, None]
-            term = None
-            for arr in arrays:
-                v = qval if arr is None else arr[idx]
-                term = v if term is None else term @ v
-            out += scal * (np.eye(n) if term is None else term)
-        return out
-
-    return f, dtype
-
-
-def _integrate_implicit(body: ImplicitSystem, env: GridEnv,
-                        tol: Optional[float] = None) -> GridField:
-    """Integrate the defining pair Q_a - Q u^-1 u_a - rhs_a = 0 from
-    Q(origin) = 0 by Heun stepping along staircase paths, with a
-    path-independence check.  Each step advances the whole slab of points
-    already reached along the other axes."""
-    grid = env.grid
-    unknown = body.unknown
-    n = env.matdim()
-
-    # classify each equation by the derivative direction of the unknown
-    dir_eqs: Dict[int, object] = {}
-    dtypes = []
-    for e in body.equations:
-        dirs = [a for a in e.atoms()
-                if isinstance(a, Field) and a.name == unknown and sum(a.orders) == 1]
-        if len(dirs) != 1:
-            raise UnboundAtom("implicit pair must contain exactly one "
-                              "first derivative of the unknown per equation")
-        axis = next(i for i, o in enumerate(dirs[0].orders) if o)
-        # rhs for stepping: Q_axis = -(rest of the equation)
-        rest = e - e.vs.atom(dirs[0])
-        dir_eqs[axis], dtype = _point_evaluator(rest, env, unknown)
-        dtypes.append(dtype)
-
-    axes = sorted(dir_eqs)
-    if set(axes) != set(range(len(grid.axes))):
-        raise UnboundAtom(
-            "implicit pair does not constrain every grid direction; "
-            "numerical integration is underdetermined on this grid")
-
-    def sweep(order) -> np.ndarray:
-        Q = np.zeros(grid.counts + (n, n), dtype=np.result_type(*dtypes))
-        filled = [1] * len(grid.axes)  # extent already filled per axis
-        for axis in order:
-            f = dir_eqs[axis]
-            h = grid.axes[axis].h
-            slab = [slice(0, k) for k in filled]
-            for i in range(1, grid.counts[axis]):
-                slab[axis] = i - 1
-                idx_prev = tuple(slab)
-                slab[axis] = i
-                idx_next = tuple(slab)
-                qp = Q[idx_prev]
-                k1 = -f(idx_prev, qp)
-                qstar = qp + h * k1
-                k2 = -f(idx_next, qstar)
-                Q[idx_next] = qp + 0.5 * h * (k1 + k2)
-            filled[axis] = grid.counts[axis]
-        return Q
-
-    Q1 = sweep(axes)
-    Q2 = sweep(list(reversed(axes)))
-    resid = float(np.abs(Q1 - Q2).max())
-    if tol is None:
-        scale = 1.0 + float(np.abs(Q1).max())
-        tol = 50.0 * scale * max(grid.spacings) ** 2
-    if resid > tol:
-        raise PathInconsistent(
-            f"implicit characteristic integration is path-dependent "
-            f"({resid:.3e} > {tol:.3e})", residual=resid)
-    return GridField(grid, Q1)
+                        params: Optional[Dict[str, np.ndarray]] = None
+                        ) -> GridField:
+    """Sample a characteristic's closed form on a rung.  The rung supplies
+    the cached u^-1 and field derivatives, and its potential when the form
+    or a tower rule reads it.  The tower potentials ``q`` carries are
+    path-integrated here, in the order they were defined, since their rules
+    read ``params``, which bind to this evaluation only."""
+    eq = fields.eq
+    exprs = [q.body.expr] + [r for rules in q.potentials.values()
+                             for r in rules.values()]
+    env = fields.env.bind(params=params)
+    if any(isinstance(a, Potential) and a.name == eq.potential_name
+           for e in exprs for a in e.atoms()):
+        env.potentials[eq.potential_name] = fields.potential
+    for name, rules in q.potentials.items():
+        env.potentials[name] = _integrate_potential(fields, rules, env, None)[0]
+    return GridField(fields.u.grid, eval_on_grid(q.body.expr, env))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """The recursion machinery: indexed auto-BT on the symmetry condition,
 hierarchy generation, Laurent assembly, and the Lax system.
 
-The BT links the characteristic at level n to the one at level n+1 through
-the kernel K(Q'; u) = u^-1 Q'.  Forward steps integrate for the higher
-level; backward steps solve the covariant pair for the lower one.  Closed
-forms are recognized by a small ansatz library and verified before being
-returned; anything unrecognized is returned as the defining implicit pair,
-exactly as written (left-multiplied by u so the equations read
-Q_t - Q u^-1 u_t = ...).
+The BT links the characteristic Q at level n to Q' at level n+1 through the
+kernel K(Q'; u) = u^-1 Q'.  With w = u^-1 Q both directions define a new
+nonlocal potential by its first derivatives: forward, W' = u^-1 Q' has
+D_{d2} W' = A_1(w) and D_{d1} W' = -A_2(w); backward, Z = Q' u^-1 has
+D_{cov1} Z = u D_{d2}(w) u^-1 and D_{cov2} Z = -u D_{d1}(w) u^-1.  A small
+ansatz library recognizes the steps that close in the equation's own
+potential, each verified before being returned.  Any other step defines a
+tower potential P_n (forward) or Z_|n| (backward) by its pair, and the
+level is the closed form u P_n or Z_|n| u.  Every level is therefore a
+closed form, and the hierarchy runs as far as asked in both directions.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from typing import Dict, List, Tuple
 
 from .calculus import (
     covariant_derivative,
-    d_multi,
     reduce_mod_field_equation,
     total_derivative,
 )
@@ -26,13 +28,12 @@ from .equations import (
     Characteristic,
     ClosedForm,
     EquationDef,
-    ImplicitSystem,
     field_equation_residual,
     symmetry_condition,
     verify_symmetry,
 )
 from .errors import IncompatibleSystem, ZeroLambda
-from .expr import Field, JetExpr, comm, rewrite
+from .expr import Field, JetExpr, comm
 
 
 # ---------------------------------------------------------------------------
@@ -41,60 +42,50 @@ from .expr import Field, JetExpr, comm, rewrite
 
 @dataclass(frozen=True)
 class BTSystem:
+    """One BT step from ``known``.  ``rules`` gives the first derivatives
+    ({variable: expression}) of the unknown level's potential: W' = u^-1 Q'
+    forward, Z = Q' u^-1 backward.  ``eq`` carries the rules of the tower
+    potentials the known characteristic uses."""
     eq: EquationDef
     known: Characteristic
     direction: str            # "forward" | "backward"
     unknown_level: int
-    unknown_name: str
-    equations: Tuple[JetExpr, JetExpr]
-
-
-def _known_expr(q: Characteristic) -> JetExpr:
-    if not isinstance(q.body, ClosedForm):
-        raise IncompatibleSystem(
-            "BT step requires a closed-form known characteristic", level=q.index)
-    return q.body.expr
+    rules: Dict[str, JetExpr]
 
 
 def bt_step(eq: EquationDef, q: Characteristic, direction: str) -> BTSystem:
-    """Build the constraint pair with the unknown at level n+1 (forward) or
-    n-1 (backward), after checking its on-shell compatibility.  A nonzero
+    """Build the defining rules of the unknown at level n+1 (forward) or
+    n-1 (backward), after checking their on-shell compatibility.  A nonzero
     compatibility residue means the known characteristic was not a symmetry
     and raises IncompatibleSystem."""
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward|backward, got {direction!r}")
-    qe = _known_expr(q)
-    vs = eq.vs
+    eq = eq.with_potentials(q)
+    qe = q.body.expr
     s1, s2 = eq.slots
-    w_known = eq.u_inv() * qe
-    unknown = "Qnew"
-    w_unk = eq.u_inv() * vs.field(unknown)
-    ctx = eq.frechet_ctx(qe)
+    w = eq.u_inv() * qe
 
     if direction == "forward":
-        # A_1(u^-1 Q) = D_{d2}(u^-1 Q'), A_2(u^-1 Q) = -D_{d1}(u^-1 Q')
-        e1 = covariant_derivative(w_known, eq, s1.name) \
-            - total_derivative(w_unk, s2.div_var)
-        e2 = covariant_derivative(w_known, eq, s2.name) \
-            + total_derivative(w_unk, s1.div_var)
-        compat = reduce_mod_field_equation(symmetry_condition(eq, qe), eq, ctx=ctx)
+        rules = {s2.div_var: covariant_derivative(w, eq, s1.name),
+                 s1.div_var: -covariant_derivative(w, eq, s2.name)}
+        compat = symmetry_condition(eq, qe)
         level = q.index + 1
     else:
-        e1 = covariant_derivative(w_unk, eq, s1.name) \
-            - total_derivative(w_known, s2.div_var)
-        e2 = covariant_derivative(w_unk, eq, s2.name) \
-            + total_derivative(w_known, s1.div_var)
-        compat_raw = (covariant_derivative(total_derivative(w_known, s1.div_var), eq, s1.name)
-                      + covariant_derivative(total_derivative(w_known, s2.div_var), eq, s2.name))
-        compat = reduce_mod_field_equation(compat_raw, eq, ctx=ctx)
+        d1, d2 = (total_derivative(w, s.div_var) for s in (s1, s2))
+        u, ui = eq.u(), eq.u_inv()
+        rules = {s1.cov_var: u * d2 * ui, s2.cov_var: -(u * d1 * ui)}
+        compat = (covariant_derivative(d1, eq, s1.name)
+                  + covariant_derivative(d2, eq, s2.name))
         level = q.index - 1
 
+    compat = reduce_mod_field_equation(compat, eq, ctx=eq.frechet_ctx(qe))
     if not compat.is_zero:
         raise IncompatibleSystem(
             f"BT {direction} step from level {q.index} is incompatible "
             f"(known characteristic is not a symmetry)",
             residue=compat, level=q.index)
-    return BTSystem(eq, q, direction, level, unknown, (e1, e2))
+    rules = {v: reduce_mod_field_equation(r, eq) for v, r in rules.items()}
+    return BTSystem(eq, q, direction, level, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +93,12 @@ def bt_step(eq: EquationDef, q: Characteristic, direction: str) -> BTSystem:
 # ---------------------------------------------------------------------------
 
 def _forward_candidates(eq: EquationDef, qe: JetExpr) -> List[JetExpr]:
-    """Ansatz list for W = u^-1 Q' in a forward step."""
+    """Ansatz list for Q' = u W in a forward step."""
     vs = eq.vs
-    out = []
+    u = eq.u()
     X = eq.potential_name
-    for m in sorted(qe.params()):
-        out.append(comm(vs.pot(X), vs.param(m)))
-    for v in vs.names:
-        out.append(vs.pot(X, v))
-    return out
+    out = [u * comm(vs.pot(X), vs.param(m)) for m in sorted(qe.params())]
+    return out + [u * vs.pot(X, v) for v in vs.names]
 
 
 def _backward_candidates(eq: EquationDef, qe: JetExpr) -> List[JetExpr]:
@@ -127,27 +115,16 @@ def _backward_candidates(eq: EquationDef, qe: JetExpr) -> List[JetExpr]:
     return out
 
 
-def _satisfies(eq: EquationDef, sys: BTSystem, candidate: JetExpr) -> bool:
-    """Check a closed-form candidate for the unknown against both equations,
-    on-shell and modulo the potential defining relations."""
-    unknown = sys.unknown_name
-    ctx = eq.frechet_ctx(candidate)
-    for e in sys.equations:
-        sub = _replace_field(e, unknown, candidate)
-        if not reduce_mod_field_equation(sub, eq, ctx=ctx).is_zero:
-            return False
-    return True
-
-
-def _replace_field(e: JetExpr, name: str, value: JetExpr) -> JetExpr:
-    """Substitute a closed form for a field symbol, mapping derivative atoms
-    to total derivatives of the value."""
-    def matcher(a):
-        if isinstance(a, Field) and a.name == name:
-            return d_multi(value, a.orders)
-        return None
-
-    return rewrite(e, matcher)
+def _satisfies(sys: BTSystem, candidate: JetExpr) -> bool:
+    """Does a closed-form candidate for Q' solve the step: do the first
+    derivatives of its potential reduce to the step's rules on-shell?"""
+    eq = sys.eq
+    if sys.direction == "forward":
+        pot = eq.u_inv() * candidate
+    else:
+        pot = candidate * eq.u_inv()
+    return all(reduce_mod_field_equation(total_derivative(pot, v) - r, eq).is_zero
+               for v, r in sys.rules.items())
 
 
 def _is_degenerate(eq: EquationDef, expr: JetExpr) -> Tuple[bool, JetExpr]:
@@ -166,40 +143,30 @@ def _is_degenerate(eq: EquationDef, expr: JetExpr) -> Tuple[bool, JetExpr]:
 
 
 def integrate_bt_symbolic(sys: BTSystem) -> Characteristic:
-    """Recognize the closed form solving a BT system, or return the system
-    itself as an implicit characteristic.
+    """The closed form solving a BT system: an ansatz the step satisfies,
+    or else u P_n (forward) or Z_|n| u (backward) in a new tower potential
+    defined by the step's rules, which the result carries together with
+    those of the known side.
 
     Each integration is defined only up to an additive u*(constant matrix);
     the gauge with that constant set to zero is returned.
     """
     eq = sys.eq
-    vs = eq.vs
-    qe = _known_expr(sys.known)
     u = eq.u()
+    qe = sys.known.body.expr
+    n = sys.unknown_level
+    provenance = f"bt-{sys.direction} from {sys.known.provenance}"
+    forward = sys.direction == "forward"
+    candidates = (_forward_candidates if forward else _backward_candidates)(eq, qe)
+    for cand in candidates:
+        if _satisfies(sys, cand):
+            degen, expr = _is_degenerate(eq, cand)
+            return Characteristic(n, ClosedForm(expr), provenance, degen)
 
-    if sys.direction == "forward":
-        for w in _forward_candidates(eq, qe):
-            cand = u * w
-            if _satisfies(eq, sys, cand):
-                degen, expr = _is_degenerate(eq, cand)
-                return Characteristic(sys.unknown_level, ClosedForm(expr),
-                                      provenance=f"bt-forward from {sys.known.provenance}",
-                                      degenerate=degen)
-    else:
-        for cand in _backward_candidates(eq, qe):
-            if _satisfies(eq, sys, cand):
-                degen, expr = _is_degenerate(eq, cand)
-                return Characteristic(sys.unknown_level, ClosedForm(expr),
-                                      provenance=f"bt-backward from {sys.known.provenance}",
-                                      degenerate=degen)
-
-    # No recognized closed form: hand back the defining pair verbatim,
-    # left-multiplied by u so it reads  Q_a - Q u^-1 u_a = ...
-    pair = tuple(u * _replace_field(e, sys.unknown_name, vs.field("Q"))
-                 for e in sys.equations)
-    body = ImplicitSystem(unknown="Q", equations=pair)
-    return Characteristic(sys.unknown_level, body,
-                          provenance=f"bt-{sys.direction} from {sys.known.provenance}")
+    name = f"P{n}" if forward else f"Z{-n}"
+    expr = u * eq.vs.pot(name) if forward else eq.vs.pot(name) * u
+    return Characteristic(n, ClosedForm(expr), provenance,
+                          potentials={**sys.known.potentials, name: sys.rules})
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +175,6 @@ def integrate_bt_symbolic(sys: BTSystem) -> Characteristic:
 
 @dataclass
 class Hierarchy:
-    eq_name: str
     seed: Characteristic
     charges: Dict[int, Characteristic] = dc_field(default_factory=dict)
     verdicts: Dict[int, str] = dc_field(default_factory=dict)
@@ -217,18 +183,14 @@ class Hierarchy:
 
 def generate_hierarchy(eq: EquationDef, seed: Characteristic,
                        n_min: int, n_max: int) -> Hierarchy:
-    """Iterate the BT in both directions from a level-0 seed.
-
-    Closed forms are re-verified symbolically; implicit levels are marked
-    deferred to the grid checks.  Iteration in a direction stops once an implicit level is reached (the
-    BT step needs a closed-form known side).
-    """
+    """Iterate the BT in both directions from a level-0 seed, over the whole
+    window, and verify every level symbolically."""
     if not (n_min <= 0 <= n_max):
         raise ValueError("hierarchy window must contain 0")
     if seed.index != 0:
         raise ValueError("seed must sit at level 0")
 
-    h = Hierarchy(eq_name=eq.name, seed=seed)
+    h = Hierarchy(seed=seed)
     h.charges[0] = seed
     h.verdicts[0] = _verdict_of(eq, seed)
 
@@ -236,12 +198,7 @@ def generate_hierarchy(eq: EquationDef, seed: Characteristic,
                               ("backward", range(-1, n_min - 1, -1))):
         prev = seed
         for n in levels:
-            if not isinstance(prev.body, ClosedForm):
-                h.notes.append(
-                    f"stopped {direction} at level {n}: previous level is implicit")
-                break
-            sys = bt_step(eq, prev, direction)
-            nxt = integrate_bt_symbolic(sys)
+            nxt = integrate_bt_symbolic(bt_step(eq, prev, direction))
             h.charges[n] = nxt
             h.verdicts[n] = _verdict_of(eq, nxt)
             if nxt.degenerate:
@@ -251,10 +208,8 @@ def generate_hierarchy(eq: EquationDef, seed: Characteristic,
 
 
 def _verdict_of(eq, q: Characteristic) -> str:
-    if isinstance(q.body, ClosedForm):
-        v = verify_symmetry(eq, q)
-        return "holds" if v.holds else f"fails: {v.residue}"
-    return "deferred-numeric"
+    v = verify_symmetry(eq, q)
+    return "holds" if v.holds else f"fails: {v.residue}"
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +242,7 @@ def laurent_assemble(charges: Dict[int, Characteristic], lam) -> LaurentSeries:
     vs = None
     total = None
     for n in ks:
-        q = charges[n]
-        if not isinstance(q.body, ClosedForm):
-            raise ValueError(f"level {n} has no closed form to assemble")
-        e = q.body.expr
+        e = charges[n].body.expr
         vs = e.vs
         term = vs.lam(n) * e if symbolic else e.scale(Fraction(lam) ** n)
         total = term if total is None else total + term
@@ -353,6 +305,7 @@ def lax_truncation_residues(eq: EquationDef, charges: Dict[int, Characteristic]
     collect the surviving coefficient of each spectral power (on-shell,
     potentials eliminated).  Interior powers must cancel by the BT
     recursion; leftovers live only at the boundary orders."""
+    eq = eq.with_potentials(*charges.values())
     series = laurent_assemble(charges, "symbolic")
     out = []
     for e in _lax_constraints(eq, eq.u_inv() * series.expr):

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import symlax
+from symlax import sexpr
 from symlax.cli import (
     CONFIG_DIR_ENV,
     DEFAULT_CONFIG_NAME,
@@ -32,7 +33,9 @@ from symlax.cli import (
     symbolic_claims,
     write_atomic,
 )
+from symlax.equations import get_equation
 from symlax.errors import ConfigInvalid, IoFailure
+from symlax.recursion import generate_hierarchy
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +313,20 @@ def test_cli_gen_hierarchy_attaches_levels():
     levels = rep["hierarchy"]["levels"]
     assert set(levels) == {"-1", "0", "1"}
     assert all(l["form"] == "closed" for l in levels.values())
+
+
+def test_cli_gen_hierarchy_writes_tower_rules():
+    r = CliRunner().invoke(main, ["gen-hierarchy"])
+    assert r.exit_code == 0, r.output
+    levels = json.loads(r.output)["hierarchy"]["levels"]
+    eq = get_equation("chiral")
+    q = generate_hierarchy(eq, eq.seeds[0], -2, 1).charges[-2]
+    got = levels["-2"]
+    assert got["verdict"] == "holds"
+    assert sexpr.loads(got["expr"], vs=eq.vs) == q.body.expr
+    assert {name: {v: sexpr.loads(t, vs=eq.vs) for v, t in rules.items()}
+            for name, rules in got["potentials"].items()} == q.potentials
+    assert not any("potentials" in levels[n] for n in ("-1", "0", "1"))
 
 
 def test_cli_gen_hierarchy_generates_once(monkeypatch):

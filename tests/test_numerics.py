@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from symlax import kernels
+from symlax.calculus import total_derivative
 from symlax.equations import get_equation
 from symlax.errors import (
     GridTooSmall,
@@ -20,6 +21,7 @@ from symlax.errors import (
     NonMonotone,
     PathInconsistent,
     SingularLambda,
+    UnboundAtom,
     ZeroLambda,
 )
 from symlax.expr import Field, InvField, Param, Potential
@@ -33,7 +35,6 @@ from symlax.numerics import (
     SolutionFamily,
     SolutionFields,
     _cumulative_trapezoid,
-    _integrate_implicit,
     _integrate_lax_2d,
     compute_potential,
     conservation_residual,
@@ -525,56 +526,6 @@ def _ref_lax_2d(grid, a, b, lam, phi0):
     return phiA, phiB
 
 
-def _ref_point_evaluator(e, env, unknown):
-    """Evaluate e at one grid point with the unknown bound to a matrix."""
-    n = env.matdim()
-
-    def f(idx, qval):
-        out = np.zeros((n, n), dtype=qval.dtype)
-        for coef, _lam, coords, factors in e.mons:
-            scal = float(coef)
-            for c in coords:
-                scal *= env.grid.coord_array(c)[idx]
-            term = None
-            for a in factors:
-                v = qval if isinstance(a, Field) and a.name == unknown \
-                    else env.atom_values(a)[idx]
-                term = v if term is None else _mm(term, v)
-            out += scal * (np.eye(n) if term is None else term)
-        return out
-
-    return f
-
-
-def _ref_implicit_sweep(body, eq, u, env, order):
-    """Heun staircase integration of an implicit pair, point by point."""
-    grid, n = u.grid, u.n_dim
-    n_axes = len(grid.axes)
-    steppers = {}
-    for e in body.equations:
-        d = next(a for a in e.atoms() if isinstance(a, Field)
-                 and a.name == body.unknown and sum(a.orders) == 1)
-        steppers[d.orders.index(1)] = _ref_point_evaluator(
-            e - eq.vs.atom(d), env, body.unknown)
-    Q = np.zeros(grid.counts + (n, n), dtype=u.values.dtype)
-    filled = [1] * n_axes
-    for axis in order:
-        f, h = steppers[axis], grid.axes[axis].h
-        others = [filled[a] for a in range(n_axes) if a != axis]
-        for i in range(1, grid.counts[axis]):
-            for rest in np.ndindex(*others):
-                def at(j, rest=rest):
-                    it = iter(rest)
-                    return tuple(j if a == axis else next(it)
-                                 for a in range(n_axes))
-                qp = Q[at(i - 1)]
-                k1 = -f(at(i - 1), qp)
-                k2 = -f(at(i), qp + h * k1)
-                Q[at(i)] = qp + 0.5 * h * (k1 + k2)
-        filled[axis] = grid.counts[axis]
-    return Q
-
-
 @pytest.mark.parametrize("family", [nilpotent_family(), ROTATION_FAMILY],
                          ids=["nilpotent", "rotation"])
 def test_batched_lax_2d_matches_per_line_reference(family):
@@ -591,22 +542,42 @@ def test_batched_lax_2d_matches_per_line_reference(family):
 
 @pytest.mark.parametrize("family", [nilpotent_family(), ROTATION_FAMILY],
                          ids=["nilpotent", "rotation"])
-def test_batched_implicit_matches_per_point_reference(family):
-    u = sample_solution(family, chiral_grid(17))
-    L = NILPOTENT_A
+def test_tower_charge_satisfies_published_pair(family):
+    # Q = Z2 g two levels below right-action, sampled through its integrated
+    # tower potential, against Q_t - Q g^-1 g_t = g D_x(g^-1 L g) and
+    # Q_x - Q g^-1 g_x = -g D_t(g^-1 L g)
     q = generate_hierarchy(CHIRAL, _seed(CHIRAL, "right-action"),
                            -2, 0).charges[-2]
-    rung = SolutionFields(CHIRAL, u)
-    env = rung.env.bind(params={"L": L})
-    q1 = _ref_implicit_sweep(q.body, CHIRAL, u, env, [0, 1])
-    q2 = _ref_implicit_sweep(q.body, CHIRAL, u, env, [1, 0])
-    got = eval_characteristic(q, rung, params={"L": L}, tol=1.0)
-    assert np.array_equal(got.values, q1)
-    # a negative tolerance always trips the path check, which reports the
-    # sweep difference: this compares the reversed sweep as well
-    with pytest.raises(PathInconsistent) as info:
-        _integrate_implicit(q.body, env, tol=-1.0)
-    assert info.value.residual == float(np.abs(q1 - q2).max())
+    g, gi, L = CHIRAL.u(), CHIRAL.u_inv(), CHIRAL.vs.param("L")
+    rhs = (g * total_derivative(gi * L * g, "x"),
+           -(g * total_derivative(gi * L * g, "t")))
+    params = {"L": NILPOTENT_A}
+    maxes, hs = [], []
+    for u, m in ladder(family=family):
+        grid = u.grid
+        rung = SolutionFields(CHIRAL, u)
+        Q = eval_characteristic(q, rung, params).values
+        env = rung.env.bind(params=params)
+        worst = 0.0
+        for axis, (conn, r) in enumerate(zip(rung.connections, rhs)):
+            dQ = np.gradient(Q, grid.axes[axis].h, axis=axis, edge_order=2)
+            res = dQ - Q @ conn - eval_on_grid(r, env)
+            worst = max(worst, residual_stats(res, grid, m).max)
+        maxes.append(worst)
+        hs.append(max(grid.spacings))
+    est = convergence_order(maxes, hs)
+    assert est.exact or est.order >= 1.8
+
+
+def test_lifted_rung_rejects_tower_potential_free_along_barred_axes():
+    # Z2 below y-translation pins only the plain directions y and z, which
+    # the invariance of a lifted sample cannot complete
+    q = generate_hierarchy(SDYM, _seed(SDYM, "y-translation"),
+                           -2, 0).charges[-2]
+    assert set(q.potentials["Z2"]) == {"y", "z"}
+    u = sample_solution(nilpotent_family("lifted-chiral"), sdym_grid(7))
+    with pytest.raises(UnboundAtom):
+        eval_characteristic(q, SolutionFields(SDYM, u))
 
 
 def test_batched_lax_lifted_matches_loop_reference():
@@ -656,7 +627,7 @@ def test_eval_characteristic_reuses_rung_fields():
     u = sample_solution(ROTATION_FAMILY, chiral_grid(17))
     fields = SolutionFields(CHIRAL, u)
     h = generate_hierarchy(CHIRAL, _seed(CHIRAL, "right-action"), -2, 1)
-    # a closed form, a potential-dependent form and the implicit pair, each
+    # a closed form, a potential-dependent form and a tower level, each
     # under two parameter bindings evaluated against the same rung cache
     for level in (0, 1, -2):
         for P in (NILPOTENT_A, ROTATION_FAMILY.B):
@@ -700,7 +671,7 @@ def test_eval_characteristic_binds_the_rung_potential(eq, family, grid,
 # Dtypes: real samples stay real, complex inputs promote
 # ---------------------------------------------------------------------------
 
-def _implicit_q(fields, L):
+def _tower_q(fields, L):
     q = generate_hierarchy(CHIRAL, _seed(CHIRAL, "right-action"),
                            -2, 0).charges[-2]
     return eval_characteristic(q, fields, params={"L": L}).values
@@ -726,7 +697,7 @@ def test_real_chiral_sample_stays_float64(family):
     assert all(c.dtype == np.float64 for c in fields.connections)
     if family.kind != "perturbed-offshell":
         assert fields.potential.dtype == np.float64
-        assert _implicit_q(fields, NILPOTENT_A).dtype == np.float64
+        assert _tower_q(fields, NILPOTENT_A).dtype == np.float64
     out = integrate_lax(fields, 0.5)
     assert out.phi.values.dtype == np.float64
     assert out.psi.values.dtype == np.float64
@@ -746,8 +717,8 @@ def test_real_lifted_sample_stays_float64():
 def test_complex_parameter_promotes_implicit_charge():
     fields = SolutionFields(CHIRAL,
                             sample_solution(ROTATION_FAMILY, chiral_grid(17)))
-    real = _implicit_q(fields, NILPOTENT_A)
-    _agree(_implicit_q(fields, NILPOTENT_A.astype(complex)), real)
+    real = _tower_q(fields, NILPOTENT_A)
+    _agree(_tower_q(fields, NILPOTENT_A.astype(complex)), real)
 
 
 def test_complex_lambda_promotes_lax_integration():
@@ -776,6 +747,6 @@ def test_snapshot_sample_runs_in_complex():
     for c_real, c_cplx in zip(real.connections, cplx.connections):
         _agree(c_cplx, c_real)
     _agree(cplx.potential, real.potential)
-    _agree(_implicit_q(cplx, NILPOTENT_A), _implicit_q(real, NILPOTENT_A))
+    _agree(_tower_q(cplx, NILPOTENT_A), _tower_q(real, NILPOTENT_A))
     _agree(integrate_lax(cplx, 0.5).psi.values,
            integrate_lax(real, 0.5).psi.values)

@@ -1,14 +1,15 @@
 """Recursion steps, hierarchy generation, spectral assembly, linear pairs."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from symlax import sexpr
 from symlax.calculus import covariant_derivative, total_derivative
 from symlax.equations import (
     Characteristic,
     ClosedForm,
-    ImplicitSystem,
     get_equation,
     verify_symmetry,
 )
@@ -36,7 +37,7 @@ def test_forward_step_structure_chiral():
     eq = get_equation("chiral")
     sys = bt_step(eq, _seed(eq, "right-action"), "forward")
     assert sys.unknown_level == 1
-    assert len(sys.equations) == 2
+    assert len(sys.rules) == 2
 
 
 def test_forward_step_from_non_symmetry_raises():
@@ -98,14 +99,12 @@ def test_double_backward_gives_published_implicit_pair():
     back1 = integrate_bt_symbolic(bt_step(eq, _seed(eq, "right-action"),
                                           "backward"))
     out = integrate_bt_symbolic(bt_step(eq, back1, "backward"))
-    assert isinstance(out.body, ImplicitSystem)
-    Q = vs.field(out.body.unknown)
-    Qt = vs.field(out.body.unknown, "t")
-    Qx = vs.field(out.body.unknown, "x")
-    # Q_t - Q g^-1 g_t = g * D_x(g^-1 L g),  Q_x - Q g^-1 g_x = -g * D_t(...)
-    e1 = Qt - Q * gi * vs.field("g", "t") - g * total_derivative(gi * L * g, "x")
-    e2 = Qx - Q * gi * vs.field("g", "x") + g * total_derivative(gi * L * g, "t")
-    assert set(out.body.equations) == {e1, e2}
+    assert out.body.expr == vs.pot("Z2") * g
+    # Q = Z2 g turns Q_t - Q g^-1 g_t = g * D_x(g^-1 L g) and
+    # Q_x - Q g^-1 g_x = -g * D_t(g^-1 L g) into the rules of Z2
+    assert out.potentials == {"Z2": {
+        "t": g * total_derivative(gi * L * g, "x") * gi,
+        "x": -(g * total_derivative(gi * L * g, "t") * gi)}}
 
 
 def test_closure_every_closed_form_is_again_a_symmetry():
@@ -129,8 +128,8 @@ def test_hierarchy_chiral_right_action():
     assert sorted(h.charges) == [-2, -1, 0, 1]
     assert h.charges[1].body.expr == eq.u() * comm(vs.pot("X"), vs.param("M"))
     assert h.charges[-1].body.expr == vs.param("L") * eq.u()
-    assert isinstance(h.charges[-2].body, ImplicitSystem)
-    assert all(v == "holds" for n, v in h.verdicts.items() if n != -2)
+    assert h.charges[-2].body.expr == vs.pot("Z2") * eq.u()
+    assert all(v == "holds" for v in h.verdicts.values())
 
 
 def test_hierarchy_sdym_both_seeds():
@@ -142,7 +141,40 @@ def test_hierarchy_sdym_both_seeds():
     h2 = generate_hierarchy(eq, _seed(eq, "y-translation"), -2, 1)
     assert h2.charges[1].body.expr == eq.u() * vs.pot("X", "y")
     assert h2.charges[-1].body.expr == vs.field("J", "zb")
-    assert isinstance(h2.charges[-2].body, ImplicitSystem)
+    assert h2.charges[-2].body.expr == vs.pot("Z2") * eq.u()
+
+
+_LEVEL0_SEEDS = [(name, s.provenance) for name in ("chiral", "sdym")
+                 for s in get_equation(name).seeds if s.index == 0]
+
+
+@pytest.mark.parametrize("name,provenance", _LEVEL0_SEEDS,
+                         ids=[f"{n}-{p}" for n, p in _LEVEL0_SEEDS])
+def test_hierarchy_runs_both_ways_without_stopping(name, provenance):
+    # the doubly infinite hierarchy: every level is a closed form that
+    # verifies, tower potentials included
+    eq = get_equation(name)
+    h = generate_hierarchy(eq, _seed(eq, provenance), -4, 4)
+    assert sorted(h.charges) == list(range(-4, 5))
+    assert all(v == "holds" for v in h.verdicts.values())
+    assert not any("stopped" in n for n in h.notes)
+    for q in h.charges.values():
+        assert isinstance(q.body, ClosedForm)
+        e = q.body.expr
+        assert sexpr.loads(sexpr.dumps(e), vs=eq.vs) == e
+        for rules in q.potentials.values():
+            for r in rules.values():
+                assert sexpr.loads(sexpr.dumps(r), vs=eq.vs) == r
+
+
+def test_flipped_tower_rule_fails_verification():
+    eq = get_equation("chiral")
+    q = generate_hierarchy(eq, _seed(eq, "right-action"), -2, 0).charges[-2]
+    assert verify_symmetry(eq, q).holds
+    rules = dict(q.potentials["Z2"])
+    rules["t"] = -rules["t"]
+    bad = dataclasses.replace(q, potentials={"Z2": rules})
+    assert not verify_symmetry(eq, bad).holds
 
 
 def test_degenerate_coordinate_seed_reported_not_failed():
