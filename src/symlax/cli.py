@@ -76,6 +76,7 @@ from .equations import (
 )
 from .errors import ConfigInvalid, IoFailure, NonMonotone, SymlaxError
 from .expr import comm
+from .kernels import gradient
 from .numerics import (
     Grid,
     GridField,
@@ -166,6 +167,8 @@ class RunConfig:
             m = np.asarray(m)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ConfigInvalid(f"matrix {name!r} is not square")
+            if not np.all(np.isfinite(m)):
+                raise ConfigInvalid(f"matrix {name!r} has a non-finite entry")
         dims = {np.asarray(m).shape[0] for m in self.matrices.values()}
         if len(dims) > 1:
             raise ConfigInvalid("parameter matrices must share one dimension")
@@ -627,8 +630,7 @@ def numeric_claims(cfg: RunConfig,
             worst = None
             for v, rhs in eq.potential_rules[eq.potential_name].items():
                 ax = grid.axis_index(v)
-                dX = np.gradient(rung.potential, grid.axes[ax].h, axis=ax,
-                                 edge_order=2)
+                dX = gradient(rung.potential, grid.axes[ax].h, ax)
                 r = dX - eval_on_grid(rhs, rung.env)
                 st = residual_stats(r, grid, ctx.margins[i])
                 if worst is None or st.max > worst.max:

@@ -1,4 +1,4 @@
-"""Batched small-matrix arithmetic on grid arrays.
+"""Batched small-matrix arithmetic and finite differences on grid arrays.
 
 Grid samples hold one n x n matrix per grid point on their trailing two
 axes.  Grid-batched products are numpy's ``@``, called directly where they
@@ -11,6 +11,9 @@ with one BLAS thread, numpy 2.4.6: 2.6 against 4.5 ms on a 257^2 grid of
 the 257 lines of one 2 x 2 Lax-march step).  The leading (batch) axes
 broadcast as for ``@``.  Arrays are real or complex, by promotion: each
 result takes the dtype numpy's promotion gives from the operands.
+
+Every finite-difference derivative of the grid checks is ``gradient``:
+second order along one axis, in the interior and at both edges.
 """
 
 from __future__ import annotations
@@ -39,3 +42,10 @@ def inv(A: np.ndarray) -> np.ndarray:
     out[..., 1, 0] = -c / det
     out[..., 1, 1] = a / det
     return out
+
+
+def gradient(a: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """Finite-difference derivative of a grid array along one grid axis of
+    spacing h: central differences inside, one-sided second-order ones at
+    the two edges (``np.gradient`` with ``edge_order=2``)."""
+    return np.gradient(a, h, axis=axis, edge_order=2)

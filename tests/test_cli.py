@@ -114,6 +114,14 @@ def test_bad_matrix_literal(tmp_path):
         load_config(str(p))
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_matrix_rejected(tmp_path, bad):
+    p = tmp_path / "run.ini"
+    p.write_text(f"[matrices]\nB = 0 0; {bad} 0\n")
+    with pytest.raises(ConfigInvalid, match="'B' has a non-finite entry"):
+        load_config(str(p))
+
+
 def test_oversized_grid_rejected_before_allocation():
     # 257^4 points of 2x2 float64 entries: about 140 GB for one field
     with pytest.raises(ConfigInvalid) as info:
@@ -450,6 +458,18 @@ def test_unexpected_exception_is_an_error_record():
     assert not s["overall_pass"]
     text = emit_report(build_report(load_config(), records), "text")
     assert "ERROR" in text
+
+
+def test_cli_import_leaves_out_scipy():
+    # the package runs on numpy alone; scipy is a test reference only
+    src = os.path.dirname(os.path.dirname(symlax.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, symlax.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_import_leaves_out_scipy_integrate():

@@ -203,11 +203,20 @@ def test_dense_expm_nilpotent_is_exact():
 
 
 def test_dense_expm_generic_matches_rotation():
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
     th = 0.7
-    R = dense_expm(th * np.array([[0.0, -1.0], [1.0, 0.0]]))
+    R = dense_expm(th * J)
     expected = np.array([[np.cos(th), -np.sin(th)],
                          [np.sin(th), np.cos(th)]])
     assert np.allclose(R, expected, atol=1e-12)
+    # a sweep of angles: each squaring may add an ulp, so the error bound
+    # grows with the norm |th|
+    th = np.linspace(-50.0, 50.0, 1001)
+    R = dense_expm(th[:, None, None] * J)
+    expected = np.stack([np.cos(th), -np.sin(th), np.sin(th), np.cos(th)],
+                        axis=-1).reshape(-1, 2, 2)
+    err = np.abs(R - expected).max(axis=(-2, -1))
+    assert np.all(err <= 1e-15 * np.maximum(1.0, np.abs(th)))
 
 
 # the so(3) generators of bench/configs/chiral-so3.ini
@@ -234,6 +243,75 @@ def test_dense_expm_stack_matches_per_matrix(M, ts):
     # a grid of stacks, as for two sampled axes at once
     grid = dense_expm(np.stack([ts, ts[::-1]])[..., None, None] * M)
     assert np.array_equal(grid, np.stack([loop, loop[::-1]]))
+
+
+def _rodrigues(W):
+    """exp(W) for a real skew-symmetric 3x3 W, by Rodrigues' formula."""
+    th = np.sqrt(W[2, 1] ** 2 + W[0, 2] ** 2 + W[1, 0] ** 2)
+    if th == 0.0:
+        return np.eye(3)
+    return (np.eye(3) + (np.sin(th) / th) * W
+            + ((1.0 - np.cos(th)) / th ** 2) * (W @ W))
+
+
+@pytest.mark.parametrize("M", [
+    SO3_A, SO3_B,
+    np.array([[0.0, -0.2, 0.9], [0.2, 0.0, -0.4], [-0.9, 0.4, 0.0]])],
+    ids=["so3-A", "so3-B", "so3-generic"])
+@pytest.mark.parametrize("ts", [
+    np.arange(257) / 256.0, np.linspace(-2.0, 1.0, 65)],
+    ids=["ladder-from-0", "signed"])
+def test_dense_expm_so3_matches_rodrigues(M, ts):
+    stack = ts[:, None, None] * M
+    expected = np.stack([_rodrigues(W) for W in stack])
+    assert np.abs(dense_expm(stack) - expected).max() <= 1e-15
+
+
+# V has the exact float inverse VI, so V diag(exp d) VI is a closed form
+# that is itself accurate to a few ulps
+V = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+VI = np.array([[1.0, -1.0, 1.0], [0.0, 1.0, -1.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("d", [
+    np.array([-1.0, 0.3, 0.7]), np.array([1 + 2j, -0.5 + 1j, 0.25 - 3j])],
+    ids=["real", "complex"])
+@pytest.mark.parametrize("norm", [1e-3, 1e-2, 0.1, 1.0, 5.0, 10.0, 20.0,
+                                  50.0])
+def test_dense_expm_diagonalizable_matches_closed_form(d, norm):
+    assert np.array_equal(V @ VI, np.eye(3))
+    d = d * (norm / np.abs(V @ np.diag(d) @ VI).sum(axis=0).max())
+    M = V @ np.diag(d) @ VI
+    assert np.isclose(np.abs(M).sum(axis=0).max(), norm)
+    expected = V @ np.diag(np.exp(d)) @ VI
+    got = dense_expm(M)
+    assert got.dtype == expected.dtype
+    # the error of scaling and squaring grows with the norm
+    rel = np.abs(got - expected).max() / np.abs(expected).max()
+    assert rel <= 1e-15 * max(1.0, norm)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_dense_expm_matches_scipy(dtype):
+    from scipy.linalg import expm
+    rng = np.random.default_rng(7)
+    M = rng.standard_normal((4, 50, 3, 3))
+    if dtype is complex:
+        M = M + 1j * rng.standard_normal(M.shape)
+    # rows of the stack scaled to 1-norms 1e-3, 0.1, 1 and 10
+    M = M * (np.array([1e-3, 0.1, 1.0, 10.0])[:, None, None, None]
+             / np.abs(M).sum(axis=-2).max(axis=-1)[..., None, None])
+    got, ref = dense_expm(M), expm(M)
+    err = np.abs(got - ref).max(axis=(-2, -1))
+    assert np.all(err <= 1e-11 * np.abs(ref).max(axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_dense_expm_rejects_non_finite(bad):
+    M = np.zeros((5, 2, 2))
+    M[3, 1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        dense_expm(M)
 
 
 # ---------------------------------------------------------------------------
