@@ -6,34 +6,10 @@ emits deterministic machine-readable reports.  The claim catalog is data:
 each claim record binds an id and a descriptive anchor to a symbolic and/or
 numeric check, so reports are traceable line by line.
 
-Config format (INI; all keys optional, defaults per equation)::
-
-    [run]
-    equation = chiral            ; chiral | sdym
-    seed     = right-action      ; seed provenance name
-    window   = -2 1              ; hierarchy window, must contain 0
-    family   = exponential-product
-    lambdas  = 0.25 0.5 1 2     ; spectral values, nonzero
-    output   = report.json
-
-    [grid]
-    origin      = 0.0
-    extent      = 1.0            ; per-axis physical length
-    counts      = 65 129 257     ; refinement ladder n, 2n-1, 4n-3, ...
-    base_margin = 3              ; interior trim on the coarsest grid
-
-    [tolerances]
-    min_order       = 1.8        ; required convergence order
-    zero_floor      = 1e-9       ; below this a residual ladder counts as exact
-    offshell_factor = 1000       ; required off-shell/on-shell residual ratio
-    trace_tol       = 1e-8       ; SDYM trace-constraint bound at finest h
-    eps             = 0.1        ; off-shell perturbation amplitude
-
-    [matrices]                   ; row-major, rows separated by ';'
-    A = 0 1 ; 0 0
-    B = 0 0 ; 1 0
-    M = 0 1 ; 0 0
-    L = 0 0 ; 1 0
+Configs are INI files with the sections ``[run]``, ``[grid]``,
+``[tolerances]`` and ``[matrices]`` (README, "Configuration").  Every key is
+optional: a key a file leaves out takes the ``RunConfig`` default, and the
+equation supplies the default family, extent and grid counts.
 
 The environment variable SYMLAX_CONFIG_DIR names the directory searched for
 a config given by bare name (and for ``symlax.ini`` when no config is
@@ -138,7 +114,8 @@ class RunConfig:
     offshell_factor: float = 1000.0
     trace_tol: float = 1e-8
     eps: float = 0.1
-    matrices: Dict[str, np.ndarray] = dc_field(default_factory=dict)
+    matrices: Dict[str, np.ndarray] = dc_field(default_factory=lambda: {
+        k: np.asarray(v, dtype=float) for k, v in _DEFAULT_MATRICES.items()})
     output: Optional[str] = None
 
     def validate(self) -> "RunConfig":
@@ -264,8 +241,26 @@ def resolve_config_path(name: Optional[str]) -> Optional[str]:
     return name
 
 
+# the INI section of each RunConfig value a file sets, bar the equation and
+# the matrices; a value parses as the type of its default
+_SECTIONS = {"run": ("seed", "window", "family", "lambdas", "output"),
+             "grid": ("origin", "extent", "counts", "base_margin"),
+             "tolerances": ("min_order", "zero_floor", "offshell_factor",
+                            "trace_tol", "eps")}
+
+
+def _parse_value(text: str, default):
+    """``text`` as a value of the type of ``default``: one element per word
+    for a tuple, the text itself for a default of None."""
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(x) for x in text.split())
+    return text if default is None else type(default)(text)
+
+
 def load_config(path: Optional[str] = None, **overrides) -> RunConfig:
-    """Build a RunConfig from an INI file plus keyword overrides."""
+    """Build a RunConfig from an INI file plus keyword overrides.  A key the
+    file leaves out takes the RunConfig default, except the family, extent
+    and counts, which default to the equation's own."""
     cp = ConfigParser()
     if path is not None:
         try:
@@ -276,48 +271,28 @@ def load_config(path: Optional[str] = None, **overrides) -> RunConfig:
         except ConfigParserError as exc:
             raise ConfigInvalid(f"malformed config {path!r}: {exc}")
 
-    def get(section, key, default=None):
-        if cp.has_option(section, key):
-            return cp.get(section, key)
-        return default
-
-    equation = overrides.pop("equation", None) or get("run", "equation", "chiral")
+    equation = overrides.pop("equation", None) or \
+        cp.get("run", "equation", fallback=RunConfig.equation)
     if equation not in equation_names():
         raise ConfigInvalid(f"unknown equation {equation!r}")
     eq = get_equation(equation)
 
+    cfg = RunConfig(equation=equation, family=eq.families[0],
+                    extent=eq.extent, counts=eq.counts)
     try:
-        cfg = RunConfig(
-            equation=equation,
-            seed=get("run", "seed", DEFAULT_SEED),
-            window=tuple(int(x) for x in get("run", "window", "-2 1").split()),
-            family=get("run", "family", eq.families[0]),
-            lambdas=tuple(float(x) for x in
-                          get("run", "lambdas", "0.25 0.5 1 2").split()),
-            origin=float(get("grid", "origin", "0.0")),
-            extent=float(get("grid", "extent", str(eq.extent))),
-            counts=tuple(int(x) for x in
-                         get("grid", "counts",
-                             " ".join(map(str, eq.counts))).split()),
-            base_margin=int(get("grid", "base_margin", "3")),
-            min_order=float(get("tolerances", "min_order", "1.8")),
-            zero_floor=float(get("tolerances", "zero_floor", "1e-9")),
-            offshell_factor=float(get("tolerances", "offshell_factor", "1000")),
-            trace_tol=float(get("tolerances", "trace_tol", "1e-8")),
-            eps=float(get("tolerances", "eps", "0.1")),
-            output=get("run", "output"),
-        )
+        for section, keys in _SECTIONS.items():
+            for key in keys:
+                if cp.has_option(section, key):
+                    setattr(cfg, key, _parse_value(cp.get(section, key),
+                                                   getattr(cfg, key)))
     except ValueError as exc:
         raise ConfigInvalid(f"bad config value: {exc}")
     if len(cfg.window) != 2:
         raise ConfigInvalid("window must be two integers")
 
-    matrices = {k: np.asarray(v, dtype=float)
-                for k, v in _DEFAULT_MATRICES.items()}
     if cp.has_section("matrices"):
         for key, val in cp.items("matrices"):
-            matrices[key.upper()] = _parse_matrix(val)
-    cfg.matrices = matrices
+            cfg.matrices[key.upper()] = _parse_matrix(val)
 
     for key, val in overrides.items():
         if val is not None:
@@ -643,19 +618,18 @@ def numeric_claims(cfg: RunConfig,
         "relations to second order",
         "numeric", potential_consistency, expected_fail=offshell))
 
-    if not eq.lift:
-        def tower_charge() -> ClaimResult:
-            seed = _seed_by_provenance(eq, DEFAULT_SEED)
-            h = generate_hierarchy(eq, seed, -2, 0)
-            q = h.charges[-2]
-            return ladder(lambda i: ctx.conservation(
-                eval_characteristic(q, ctx.rung(i), cfgp), i))
-        claims.append(Claim(
-            "num.implicit-charge",
-            "the characteristic two levels below the seed, in its "
-            "path-integrated tower potential, is conserved to the expected "
-            "order",
-            "numeric", tower_charge, expected_fail=offshell))
+    def tower_charge() -> ClaimResult:
+        seed = _seed_by_provenance(eq, DEFAULT_SEED)
+        h = generate_hierarchy(eq, seed, -2, 0)
+        q = h.charges[-2]
+        return ladder(lambda i: ctx.conservation(
+            eval_characteristic(q, ctx.rung(i), cfgp), i))
+    claims.append(Claim(
+        "num.implicit-charge",
+        "the characteristic two levels below the seed, in its "
+        "path-integrated tower potential, is conserved to the expected "
+        "order",
+        "numeric", tower_charge, expected_fail=offshell))
 
     if eq.traceless:
         def det_preserved() -> ClaimResult:

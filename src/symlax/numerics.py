@@ -13,6 +13,12 @@ computed once on first use.  The tower potentials a characteristic carries
 go through the same staircase integration on each evaluation, since their
 rules read the parameter matrices bound to it.
 
+Every integration (potential, tower potentials, Lax wavefunction) runs on
+the rung's reduction and is lifted back by index sums.  A lifted equation
+(SDYM) is sampled as u = g(y+yb, z+zb), and its reduction is the rung over
+the sample's diagonal grid t = y+yb, x = z+zb, where its rules are the
+two-variable ones; any other rung is its own reduction.
+
 Grid arrays are real or complex, by promotion: every array takes the dtype
 numpy's promotion gives from the inputs, so a real sample with real
 parameter matrices and a real spectral value stays float64 throughout, and
@@ -268,23 +274,40 @@ def sample_solution(family: SolutionFamily, grid: Grid) -> GridField:
         return GridField(grid, g @ pert)
 
     if family.kind == "lifted-chiral":
-        ay, az, ayb, azb = grid.axes
-        if not (math.isclose(ay.h, ayb.h) and math.isclose(az.h, azb.h)):
-            raise DimensionMismatch(
-                "lifted sampling needs matching y/yb and z/zb spacings")
-        # g depends only on t = y+yb and x = z+zb; sample the diagonals once
-        tv = ay.origin + ayb.origin + ay.h * np.arange(ay.n + ayb.n - 1)
-        xv = az.origin + azb.origin + az.h * np.arange(az.n + azb.n - 1)
-        et = dense_expm(tv[:, None, None] * A)
-        ex = dense_expm(xv[:, None, None] * B)
-        iy = np.arange(ay.n)[:, None, None, None]
-        iz = np.arange(az.n)[None, :, None, None]
-        iyb = np.arange(ayb.n)[None, None, :, None]
-        izb = np.arange(azb.n)[None, None, None, :]
-        vals = et[iy + iyb] @ ex[iz + izb]
-        return GridField(grid, vals)
+        # J = g(y+yb, z+zb) on the axes (y, z, yb, zb): sample g on the
+        # diagonal grid once and lift it
+        dgrid, lift_at, _ = _diagonal_grid(grid, ((0, 2), (1, 3)))
+        tv, xv = (ax.points() for ax in dgrid.axes)
+        return GridField(grid, chiral_values(tv, xv)[lift_at])
 
     raise ValueError(f"unknown family kind {family.kind!r}")
+
+
+def _diagonal_grid(grid: Grid, pairs):
+    """The grid of the coordinate sums of each (plain, barred) pair of
+    ``grid``'s axes, which must share their spacing, and two tuples of index
+    arrays.  The first reads an array over that diagonal grid at every
+    point of ``grid``: each diagonal index is the sum of its pair's indices.
+    The second reads an array over ``grid`` at every diagonal point: point
+    k of a pair reads min(k, n - 1) along the plain axis of n points, the
+    rest along the barred one."""
+    counts, nd = grid.counts, len(grid.axes)
+    axes, names, lift, diag = [], [], [], [None] * nd
+    for d, (a, b) in enumerate(pairs):
+        pa, pb = grid.axes[a], grid.axes[b]
+        if not math.isclose(pa.h, pb.h):
+            raise DimensionMismatch(
+                f"lifted axes {grid.names[a]!r} and {grid.names[b]!r} need "
+                f"one spacing")
+        axes.append(Axis(pa.origin + pb.origin, pa.h, pa.n + pb.n - 1))
+        names.append(f"{grid.names[a]}+{grid.names[b]}")
+        lift.append(sum(np.arange(counts[i]).reshape(
+            [-1 if j == i else 1 for j in range(nd)]) for i in (a, b)))
+        k = np.arange(axes[-1].n).reshape(
+            [-1 if j == d else 1 for j in range(len(pairs))])
+        diag[a] = np.minimum(k, pa.n - 1)
+        diag[b] = k - diag[a]
+    return Grid(tuple(axes), tuple(names)), tuple(lift), tuple(diag)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +330,8 @@ class GridEnv:
         self.params = params or {}
         self.potentials = potentials or {}
         self.lam = lam
+        # the grid axis each variable differentiates along, by position
+        self.axes = tuple(range(len(grid.axes)))
         self._cache: Dict[object, np.ndarray] = {}
         self._field_env: Optional[GridEnv] = None
 
@@ -318,12 +343,14 @@ class GridEnv:
         come from this environment's cache; the new bindings and the atoms
         computed from them stay in the returned one."""
         env = GridEnv(self.grid, self.fields, params, potentials)
+        env.axes = self.axes
         env._field_env = self
         return env
 
     def derivative(self, base: np.ndarray, orders: tuple) -> np.ndarray:
         out = base
-        for axis, k in enumerate(orders):
+        for var, k in enumerate(orders):
+            axis = self.axes[var]
             h = self.grid.axes[axis].h
             for _ in range(k):
                 out = gradient(out, h, axis)
@@ -449,7 +476,8 @@ class SolutionFields:
     and the arrays derived from it, each computed on first use and kept for
     every later check on the same sample.  These are the grid environment of
     ``u`` (finite-difference derivatives and ``u^-1``, cached per atom), the
-    slot connections and the samples of the equation's potential."""
+    slot connections, the samples of the equation's potential and the
+    rung's reduction, on which every integration runs."""
 
     def __init__(self, eq: EquationDef, u: GridField):
         self.eq = eq
@@ -457,6 +485,8 @@ class SolutionFields:
         self.env = GridEnv(u.grid, {eq.field_name: u.values})
         self._connections: Optional[Tuple[np.ndarray, ...]] = None
         self._potential: Optional[np.ndarray] = None
+        self._reduced: Optional[SolutionFields] = None
+        self._lift_at = self._diagonal_at = None
 
     @property
     def inverse(self) -> np.ndarray:
@@ -478,6 +508,45 @@ class SolutionFields:
         if self._potential is None:
             self._potential = compute_potential(self).field.values
         return self._potential
+
+    @property
+    def reduced(self) -> "SolutionFields":
+        """The rung every integration runs on.  For a lifted equation it is
+        the rung over the sample's diagonal grid, one axis per plain/barred
+        pair, along which both variables of the pair differentiate; the
+        sample must equal the lift of its own diagonal, else
+        PathInconsistent.  Any other rung is its own reduction."""
+        if self._reduced is None:
+            self._reduced = self._reduce() if self.eq.lift else self
+        return self._reduced
+
+    def _reduce(self) -> "SolutionFields":
+        u, eq, grid = self.u, self.eq, self.u.grid
+        pairs = [(grid.axis_index(p), grid.axis_index(b))
+                 for p, b in eq.lift.items()]
+        dgrid, self._lift_at, self._diagonal_at = _diagonal_grid(grid, pairs)
+        diag = u.values[self._diagonal_at]
+        # a lifted sample equals the lift of its diagonal up to round-off
+        dev = float(np.abs(diag[self._lift_at] - u.values).max())
+        if dev > 1e-10 * (1.0 + float(np.abs(u.values).max())):
+            raise PathInconsistent(
+                f"the sample is not translation-lifted: it deviates from "
+                f"the lift of its diagonal by {dev:.3e}", residual=dev)
+        red = SolutionFields(eq, GridField(dgrid, diag))
+        red._reduced = red
+        axis = {v: d for d, pair in enumerate(eq.lift.items()) for v in pair}
+        red.env.axes = tuple(axis[v] for v in eq.vs.names)
+        return red
+
+    def lift(self, arr: np.ndarray) -> np.ndarray:
+        """An array over the reduction's grid, read at every point of this
+        rung's grid by index sums."""
+        return arr if self.reduced is self else arr[self._lift_at]
+
+    def _diagonal(self, arr: np.ndarray) -> np.ndarray:
+        """An array over this rung's grid, read on the reduction's grid;
+        ``lift`` inverts it on a lifted array."""
+        return arr if self.reduced is self else arr[self._diagonal_at]
 
 
 def fd_residual_field_equation(fields: SolutionFields,
@@ -548,38 +617,39 @@ class PotentialResult:
     path_residual: float
 
 
-def compute_potential(fields: SolutionFields,
-                      tol: Optional[float] = None) -> PotentialResult:
+def compute_potential(fields: SolutionFields) -> PotentialResult:
     """Integrate the potential defining system of a rung from the origin
-    (base value zero) along a staircase path; the transposed path measures
-    path-independence, which fails off-shell."""
+    (base value zero) along a staircase path, on the rung's reduction, and
+    lift it to the rung; the transposed path measures path-independence,
+    which fails off-shell."""
     eq = fields.eq
-    X, resid = _integrate_potential(fields, eq.potential_rules[eq.potential_name],
-                                    fields.env, tol)
-    return PotentialResult(GridField(fields.u.grid, X), resid)
+    red = fields.reduced
+    X, resid = _integrate_potential(red, eq.potential_rules[eq.potential_name],
+                                    red.env)
+    return PotentialResult(GridField(fields.u.grid, fields.lift(X)), resid)
 
 
 def _integrate_potential(fields: SolutionFields, rules: Dict[str, JetExpr],
-                         env: GridEnv, tol: Optional[float]
-                         ) -> Tuple[np.ndarray, float]:
+                         env: GridEnv) -> Tuple[np.ndarray, float]:
     """Samples of the potential whose first derivatives are ``rules``,
     evaluated in ``env`` over the rung ``fields``, and the largest
-    difference between the two staircase orders; a difference above ``tol``
-    raises PathInconsistent."""
+    difference between the two staircase orders; a difference above
+    tolerance raises PathInconsistent, a grid axis the rules leave free
+    UnboundAtom."""
     grid = fields.u.grid
     integrands: Dict[int, np.ndarray] = {}
     for v, rhs in rules.items():
-        integrands[grid.axis_index(v)] = eval_on_grid(rhs, env)
-
+        integrands[env.axes[fields.eq.vs.index(v)]] = eval_on_grid(rhs, env)
     if len(integrands) < len(grid.axes):
-        _extend_integrands_by_invariance(fields, integrands)
+        raise UnboundAtom(
+            f"potential rules along {sorted(rules)} leave a direction of "
+            f"the grid free; numerical integration is underdetermined")
 
     order = sorted(integrands)
     X1 = _staircase(integrands, grid, order)
     X2 = _staircase(integrands, grid, list(reversed(order)))
     resid = float(np.abs(X1 - X2).max())
-    if tol is None:
-        tol = _potential_tolerance(grid, integrands)
+    tol = _potential_tolerance(grid, integrands)
     if resid > tol:
         raise PathInconsistent(
             f"potential integration is path-dependent "
@@ -595,40 +665,6 @@ def _potential_tolerance(grid: Grid, integrands) -> float:
     return 20.0 * (1.0 + scale) * extent * h ** 2
 
 
-def _extend_integrands_by_invariance(fields: SolutionFields, integrands):
-    """The potential system of a lifted equation pins at most the
-    derivatives along the barred directions of ``eq.lift``.  For
-    translation-lifted samples (the ones this package generates) the
-    derivative along each plain variable equals the one along its barred
-    partner, which supplies the missing base-plane transport.  The
-    invariance is measured, not assumed.  A system that leaves a barred
-    direction free raises UnboundAtom."""
-    eq, u = fields.eq, fields.u
-    grid = u.grid
-
-    def first_derivative(axis):
-        orders = tuple(int(a == axis) for a in range(len(grid.axes)))
-        return fields.env.atom_values(Field(eq.field_name, orders))
-
-    for plain, barred in eq.lift.items():
-        ia, ib = grid.axis_index(plain), grid.axis_index(barred)
-        if ib not in integrands:
-            raise UnboundAtom(
-                f"potential system leaves the {barred!r} direction free; "
-                f"numerical integration is underdetermined on this grid")
-        ha, hb = grid.axes[ia].h, grid.axes[ib].h
-        da = first_derivative(ia)
-        db = first_derivative(ib)
-        dev = float(np.abs(da - db).max())
-        if dev > 50.0 * max(ha, hb) ** 2 * (1.0 + float(np.abs(u.values).max())):
-            raise PathInconsistent(
-                "potential underdetermined: sample is not translation-lifted "
-                f"(d/d{plain} vs d/d{barred} deviation {dev:.3e})",
-                residual=dev)
-        # the plain rule is the barred one, already in integrands
-        integrands[ia] = integrands[ib]
-
-
 # ---------------------------------------------------------------------------
 # Characteristic evaluation
 # ---------------------------------------------------------------------------
@@ -639,8 +675,9 @@ def eval_characteristic(q: Characteristic, fields: SolutionFields,
     """Sample a characteristic's closed form on a rung.  The rung supplies
     the cached u^-1 and field derivatives, and its potential when the form
     or a tower rule reads it.  The tower potentials ``q`` carries are
-    path-integrated here, in the order they were defined, since their rules
-    read ``params``, which bind to this evaluation only."""
+    path-integrated here, on the rung's reduction and in the order they
+    were defined, since their rules read ``params``, which bind to this
+    evaluation only; the form reads them lifted to the rung."""
     eq = fields.eq
     exprs = [q.body.expr] + [r for rules in q.potentials.values()
                              for r in rules.values()]
@@ -648,8 +685,14 @@ def eval_characteristic(q: Characteristic, fields: SolutionFields,
     if any(isinstance(a, Potential) and a.name == eq.potential_name
            for e in exprs for a in e.atoms()):
         env.potentials[eq.potential_name] = fields.potential
-    for name, rules in q.potentials.items():
-        env.potentials[name] = _integrate_potential(fields, rules, env, None)[0]
+    if q.potentials:
+        red = fields.reduced
+        red_env = red.env.bind(params=params, potentials={
+            name: fields._diagonal(v) for name, v in env.potentials.items()})
+        for name, rules in q.potentials.items():
+            red_env.potentials[name] = _integrate_potential(red, rules,
+                                                            red_env)[0]
+            env.potentials[name] = fields.lift(red_env.potentials[name])
     return GridField(fields.u.grid, eval_on_grid(q.body.expr, env))
 
 
@@ -676,9 +719,8 @@ def integrate_lax(fields: SolutionFields, lam: complex,
     """Integrate the explicit first-order form of the Lax pair for the
     wavefunction phi = u^-1 Psi on a rung, along both staircase orders; the
     maximum pointwise difference between the two sweeps is the
-    compatibility residual (it vanishes with h only on-shell).  A lifted
-    equation is integrated on its diagonals; otherwise on the rung's
-    cached connections."""
+    compatibility residual (it vanishes with h only on-shell).  The march
+    runs on the connections of the rung's reduction and is lifted back."""
     _check_lambda(lam)
     u = fields.u
     n = u.n_dim
@@ -689,15 +731,13 @@ def integrate_lax(fields: SolutionFields, lam: complex,
         phi0 = np.eye(n) + 0.5 * rng.standard_normal((n, n))
     phi0 = np.asarray(phi0)
 
-    if fields.eq.lift:
-        return _integrate_lax_lifted(u, lam, phi0)
-    grid = u.grid
-    a, b = fields.connections
-    phi1, phi2 = _integrate_lax_2d(grid, a, b, lam, phi0)
+    red = fields.reduced
+    a, b = red.connections
+    phi1, phi2 = _integrate_lax_2d(red.u.grid, a, b, lam, phi0)
     resid = float(np.abs(phi1 - phi2).max())
-    phi = GridField(grid, phi1)
-    psi = GridField(grid, u.values @ phi1)
-    return LaxIntegration(phi, psi, resid)
+    phi = fields.lift(phi1)
+    return LaxIntegration(GridField(u.grid, phi),
+                          GridField(u.grid, u.values @ phi), resid)
 
 
 def _march_lines(phi_start, C, h):
@@ -742,42 +782,6 @@ def _integrate_lax_2d(grid: Grid, a, b, lam, phi0):
     edge = _march_lines(start, Ct[:, 0][:, None], ht)[:, 0]
     phiB = np.swapaxes(_march_lines(edge, np.swapaxes(Cx, 0, 1), hx), 0, 1)
     return phiA, phiB
-
-
-def _integrate_lax_lifted(u: GridField, lam, phi0):
-    """SDYM Lax integration for translation-lifted samples: on such fields
-    the four-variable pair collapses to the two-variable one on the
-    diagonals t = y+yb, x = z+zb, which is solved and lifted back."""
-    grid = u.grid
-    ny, nz, nyb, nzb = grid.counts
-    hy, hz, hyb, hzb = grid.spacings
-    if not (math.isclose(hy, hyb) and math.isclose(hz, hzb)):
-        raise DimensionMismatch("lifted Lax integration needs matching spacings")
-
-    # effective 2-variable sample g(t, x) = J at indices summing to (t, x)
-    nt, nx = ny + nyb - 1, nz + nzb - 1
-    it = np.arange(nt)[:, None]
-    ix = np.arange(nx)[None, :]
-    iy = np.minimum(it, ny - 1)
-    iz = np.minimum(ix, nz - 1)
-    eff = u.values[iy, iz, it - iy, ix - iz]
-    eff_grid = Grid((Axis(grid.axes[0].origin + grid.axes[2].origin, hy, nt),
-                     Axis(grid.axes[1].origin + grid.axes[3].origin, hz, nx)),
-                    ("t", "x"))
-    eff_inv = inv(eff)
-    a = eff_inv @ gradient(eff, hy, 0)
-    b = eff_inv @ gradient(eff, hz, 1)
-    phi1, phi2 = _integrate_lax_2d(eff_grid, a, b, lam, phi0)
-    resid = float(np.abs(phi1 - phi2).max())
-
-    iy = np.arange(ny)[:, None, None, None]
-    iz = np.arange(nz)[None, :, None, None]
-    iyb = np.arange(nyb)[None, None, :, None]
-    izb = np.arange(nzb)[None, None, None, :]
-    lift = phi1[iy + iyb, iz + izb]
-    phi = GridField(grid, lift)
-    psi = GridField(grid, u.values @ lift)
-    return LaxIntegration(phi, psi, resid)
 
 
 # ---------------------------------------------------------------------------

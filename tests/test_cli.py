@@ -1,5 +1,6 @@
 """Configuration loading, claim catalog, report emission, command line."""
 
+import dataclasses
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from symlax.cli import (
     FIELD_BYTES_BUDGET,
     Claim,
     ClaimResult,
+    RunConfig,
     _offshell_ratio,
     all_claims,
     build_report,
@@ -33,7 +35,7 @@ from symlax.cli import (
     symbolic_claims,
     write_atomic,
 )
-from symlax.equations import get_equation
+from symlax.equations import equation_names, get_equation
 from symlax.errors import ConfigInvalid, IoFailure
 from symlax.recursion import generate_hierarchy
 
@@ -51,6 +53,26 @@ def test_defaults_per_equation():
     assert s.counts == (9, 17, 33)
     assert s.family == "lifted-chiral"
     assert s.extent == 0.5
+
+
+@pytest.mark.parametrize("name", equation_names())
+def test_empty_config_loads_dataclass_defaults(tmp_path, name):
+    p = tmp_path / "empty.ini"
+    p.write_text("")
+    got = load_config(str(p), equation=name)
+    # the equation supplies its family and ladder; RunConfig the rest
+    eq = get_equation(name)
+    want = RunConfig(equation=name, family=eq.families[0], extent=eq.extent,
+                     counts=eq.counts)
+    for f in dataclasses.fields(RunConfig):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "matrices":
+            assert sorted(a) == sorted(b) == ["A", "B", "L", "M"]
+            for k in a:
+                assert a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k])
+        else:
+            assert type(a) is type(b) and a == b, f.name
+    assert load_config(str(p)).equation == RunConfig().equation
 
 
 def test_config_file_parsing(tmp_path):
@@ -229,10 +251,11 @@ _CHIRAL_NUM_IDS = (["num.field-equation"]
 @pytest.mark.parametrize("kw,size,expected", [
     (dict(), 36, _sym_ids(_CHIRAL_CATALOG) + _HIER_IDS + _CHIRAL_NUM_IDS
      + _LAX_IDS),
-    (dict(equation="sdym"), 50,
+    (dict(equation="sdym"), 51,
      _sym_ids(_SDYM_CATALOG) + _HIER_IDS + ["num.field-equation"]
      + [f"num.conservation.{q}" for q in _SDYM_CATALOG]
-     + ["num.potential-defining-relations", "num.determinant-preserved"]
+     + ["num.potential-defining-relations", "num.implicit-charge",
+        "num.determinant-preserved"]
      + [f"num.trace-constraint.{q}" for q in _SDYM_CATALOG] + _LAX_IDS),
     (dict(family="perturbed-offshell", eps=0.1, counts=(17, 33, 65)), 39,
      _sym_ids(_CHIRAL_CATALOG) + _HIER_IDS + _CHIRAL_NUM_IDS

@@ -1,7 +1,8 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module,
+and every private function or method is referenced by some module.
 
 An AST scan of ``src/symlax/*.py``.  The package ``__init__.py`` is left
-out: its imports are the public re-exports.
+out of the import check: its imports are the public re-exports.
 """
 
 import ast
@@ -55,3 +56,31 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree)
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _private_defs(tree):
+    """(name, line) of every private function at module level or method in
+    a module-level class; dunder methods are called by the language."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for d in members:
+            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and d.name.startswith("_") \
+                    and not (d.name.startswith("__") and d.name.endswith("__")):
+                yield d.name, d.lineno
+
+
+def _references(tree):
+    """Names a module reads, as a bare name or as an attribute."""
+    names = _used_names(tree)
+    names.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    return names
+
+
+def test_no_unreferenced_private_functions():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in SRC.glob("*.py")}
+    referenced = set().union(*map(_references, trees.values()))
+    unused = [f"{name} ({path}:{line})" for path, tree in sorted(trees.items())
+              for name, line in _private_defs(tree) if name not in referenced]
+    assert not unused, f"private functions no module references: {unused}"

@@ -14,7 +14,7 @@ import pytest
 
 from symlax import kernels
 from symlax.calculus import total_derivative
-from symlax.equations import get_equation
+from symlax.equations import Characteristic, ClosedForm, get_equation
 from symlax.errors import (
     GridTooSmall,
     IoFailure,
@@ -396,6 +396,17 @@ def test_potential_underdetermined_without_lift():
         compute_potential(SolutionFields(SDYM, GridField(grid, vals)))
 
 
+def test_lax_rejects_sample_that_is_not_lifted():
+    # the sample of test_potential_underdetermined_without_lift: its
+    # diagonal no longer determines it, so no integration may run on it
+    grid = sdym_grid(9)
+    u = sample_solution(nilpotent_family("lifted-chiral"), grid)
+    vals = u.values.copy()
+    vals[..., 0, 1] = vals[..., 0, 1] + 0.3 * np.sin(3.0 * grid.coord_array("y"))
+    with pytest.raises(PathInconsistent):
+        integrate_lax(SolutionFields(SDYM, GridField(grid, vals)), 0.5)
+
+
 # ---------------------------------------------------------------------------
 # Characteristics on grids
 # ---------------------------------------------------------------------------
@@ -647,15 +658,52 @@ def test_tower_charge_satisfies_published_pair(family):
     assert est.exact or est.order >= 1.8
 
 
-def test_lifted_rung_rejects_tower_potential_free_along_barred_axes():
-    # Z2 below y-translation pins only the plain directions y and z, which
-    # the invariance of a lifted sample cannot complete
-    q = generate_hierarchy(SDYM, _seed(SDYM, "y-translation"),
-                           -2, 0).charges[-2]
+def _level_sets_agree(arr):
+    """Is a sample over (y, z, yb, zb) constant on y+yb and on z+zb?"""
+    return (np.array_equal(arr[1:, :, :-1], arr[:-1, :, 1:])
+            and np.array_equal(arr[:, 1:, :, :-1], arr[:, :-1, :, 1:]))
+
+
+@pytest.mark.parametrize("provenance,family,exact", [
+    ("right-action", nilpotent_family("lifted-chiral"), False),
+    ("right-action", SolutionFamily("lifted-chiral", ROTATION_FAMILY.A,
+                                    ROTATION_FAMILY.B), False),
+    ("y-translation", nilpotent_family("lifted-chiral"), True),
+], ids=["right-action-nilpotent", "right-action-rotation",
+        "y-translation-nilpotent"])
+def test_lifted_rung_conserves_backward_tower_charge(provenance, family,
+                                                     exact):
+    # Z2 two levels below the seed is pinned along the plain directions
+    # (y, z) only; the lifted rung integrates it on its diagonal grid
+    q = generate_hierarchy(SDYM, _seed(SDYM, provenance), -2, 0).charges[-2]
     assert set(q.potentials["Z2"]) == {"y", "z"}
-    u = sample_solution(nilpotent_family("lifted-chiral"), sdym_grid(7))
+    params = {"L": NILPOTENT_B}
+    counts = (7, 13, 25)
+    maxes, hs = [], []
+    for n, m in zip(counts, scaled_margins(counts, 2)):
+        rung = SolutionFields(SDYM, sample_solution(family, sdym_grid(n)))
+        Q = eval_characteristic(q, rung, params)
+        assert _level_sets_agree(Q.values)
+        assert _level_sets_agree(rung.potential)
+        maxes.append(conservation_residual(rung, Q, m).max)
+        hs.append(max(rung.u.grid.spacings))
+    est = convergence_order(maxes, hs)
+    assert est.exact if exact else est.order >= 1.8
+
+
+@pytest.mark.parametrize("eq,grid,axes", [
+    (CHIRAL, chiral_grid(9), ("t",)),
+    (SDYM, sdym_grid(7), ("y", "yb"))], ids=["chiral", "sdym"])
+def test_tower_potential_free_along_an_axis_is_unbound(eq, grid, axes):
+    # rules along one axis of the reduction leave the other free
+    family = nilpotent_family(eq.families[0])
+    rung = SolutionFields(eq, sample_solution(family, grid))
+    vs = eq.vs
+    rule = eq.slots[0].connection
+    q = Characteristic(-2, ClosedForm(vs.pot("W") * eq.u()), "hand-made",
+                       potentials={"W": {v: rule for v in axes}})
     with pytest.raises(UnboundAtom):
-        eval_characteristic(q, SolutionFields(SDYM, u))
+        eval_characteristic(q, rung)
 
 
 def test_batched_lax_lifted_matches_loop_reference():
