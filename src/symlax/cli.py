@@ -20,6 +20,7 @@ byte-identical across runs of the same config.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -52,10 +53,10 @@ from .equations import (
 )
 from .errors import ConfigInvalid, IoFailure, NonMonotone, SymlaxError
 from .expr import comm
-from .kernels import gradient
 from .numerics import (
     Grid,
     GridField,
+    LaxIntegration,
     ResidualStats,
     SolutionFamily,
     SolutionFields,
@@ -112,7 +113,6 @@ class RunConfig:
     min_order: float = 1.8
     zero_floor: float = 1e-9
     offshell_factor: float = 1000.0
-    trace_tol: float = 1e-8
     eps: float = 0.1
     matrices: Dict[str, np.ndarray] = dc_field(default_factory=lambda: {
         k: np.asarray(v, dtype=float) for k, v in _DEFAULT_MATRICES.items()})
@@ -203,7 +203,6 @@ class RunConfig:
             "min_order": _fmt(self.min_order),
             "zero_floor": _fmt(self.zero_floor),
             "offshell_factor": _fmt(self.offshell_factor),
-            "trace_tol": _fmt(self.trace_tol),
             "eps": _fmt(self.eps),
             "matrices": {k: [[_fmt(float(x)) for x in row]
                              for row in np.asarray(v, dtype=float).tolist()]
@@ -246,15 +245,18 @@ def resolve_config_path(name: Optional[str]) -> Optional[str]:
 _SECTIONS = {"run": ("seed", "window", "family", "lambdas", "output"),
              "grid": ("origin", "extent", "counts", "base_margin"),
              "tolerances": ("min_order", "zero_floor", "offshell_factor",
-                            "trace_tol", "eps")}
+                            "eps")}
 
 
 def _parse_value(text: str, default):
     """``text`` as a value of the type of ``default``: one element per word
     for a tuple, the text itself for a default of None."""
-    if isinstance(default, tuple):
-        return tuple(type(default[0])(x) for x in text.split())
-    return text if default is None else type(default)(text)
+    try:
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(x) for x in text.split())
+        return text if default is None else type(default)(text)
+    except ValueError as exc:
+        raise ConfigInvalid(f"bad config value: {exc}")
 
 
 def load_config(path: Optional[str] = None, **overrides) -> RunConfig:
@@ -279,14 +281,11 @@ def load_config(path: Optional[str] = None, **overrides) -> RunConfig:
 
     cfg = RunConfig(equation=equation, family=eq.families[0],
                     extent=eq.extent, counts=eq.counts)
-    try:
-        for section, keys in _SECTIONS.items():
-            for key in keys:
-                if cp.has_option(section, key):
-                    setattr(cfg, key, _parse_value(cp.get(section, key),
-                                                   getattr(cfg, key)))
-    except ValueError as exc:
-        raise ConfigInvalid(f"bad config value: {exc}")
+    for section, keys in _SECTIONS.items():
+        for key in keys:
+            if cp.has_option(section, key):
+                setattr(cfg, key, _parse_value(cp.get(section, key),
+                                               getattr(cfg, key)))
     if len(cfg.window) != 2:
         raise ConfigInvalid("window must be two integers")
 
@@ -559,11 +558,32 @@ class _NumericContext:
         """Conservation residual of a characteristic sample on rung i."""
         return conservation_residual(self.rung(i), qg, self.margins[i])
 
+    def trace(self, qg: GridField, i: int) -> ResidualStats:
+        """Trace of the transported characteristic sample u^-1 q on rung
+        i."""
+        w = self.rung(i).inverse @ qg.values
+        return residual_stats(np.trace(w, axis1=-2, axis2=-1),
+                              self.grids[i], self.margins[i])
+
     def onshell_twin(self) -> "_NumericContext":
         """The unperturbed counterpart, for off-shell ratio claims."""
         cfg2 = RunConfig(**{**self.cfg.__dict__,
                             "family": self.eq.families[0]})
         return _NumericContext(cfg2)
+
+
+def _ladder_claim(ctx: _NumericContext, cid: str, anchor: str, kind: str,
+                  expected_fail: bool,
+                  rung_stats: Callable[[int], ResidualStats]) -> Claim:
+    """A claim that measures ``rung_stats(i)`` on every rung i of the
+    ladder of ``ctx``, coarsest first, and judges the ladder by
+    ``_order_result``."""
+    def check() -> ClaimResult:
+        stats = [rung_stats(i) for i in range(len(ctx.grids))]
+        return _order_result([s.max for s in stats],
+                             [_stats_dict(s) for s in stats], ctx.hs,
+                             ctx.cfg)
+    return Claim(cid, anchor, kind, check, expected_fail)
 
 
 def numeric_claims(cfg: RunConfig,
@@ -572,64 +592,48 @@ def numeric_claims(cfg: RunConfig,
     eq = ctx.eq
     cfgp = cfg.params()
     offshell = cfg.family == "perturbed-offshell"
-    claims: List[Claim] = []
-
-    def ladder(fn) -> ClaimResult:
-        stats = [fn(i) for i in range(len(ctx.grids))]
-        return _order_result([s.max for s in stats],
-                             [_stats_dict(s) for s in stats], ctx.hs, cfg)
-
-    claims.append(Claim(
-        "num.field-equation",
+    claims: List[Claim] = [_ladder_claim(
+        ctx, "num.field-equation",
         "the finite-difference residual of the field equation converges at "
         "second order on the sampled solution",
-        "numeric",
-        lambda: ladder(lambda i: fd_residual_field_equation(
-            ctx.rung(i), ctx.margins[i])),
-        expected_fail=offshell))
+        "numeric", offshell,
+        lambda i: fd_residual_field_equation(ctx.rung(i), ctx.margins[i]))]
 
     for q in eq.catalog:
-        def cons(q=q) -> ClaimResult:
-            return ladder(lambda i: ctx.conservation(
-                eval_characteristic(q, ctx.rung(i), cfgp), i))
-        claims.append(Claim(
-            f"num.conservation.{q.provenance}",
+        claims.append(_ladder_claim(
+            ctx, f"num.conservation.{q.provenance}",
             f"the conserved current of the {q.provenance} characteristic has "
             f"second-order divergence residual on the grid",
-            "numeric", cons, expected_fail=offshell))
+            "numeric", offshell,
+            lambda i, q=q: ctx.conservation(
+                eval_characteristic(q, ctx.rung(i), cfgp), i)))
 
-    def potential_consistency() -> ClaimResult:
-        def one(i):
-            rung = ctx.rung(i)
-            grid = ctx.grids[i]
-            worst = None
-            for v, rhs in eq.potential_rules[eq.potential_name].items():
-                ax = grid.axis_index(v)
-                dX = gradient(rung.potential, grid.axes[ax].h, ax)
-                r = dX - eval_on_grid(rhs, rung.env)
-                st = residual_stats(r, grid, ctx.margins[i])
-                if worst is None or st.max > worst.max:
-                    worst = st
-            return worst
-        return ladder(one)
-    claims.append(Claim(
-        "num.potential-defining-relations",
+    def potential_relations(i: int) -> ResidualStats:
+        rung = ctx.rung(i)
+        X = eq.potential_name
+        env = rung.env.bind(potentials={X: rung.potential})
+        return max((residual_stats(eval_on_grid(eq.vs.pot(X, v) - rhs, env),
+                                   ctx.grids[i], ctx.margins[i])
+                    for v, rhs in eq.potential_rules[X].items()),
+                   key=lambda st: st.max)
+    claims.append(_ladder_claim(
+        ctx, "num.potential-defining-relations",
         "the integrated nonlocal potential satisfies both of its defining "
         "relations to second order",
-        "numeric", potential_consistency, expected_fail=offshell))
+        "numeric", offshell, potential_relations))
 
-    def tower_charge() -> ClaimResult:
+    @functools.cache
+    def tower_charge() -> Characteristic:
         seed = _seed_by_provenance(eq, DEFAULT_SEED)
-        h = generate_hierarchy(eq, seed, -2, 0)
-        q = h.charges[-2]
-        return ladder(lambda i: ctx.conservation(
-            eval_characteristic(q, ctx.rung(i), cfgp), i))
-    claims.append(Claim(
-        "num.implicit-charge",
+        return generate_hierarchy(eq, seed, -2, 0).charges[-2]
+    claims.append(_ladder_claim(
+        ctx, "num.implicit-charge",
         "the characteristic two levels below the seed, in its "
         "path-integrated tower potential, is conserved to the expected "
         "order",
-        "numeric", tower_charge, expected_fail=offshell))
+        "numeric", offshell,
+        lambda i: ctx.conservation(
+            eval_characteristic(tower_charge(), ctx.rung(i), cfgp), i)))
 
     if eq.traceless:
         def det_preserved() -> ClaimResult:
@@ -643,20 +647,13 @@ def numeric_claims(cfg: RunConfig,
             "numeric", det_preserved))
 
         for q in eq.catalog:
-            def trace_check(q=q) -> ClaimResult:
-                rung = ctx.rung(len(ctx.grids) - 1)
-                qg = eval_characteristic(q, rung, cfgp)
-                w = rung.inverse @ qg.values
-                tr = float(np.abs(np.trace(w, axis1=-2, axis2=-1)).max())
-                ok = tr <= cfg.trace_tol
-                return ClaimResult(ok, detail=f"max |trace| = {tr:.3e}"
-                                   + ("" if ok else
-                                      f" > tol {cfg.trace_tol:.1e}"))
-            claims.append(Claim(
-                f"num.trace-constraint.{q.provenance}",
+            claims.append(_ladder_claim(
+                ctx, f"num.trace-constraint.{q.provenance}",
                 f"the {q.provenance} characteristic keeps the transported "
-                f"field traceless on the finest grid",
-                "numeric", trace_check))
+                f"field traceless to the expected order",
+                "numeric", False,
+                lambda i, q=q: ctx.trace(
+                    eval_characteristic(q, ctx.rung(i), cfgp), i)))
 
     if offshell:
         claims.extend(_negative_control_claims(cfg, ctx))
@@ -739,12 +736,16 @@ def lax_claims(cfg: RunConfig,
 
     # each (lambda, rung) integration is computed once, read by the
     # path-independence claim and released by the symmetry claim after it
-    cache: Dict[Tuple[float, int], object] = {}
+    cache: Dict[Tuple[float, int], LaxIntegration] = {}
 
-    def lax(lam, i):
+    def lax(lam, i) -> LaxIntegration:
         if (lam, i) not in cache:
             cache[(lam, i)] = integrate_lax(ctx.rung(i), lam)
         return cache[(lam, i)]
+
+    def last_read(lam, i) -> LaxIntegration:
+        lax(lam, i)
+        return cache.pop((lam, i))
 
     for lam in cfg.lambdas:
         tag = f"{lam:g}"
@@ -760,19 +761,13 @@ def lax_claims(cfg: RunConfig,
             f"second order at spectral value {tag}",
             "lax", compat, expected_fail=offshell))
 
-        def sym(lam=lam) -> ClaimResult:
-            stats = []
-            for i in range(len(ctx.grids)):
-                # S(psi; u) is the conservation residual of psi
-                stats.append(ctx.conservation(lax(lam, i).psi, i))
-                del cache[(lam, i)]
-            return _order_result([s.max for s in stats],
-                                 [_stats_dict(s) for s in stats], ctx.hs, cfg)
-        claims.append(Claim(
-            f"lax.wavefunction-symmetry.{tag}",
+        # S(psi; u) is the conservation residual of psi
+        claims.append(_ladder_claim(
+            ctx, f"lax.wavefunction-symmetry.{tag}",
             f"the integrated wavefunction satisfies the linearized equation "
             f"to second order at spectral value {tag}",
-            "lax", sym, expected_fail=offshell))
+            "lax", offshell,
+            lambda i, lam=lam: ctx.conservation(last_read(lam, i).psi, i)))
     return claims
 
 
@@ -996,8 +991,9 @@ def gen_hierarchy_cmd(config_path, equation, output, fmt, window, seed):
               help="Grid ladder override, e.g. '65 129 257'.")
 def verify_numeric_cmd(config_path, equation, output, fmt, counts):
     """Run the grid residual suite on the configured solution family."""
-    cfg = _load(config_path, equation,
-                counts=tuple(int(x) for x in counts.split()) if counts else None)
+    with _config_errors():
+        counts = _parse_value(counts, RunConfig.counts) if counts else None
+    cfg = _load(config_path, equation, counts=counts)
     report = build_report(cfg, run_claims(numeric_claims(cfg)))
     _finish(cfg, report, fmt, output)
 

@@ -89,10 +89,6 @@ class EquationDef:
         variable: F = sum_v D_v(component_v)."""
         return {s.div_var: s.connection for s in self.slots}
 
-    def bt_K(self, q: JetExpr) -> JetExpr:
-        """BT kernel K(Q'; u) = u^-1 Q'."""
-        return self.u_inv() * q
-
     def with_potentials(self, *chars: "Characteristic") -> "EquationDef":
         """This equation with the defining rules of the tower potentials
         that ``chars`` carry added to its own potential rules."""

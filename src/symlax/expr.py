@@ -64,11 +64,16 @@ class VarSpace:
 
     # -- atom/expression constructors ------------------------------------
 
-    def field(self, name: str, *dvars: str) -> "JetExpr":
+    def _orders(self, dvars: Iterable[str]) -> tuple:
+        """The multi-index that differentiates once along each of
+        ``dvars``."""
         orders = list(self.zero_index())
         for v in dvars:
             orders[self.index(v)] += 1
-        return self.atom(Field(name, tuple(orders)))
+        return tuple(orders)
+
+    def field(self, name: str, *dvars: str) -> "JetExpr":
+        return self.atom(Field(name, self._orders(dvars)))
 
     def inv(self, name: str) -> "JetExpr":
         return self.atom(InvField(name))
@@ -77,16 +82,10 @@ class VarSpace:
         return self.atom(Param(name))
 
     def pot(self, name: str, *dvars: str) -> "JetExpr":
-        orders = list(self.zero_index())
-        for v in dvars:
-            orders[self.index(v)] += 1
-        return self.atom(Potential(name, tuple(orders)))
+        return self.atom(Potential(name, self._orders(dvars)))
 
     def dpot(self, name: str, *dvars: str) -> "JetExpr":
-        orders = list(self.zero_index())
-        for v in dvars:
-            orders[self.index(v)] += 1
-        return self.atom(DPotential(name, tuple(orders)))
+        return self.atom(DPotential(name, self._orders(dvars)))
 
     def coord(self, name: str) -> "JetExpr":
         self.index(name)
@@ -469,8 +468,7 @@ def substitute(e: JetExpr, rules, max_iter: int = 500) -> JetExpr:
 
     ``rules`` is a mapping or an iterable of (Atom, JetExpr) pairs.
     """
-    table = dict(rules) if not isinstance(rules, Mapping) else dict(rules)
-    return rewrite(e, table.get, max_iter=max_iter)
+    return rewrite(e, dict(rules).get, max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------

@@ -316,20 +316,18 @@ def _diagonal_grid(grid: Grid, pairs):
 
 class GridEnv:
     """Binding of symbolic atoms to grid data: field samples, parameter
-    matrices, potential samples, and a spectral value.  Finite-difference
-    derivative arrays are cached per atom; an environment made by ``bind``
-    reads and caches its field atoms in the environment it was bound from."""
+    matrices and potential samples.  Finite-difference derivative arrays
+    are cached per atom; an environment made by ``bind`` reads and caches
+    its field atoms in the environment it was bound from."""
 
     def __init__(self, grid: Grid,
                  fields: Dict[str, np.ndarray],
                  params: Optional[Dict[str, np.ndarray]] = None,
-                 potentials: Optional[Dict[str, np.ndarray]] = None,
-                 lam: Optional[complex] = None):
+                 potentials: Optional[Dict[str, np.ndarray]] = None):
         self.grid = grid
         self.fields = fields
         self.params = params or {}
         self.potentials = potentials or {}
-        self.lam = lam
         # the grid axis each variable differentiates along, by position
         self.axes = tuple(range(len(grid.axes)))
         self._cache: Dict[object, np.ndarray] = {}
@@ -392,17 +390,16 @@ class GridEnv:
 
 
 def eval_on_grid(e: JetExpr, env: GridEnv) -> np.ndarray:
-    """Pointwise evaluation of a normal-form expression over the grid."""
+    """Pointwise evaluation of a normal-form expression over the grid; a
+    monomial with a power of the spectral parameter raises UnboundAtom."""
     n = env.matdim()
     shape = env.grid.counts + (n, n)
     out = None
     eye = np.broadcast_to(np.eye(n), shape)
     for coef, lam, coords, factors in e.mons:
-        scal = float(coef)
         if lam:
-            if env.lam is None:
-                raise UnboundAtom("spectral parameter occurs but is not bound")
-            scal *= env.lam ** lam
+            raise UnboundAtom("no grid data for the spectral parameter")
+        scal = float(coef)
         term = None
         for c in coords:
             arr = env.grid.coord_array(c)[..., None, None]

@@ -30,6 +30,7 @@ from .equations import (
     EquationDef,
     field_equation_residual,
     symmetry_condition,
+    symmetry_condition_covariant,
     verify_symmetry,
 )
 from .errors import IncompatibleSystem, ZeroLambda
@@ -281,8 +282,7 @@ def lax_pair(eq: EquationDef, psi_name: str = "psi") -> LaxSystem:
     w = eq.u_inv() * vs.field(psi_name)
     e1, e2 = _lax_constraints(eq, w)
 
-    S = (total_derivative(covariant_derivative(w, eq, s1.name), s1.div_var)
-         + total_derivative(covariant_derivative(w, eq, s2.name), s2.div_var))
+    S = symmetry_condition_covariant(eq, vs.field(psi_name))
 
     cross = total_derivative(e1, s1.div_var) - total_derivative(e2, s2.div_var)
     cross_identity = cross + lam * S

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,10 @@ from symlax.cli import (
     Claim,
     ClaimResult,
     RunConfig,
+    _DEFAULT_MATRICES,
+    _NumericContext,
+    _SECTIONS,
+    _ladder_claim,
     _offshell_ratio,
     all_claims,
     build_report,
@@ -157,6 +162,25 @@ def test_oversized_grid_rejected_before_allocation():
 def test_unknown_equation():
     with pytest.raises(ConfigInvalid):
         load_config(equation="heat")
+
+
+def test_readme_configuration_lists_every_key():
+    # the ini block of README's "Configuration" names each key load_config
+    # reads, in its section, and no other
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Configuration", 1)[1]
+    block = block.split("```ini\n", 1)[1].split("```", 1)[0]
+    listed, section = set(), None
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif line:
+            listed.add((section, line.split("=", 1)[0].strip()))
+    read = ({("run", "equation")}
+            | {(sec, key) for sec, keys in _SECTIONS.items() for key in keys}
+            | {("matrices", name) for name in _DEFAULT_MATRICES})
+    assert listed == read
 
 
 def test_config_dir_resolution(tmp_path, monkeypatch):
@@ -406,6 +430,13 @@ def test_cli_bad_config_is_an_error(tmp_path):
     assert r.exit_code != 0
 
 
+def test_cli_bad_counts_is_an_error():
+    r = CliRunner().invoke(main, ["verify-numeric", "--counts", "9 x 33"])
+    assert r.exit_code != 0
+    assert isinstance(r.exception, SystemExit), r.exception
+    assert "Error: bad config value" in r.output
+
+
 def test_cli_exit_nonzero_on_failed_claim(tmp_path):
     # an unattainable order threshold makes the numeric order claims fail
     p = tmp_path / "strict.ini"
@@ -440,6 +471,43 @@ def test_cli_seed_off_level_zero_only_stops_hierarchy_commands(tmp_path):
     assert r.exit_code != 0
     assert not isinstance(r.exception, ValueError), r.exception
     assert "level 0" in r.output
+
+
+def _trace_records(cfg):
+    return run_claims([c for c in numeric_claims(cfg)
+                       if c.id.startswith("num.trace-constraint.")])
+
+
+def test_sdym_trace_claims_are_exact_on_the_default_ladder():
+    records = _trace_records(load_config(equation="sdym"))
+    assert [r["id"] for r in records] == [
+        f"num.trace-constraint.{q}" for q in _SDYM_CATALOG]
+    assert all(r["passed"] and r["order"] == "exact" for r in records)
+
+
+def test_sdym_trace_claims_pass_on_the_rotation_pair():
+    # the trace vanishes in exact arithmetic; on the grid its truncation
+    # error must converge (potential-translation's falls at third order)
+    mats = dict(_DEFAULT_MATRICES, A=[[0.0, -1.0], [1.0, 0.0]],
+                B=[[0.3, 0.8], [-0.5, -0.3]])
+    cfg = load_config(equation="sdym",
+                      matrices={k: np.asarray(v) for k, v in mats.items()})
+    records = _trace_records(cfg)
+    assert len(records) == 8
+    assert all(r["passed"] for r in records), [
+        (r["id"], r["detail"]) for r in records if not r["passed"]]
+
+
+def test_trace_ladder_fails_a_characteristic_with_trace():
+    # Q = J gives tr(J^-1 Q) = 2 on every rung: the ladder cannot pass it
+    ctx = _NumericContext(load_config(equation="sdym"))
+    claim = _ladder_claim(ctx, "num.trace-constraint.identity", "tr 2",
+                          "numeric", False,
+                          lambda i: ctx.trace(ctx.rung(i).u, i))
+    rec, = run_claims([claim])
+    assert not rec["passed"] and rec["order"] == "non-monotone"
+    assert [float(s["max"]) for s in rec["residuals"]] == \
+        pytest.approx([2.0] * 3)
 
 
 def test_offshell_ratio_with_zero_on_shell_residual():

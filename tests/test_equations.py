@@ -129,9 +129,3 @@ def test_symmetry_condition_is_a_divergence():
             out = out + total_derivative(
                 covariant_derivative(w, eq, s.name), s.div_var)
         assert out == symmetry_condition(eq, q)
-
-
-def test_bt_kernel():
-    eq = get_equation("chiral")
-    q = eq.vs.param("M")
-    assert eq.bt_K(q) == eq.u_inv() * q

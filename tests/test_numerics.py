@@ -561,6 +561,10 @@ def test_grid_guards():
     u = sample_solution(nilpotent_family(), grid)
     with pytest.raises(GridTooSmall):
         residual_stats(u.values, grid, margin=5)
+    # no grid environment binds the spectral parameter
+    env = GridEnv(grid, {CHIRAL.field_name: u.values})
+    with pytest.raises(UnboundAtom):
+        eval_on_grid(CHIRAL.vs.lam(1) * CHIRAL.u(), env)
 
 
 # ---------------------------------------------------------------------------
