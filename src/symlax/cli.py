@@ -128,8 +128,14 @@ class RunConfig:
                 f"known: {list(eq.families)}")
         if not (self.window[0] <= 0 <= self.window[1]):
             raise ConfigInvalid("hierarchy window must contain 0")
-        if any(l == 0 for l in self.lambdas):
-            raise ConfigInvalid("spectral values must be nonzero")
+        if not self.lambdas:
+            raise ConfigInvalid("need at least one spectral value")
+        if not all(np.isfinite(l) and l != 0 for l in self.lambdas):
+            raise ConfigInvalid("spectral values must be finite and nonzero")
+        tags = [f"{l:g}" for l in self.lambdas]
+        if len(set(tags)) < len(tags):
+            raise ConfigInvalid(
+                f"spectral values {tags} repeat a claim tag")
         if len(self.counts) < 3:
             raise ConfigInvalid("need at least 3 grid counts for a ladder")
         n0 = self.counts[0]
@@ -685,9 +691,9 @@ def _negative_control_claims(cfg: RunConfig, ctx: _NumericContext) -> List[Claim
                            detail=f"off/on ratio = {ratio:.3e}")
 
     def lax_ratio() -> ClaimResult:
-        lam = cfg.lambdas[0]
-        off = integrate_lax(ctx.rung(i), lam).compat_residual
-        on = integrate_lax(twin.rung(i), lam).compat_residual
+        lam = cfg.lambdas[:1]
+        off = integrate_lax(ctx.rung(i), lam)[0].compat_residual
+        on = integrate_lax(twin.rung(i), lam)[0].compat_residual
         ratio = _offshell_ratio(off, on)
         ok = ratio >= cfg.offshell_factor
         return ClaimResult(ok, detail=f"off/on ratio = {ratio:.3e} "
@@ -734,13 +740,18 @@ def lax_claims(cfg: RunConfig,
     offshell = cfg.family == "perturbed-offshell"
     claims: List[Claim] = []
 
-    # each (lambda, rung) integration is computed once, read by the
+    # every spectral value of a rung is integrated in one march, at the
+    # first read of the rung, which first drops the cached arrays the march
+    # does not read; each (lambda, rung) integration is read by the
     # path-independence claim and released by the symmetry claim after it
     cache: Dict[Tuple[float, int], LaxIntegration] = {}
 
     def lax(lam, i) -> LaxIntegration:
         if (lam, i) not in cache:
-            cache[(lam, i)] = integrate_lax(ctx.rung(i), lam)
+            rung = ctx.rung(i)
+            rung.drop_cache()
+            cache.update(zip([(l, i) for l in cfg.lambdas],
+                             integrate_lax(rung, cfg.lambdas)))
         return cache[(lam, i)]
 
     def last_read(lam, i) -> LaxIntegration:

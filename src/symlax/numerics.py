@@ -28,9 +28,10 @@ value) makes complex128 wherever it enters.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -471,7 +472,8 @@ def residual_stats(arr: np.ndarray, grid: Grid, margin: int) -> ResidualStats:
 class SolutionFields:
     """One rung of a solution ladder: the sampled solution ``u`` of ``eq``
     and the arrays derived from it, each computed on first use and kept for
-    every later check on the same sample.  These are the grid environment of
+    every later check on the same sample (``drop_cache`` frees the
+    derivatives and the potential).  These are the grid environment of
     ``u`` (finite-difference derivatives and ``u^-1``, cached per atom), the
     slot connections, the samples of the equation's potential and the
     rung's reduction, on which every integration runs."""
@@ -535,6 +537,15 @@ class SolutionFields:
         red.env.axes = tuple(axis[v] for v in eq.vs.names)
         return red
 
+    def drop_cache(self) -> None:
+        """Drop the cached field derivatives and the potential; u, u^-1,
+        the connections and the reduction stay.  A later reader recomputes
+        what was dropped with the same code, so its values do not
+        change."""
+        self.env._cache = {a: v for a, v in self.env._cache.items()
+                           if isinstance(a, InvField)}
+        self._potential = None
+
     def lift(self, arr: np.ndarray) -> np.ndarray:
         """An array over the reduction's grid, read at every point of this
         rung's grid by index sums."""
@@ -562,11 +573,15 @@ def conservation_residual(fields: SolutionFields, qgrid: GridField,
         raise DimensionMismatch("characteristic and solution grids differ")
     w = fields.inverse @ qgrid.values
     div = np.zeros_like(w)
+    # in place, each temporary released once read: G = [A, w] + D_cov w,
+    # then div += D_div G
     for s, conn in zip(fields.eq.slots, fields.connections):
         cov_axis = grid.axis_index(s.cov_var)
-        G = gradient(w, grid.axes[cov_axis].h, cov_axis) + commutator(conn, w)
+        G = commutator(conn, w)
+        G += gradient(w, grid.axes[cov_axis].h, cov_axis)
         div_axis = grid.axis_index(s.div_var)
-        div = div + gradient(G, grid.axes[div_axis].h, div_axis)
+        div += gradient(G, grid.axes[div_axis].h, div_axis)
+        del G
     return residual_stats(div, grid, margin)
 
 
@@ -699,28 +714,45 @@ def eval_characteristic(q: Characteristic, fields: SolutionFields,
 
 @dataclass(frozen=True)
 class LaxIntegration:
-    phi: GridField
-    psi: GridField
+    """The wavefunction of one spectral value on a rung.  It is kept on the
+    rung's reduction; ``phi`` and ``psi = u phi`` are lifted to the rung
+    when read."""
+    rung: SolutionFields
+    reduced_phi: np.ndarray
     compat_residual: float
+
+    @property
+    def phi(self) -> GridField:
+        return GridField(self.rung.u.grid, self.rung.lift(self.reduced_phi))
+
+    @property
+    def psi(self) -> GridField:
+        u = self.rung.u
+        return GridField(u.grid, u.values @ self.rung.lift(self.reduced_phi))
 
 
 def _check_lambda(lam):
+    if not np.isfinite(lam):
+        raise ValueError("spectral parameter must be finite")
     if lam == 0:
         raise ZeroLambda("spectral parameter must be nonzero")
     if abs(1.0 + lam * lam) < 1e-8:
         raise SingularLambda("1 + lambda^2 vanishes; elimination is singular")
 
 
-def integrate_lax(fields: SolutionFields, lam: complex,
-                  phi0: Optional[np.ndarray] = None) -> LaxIntegration:
+def integrate_lax(fields: SolutionFields, lams: Sequence[complex],
+                  phi0: Optional[np.ndarray] = None) -> List[LaxIntegration]:
     """Integrate the explicit first-order form of the Lax pair for the
-    wavefunction phi = u^-1 Psi on a rung, along both staircase orders; the
-    maximum pointwise difference between the two sweeps is the
-    compatibility residual (it vanishes with h only on-shell).  The march
-    runs on the connections of the rung's reduction and is lifted back."""
-    _check_lambda(lam)
-    u = fields.u
-    n = u.n_dim
+    wavefunction phi = u^-1 Psi on a rung, along both staircase orders,
+    for every spectral value of ``lams`` at once: one integration per
+    value, in order.  The maximum pointwise difference between the two
+    sweeps is the compatibility residual (it vanishes with h only
+    on-shell).  Every value is checked before the march, which runs on the
+    connections of the rung's reduction.  A stack that holds a complex
+    value is marched in complex."""
+    for lam in lams:
+        _check_lambda(lam)
+    n = fields.u.n_dim
     if phi0 is None:
         # identity is a fixed point of the commutator flow; default to a
         # generic well-conditioned start instead
@@ -730,55 +762,72 @@ def integrate_lax(fields: SolutionFields, lam: complex,
 
     red = fields.reduced
     a, b = red.connections
-    phi1, phi2 = _integrate_lax_2d(red.u.grid, a, b, lam, phi0)
-    resid = float(np.abs(phi1 - phi2).max())
-    phi = fields.lift(phi1)
-    return LaxIntegration(GridField(u.grid, phi),
-                          GridField(u.grid, u.values @ phi), resid)
+    phis, resids = _integrate_lax_2d(red.u.grid, a, b, lams, phi0)
+    return [LaxIntegration(fields, phi, r) for phi, r in zip(phis, resids)]
 
 
-def _march_lines(phi_start, C, h):
-    """March the commutator ODE phi' = [C, phi] along axis 0 of ``C``, for
-    every line at once (RK4 with midpoint coefficients from quadratic
-    interpolation of the grid samples).  ``C`` has shape (m, lines, n, n)
-    and ``phi_start`` (lines, n, n); the result has the shape of ``C``."""
-    m = C.shape[0]
-    out = np.empty((m,) + phi_start.shape,
-                   dtype=np.result_type(phi_start, C))
-    out[0] = phi_start
+def _march_lines(phi_start, coef, m, h):
+    """Yield phi at each of the m points of the march of the commutator ODE
+    phi' = [C, phi], for every line at once (RK4 with midpoint coefficients
+    from quadratic interpolation of the grid samples).  ``coef(k)`` is C at
+    point k, of the shape of ``phi_start``; each is formed once, when the
+    march first reads it, and dropped after its last read."""
+    C = functools.lru_cache(maxsize=3)(coef)
+    p = phi_start
+    yield p
     for i in range(m - 1):
-        c0, c1 = C[i], C[i + 1]
+        c0, c1 = C(i), C(i + 1)
         if i + 2 < m:
-            cm = (3.0 * c0 + 6.0 * c1 - C[i + 2]) / 8.0
+            cm = (3.0 * c0 + 6.0 * c1 - C(i + 2)) / 8.0
         elif i > 0:
-            cm = (3.0 * c1 + 6.0 * c0 - C[i - 1]) / 8.0
+            cm = (3.0 * c1 + 6.0 * c0 - C(i - 1)) / 8.0
         else:
             cm = 0.5 * (c0 + c1)
-        p = out[i]
         k1 = commutator(c0, p)
         k2 = commutator(cm, p + 0.5 * h * k1)
         k3 = commutator(cm, p + 0.5 * h * k2)
         k4 = commutator(c1, p + h * k3)
-        out[i + 1] = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return out
+        p = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        yield p
 
 
-def _integrate_lax_2d(grid: Grid, a, b, lam, phi0):
+def _integrate_lax_2d(grid: Grid, a, b, lams, phi0):
     """Two staircase sweeps of phi_x = [Cx, phi], phi_t = [Ct, phi] where
-    Cx = (lam a - lam^2 b)/(1+lam^2), Ct = -(lam b + lam^2 a)/(1+lam^2)."""
+    Cx = (lam a - lam^2 b)/(1+lam^2), Ct = -(lam b + lam^2 a)/(1+lam^2),
+    one march per direction for the whole stack of spectral values.  The
+    result is sweep A's phi, one array per value, and per value the largest
+    pointwise difference from sweep B, which is compared with sweep A one
+    column at a time and never stored."""
+    lam = np.asarray(lams).reshape(-1, 1, 1, 1)
     den = 1.0 + lam * lam
-    Cx = (lam * a - lam * lam * b) / den
-    Ct = -(lam * b + lam * lam * a) / den
-    ht, hx = grid.axes[0].h, grid.axes[1].h
-    start = phi0[None]
+
+    def Cx(ak, bk):
+        return (lam * ak - lam * lam * bk) / den
+
+    def Ct(ak, bk):
+        return -(lam * bk + lam * lam * ak) / den
+
+    nt, nx = grid.counts
+    ht, hx = grid.spacings
+    start = np.broadcast_to(phi0, (len(lam), 1) + phi0.shape)
 
     # order A: x first along t=0, then t upward on every column
-    edge = _march_lines(start, Cx[0][:, None], hx)[:, 0]
-    phiA = _march_lines(edge, Ct, ht)
+    edge = np.concatenate(list(_march_lines(
+        start, lambda k: Cx(a[0, k:k + 1], b[0, k:k + 1]), nx, hx)), axis=1)
+    phis = [np.empty((nt,) + e.shape, dtype=edge.dtype) for e in edge]
+    for k, p in enumerate(_march_lines(edge, lambda k: Ct(a[k], b[k]),
+                                       nt, ht)):
+        for phi, q in zip(phis, p):
+            phi[k] = q
     # order B: t first along x=0, then x along every row
-    edge = _march_lines(start, Ct[:, 0][:, None], ht)[:, 0]
-    phiB = np.swapaxes(_march_lines(edge, np.swapaxes(Cx, 0, 1), hx), 0, 1)
-    return phiA, phiB
+    edge = np.concatenate(list(_march_lines(
+        start, lambda k: Ct(a[k:k + 1, 0], b[k:k + 1, 0]), nt, ht)), axis=1)
+    resid = np.zeros(len(phis))
+    for k, p in enumerate(_march_lines(edge, lambda k: Cx(a[:, k], b[:, k]),
+                                       nx, hx)):
+        resid = np.maximum(resid, [np.abs(phi[:, k] - q).max()
+                                   for phi, q in zip(phis, p)])
+    return phis, resid.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,12 @@ def test_overrides_beat_file(tmp_path):
     dict(equation="sdym", family="exponential-product"),
     dict(family="lifted-chiral"),
     dict(family="exponential-prodcut"),
+    # no spectral value, a non-finite one, or two that share a claim tag
+    dict(lambdas=()),
+    dict(lambdas=(float("nan"),)),
+    dict(lambdas=(0.5, float("inf"))),
+    dict(lambdas=(0.5, 0.5)),
+    dict(lambdas=(0.1234567, 0.12345671)),
 ])
 def test_invalid_configs_rejected(kw):
     with pytest.raises(ConfigInvalid):

@@ -1,7 +1,8 @@
 """Batched small-matrix kernels against numpy's ``@`` and ``linalg.inv``.
 
-Products are numpy's ``@`` itself; the product tests check the commutator
-built from them, for every broadcast shape the products take."""
+Products are numpy's ``@`` itself; the product tests check the commutator,
+whose 2 x 2 case is a closed form, against ``A @ B - B @ A`` for every
+broadcast shape the products take."""
 
 import numpy as np
 import pytest
@@ -40,11 +41,13 @@ PAIR_SHAPES = pytest.mark.parametrize("shape_a,shape_b", [
 
 
 def _check_products(A, B):
-    AB = A @ B
-    # at n = 1 the commutator is zero, up to the round-off of the products
-    got = kernels.commutator(A, B)
-    assert got.dtype == AB.dtype
-    _close(got, AB - B @ A, scale=np.abs(AB).max())
+    # on the stacks and on their transposed (non-contiguous) views
+    for A, B in ((A, B), (np.swapaxes(A, -1, -2), np.swapaxes(B, -1, -2))):
+        AB = A @ B
+        # at n = 1 the commutator is zero, up to the round-off of the products
+        got = kernels.commutator(A, B)
+        assert got.dtype == AB.dtype
+        _close(got, AB - B @ A, scale=np.abs(AB).max())
 
 
 def _check_inv(A):
@@ -64,6 +67,16 @@ def test_matmul_and_commutator_match_numpy(n, shape_a, shape_b):
 @PAIR_SHAPES
 def test_real_matmul_and_commutator_match_numpy(n, shape_a, shape_b):
     _check_products(_real(*shape_a, n, n), _real(*shape_b, n, n))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("make_a,make_b", [(_real, _complex),
+                                           (_complex, _real)],
+                         ids=["real-complex", "complex-real"])
+@PAIR_SHAPES
+def test_mixed_commutator_takes_the_promoted_dtype(n, make_a, make_b,
+                                                   shape_a, shape_b):
+    _check_products(make_a(*shape_a, n, n), make_b(*shape_b, n, n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -12,7 +12,7 @@ import io
 import numpy as np
 import pytest
 
-from symlax import kernels
+from symlax import kernels, numerics
 from symlax.calculus import total_derivative
 from symlax.equations import Characteristic, ClosedForm, get_equation
 from symlax.errors import (
@@ -404,7 +404,7 @@ def test_lax_rejects_sample_that_is_not_lifted():
     vals = u.values.copy()
     vals[..., 0, 1] = vals[..., 0, 1] + 0.3 * np.sin(3.0 * grid.coord_array("y"))
     with pytest.raises(PathInconsistent):
-        integrate_lax(SolutionFields(SDYM, GridField(grid, vals)), 0.5)
+        integrate_lax(SolutionFields(SDYM, GridField(grid, vals)), [0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +493,7 @@ def test_lax_identity_field_is_stationary():
     grid = chiral_grid(9)
     u = identity_field(grid)
     phi0 = np.array([[1.0, 2.0], [0.0, 1.0]])
-    out = integrate_lax(SolutionFields(CHIRAL, u), 0.5, phi0=phi0)
+    out = integrate_lax(SolutionFields(CHIRAL, u), [0.5], phi0=phi0)[0]
     assert out.compat_residual == 0.0
     assert np.array_equal(out.phi.values,
                           np.broadcast_to(phi0.astype(complex),
@@ -501,20 +501,66 @@ def test_lax_identity_field_is_stationary():
     assert np.array_equal(out.psi.values, out.phi.values)
 
 
-def test_lax_lambda_guards():
+def _count_marches(monkeypatch):
+    """Record every RK4 march that ``integrate_lax`` starts."""
+    calls = []
+    march = numerics._march_lines
+
+    def counted(*args):
+        calls.append(args)
+        return march(*args)
+    monkeypatch.setattr(numerics, "_march_lines", counted)
+    return calls
+
+
+def test_lax_lambda_guards(monkeypatch):
+    # a bad value anywhere in the stack raises before any march
     rung = SolutionFields(CHIRAL,
                           sample_solution(nilpotent_family(), chiral_grid(9)))
-    with pytest.raises(ZeroLambda):
-        integrate_lax(rung, 0.0)
-    with pytest.raises(SingularLambda):
-        integrate_lax(rung, 1.0j)
+    marches = _count_marches(monkeypatch)
+    for lams, error in [([0.0], ZeroLambda), ([1.0j], SingularLambda),
+                        ([0.5, 2.0, 0.0], ZeroLambda),
+                        ([0.5, -1.0j, 2.0], SingularLambda),
+                        ([0.5, float("nan")], ValueError)]:
+        with pytest.raises(error):
+            integrate_lax(rung, lams)
+    assert marches == []
+
+
+def test_lax_march_count_does_not_grow_with_the_stack(monkeypatch):
+    # two edge marches and two sweeps per rung, however many values
+    rung = SolutionFields(CHIRAL,
+                          sample_solution(ROTATION_FAMILY, chiral_grid(9)))
+    marches = _count_marches(monkeypatch)
+    integrate_lax(rung, [0.5])
+    one = len(marches)
+    marches.clear()
+    integrate_lax(rung, [0.25, 0.5, 1.0, 2.0])
+    assert len(marches) == one == 4
+
+
+@pytest.mark.parametrize("eq,family,grid", [
+    (CHIRAL, ROTATION_FAMILY, chiral_grid(17)),
+    (SDYM, SolutionFamily("lifted-chiral", ROTATION_FAMILY.A,
+                          ROTATION_FAMILY.B), sdym_grid(7))],
+    ids=["chiral", "sdym"])
+def test_lax_stack_matches_each_value_alone(eq, family, grid):
+    rung = SolutionFields(eq, sample_solution(family, grid))
+    lams = [0.25, 0.5, 1.0, 2.0]
+    stack = integrate_lax(rung, lams)
+    assert len(stack) == len(lams)
+    for lam, got in zip(lams, stack):
+        alone = integrate_lax(rung, [lam])[0]
+        assert got.compat_residual == alone.compat_residual
+        assert np.array_equal(got.phi.values, alone.phi.values)
+        assert np.array_equal(got.psi.values, alone.psi.values)
 
 
 def test_lax_on_shell_convergence():
     maxes, syms, hs = [], [], []
     for u, m in ladder():
         rung = SolutionFields(CHIRAL, u)
-        out = integrate_lax(rung, 0.5)
+        out = integrate_lax(rung, [0.5])[0]
         maxes.append(out.compat_residual)
         stats = conservation_residual(rung, out.psi, m)
         syms.append(stats.max)
@@ -526,7 +572,7 @@ def test_lax_on_shell_convergence():
 
 def test_lax_lifted_agrees_with_diagonal_problem():
     u = sample_solution(nilpotent_family("lifted-chiral"), sdym_grid(9))
-    out = integrate_lax(SolutionFields(SDYM, u), 0.5)
+    out = integrate_lax(SolutionFields(SDYM, u), [0.5])[0]
     # the lifted wavefunction inherits the level-set structure
     assert np.allclose(out.phi.values[1:, :, :-1, :],
                        out.phi.values[:-1, :, 1:, :], atol=1e-12)
@@ -575,7 +621,8 @@ _mm = np.matmul
 
 
 def _ref_step_line(phi_start, C_line, h):
-    """RK4 march of phi' = [C, phi] along one grid line, one step at a time."""
+    """RK4 march of phi' = [C, phi] along one grid line, one step at a
+    time, with the commutator kernel the batched march uses."""
     m = C_line.shape[0]
     out = np.empty((m,) + phi_start.shape,
                    dtype=np.result_type(phi_start, C_line))
@@ -589,13 +636,10 @@ def _ref_step_line(phi_start, C_line, h):
         else:
             cm = 0.5 * (c0 + c1)
         p = out[i]
-        k1 = _mm(c0, p) - _mm(p, c0)
-        q = p + 0.5 * h * k1
-        k2 = _mm(cm, q) - _mm(q, cm)
-        q = p + 0.5 * h * k2
-        k3 = _mm(cm, q) - _mm(q, cm)
-        q = p + h * k3
-        k4 = _mm(c1, q) - _mm(q, c1)
+        k1 = kernels.commutator(c0, p)
+        k2 = kernels.commutator(cm, p + 0.5 * h * k1)
+        k3 = kernels.commutator(cm, p + 0.5 * h * k2)
+        k4 = kernels.commutator(c1, p + h * k3)
         out[i + 1] = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return out
 
@@ -626,11 +670,13 @@ def test_batched_lax_2d_matches_per_line_reference(family):
     u = sample_solution(family, grid)
     a, b = SolutionFields(CHIRAL, u).connections
     phi0 = np.array([[1.2, -0.4], [0.3, 0.9]])
-    for lam in (0.5, 2.0):
-        got = _integrate_lax_2d(grid, a, b, lam, phi0)
-        want = _ref_lax_2d(grid, a, b, lam, phi0)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+    lams = (0.5, 2.0)
+    phis, resids = _integrate_lax_2d(grid, a, b, lams, phi0)
+    for lam, phi, resid in zip(lams, phis, resids):
+        phiA, phiB = _ref_lax_2d(grid, a, b, lam, phi0)
+        assert np.array_equal(phi, phiA)
+        # sweep B is never stored: its running comparison is the residual
+        assert resid == float(np.abs(phiA - phiB).max())
 
 
 @pytest.mark.parametrize("family", [nilpotent_family(), ROTATION_FAMILY],
@@ -715,7 +761,7 @@ def test_batched_lax_lifted_matches_loop_reference():
     u = sample_solution(SolutionFamily("lifted-chiral", ROTATION_FAMILY.A,
                                        ROTATION_FAMILY.B), grid)
     phi0 = np.array([[1.2, -0.4], [0.3, 0.9]])
-    out = integrate_lax(SolutionFields(SDYM, u), 0.5, phi0=phi0)
+    out = integrate_lax(SolutionFields(SDYM, u), [0.5], phi0=phi0)[0]
 
     ny, nz, nyb, nzb = grid.counts
     hy, hz = grid.spacings[:2]
@@ -751,6 +797,29 @@ def test_cached_fields_match_fresh_evaluation():
     env = GridEnv(u.grid, {CHIRAL.field_name: u.values})
     for s, conn in zip(CHIRAL.slots, fields.connections):
         assert np.array_equal(conn, eval_on_grid(s.connection, env))
+
+
+@pytest.mark.parametrize("eq,family,grid", [
+    (CHIRAL, ROTATION_FAMILY, chiral_grid(17)),
+    (SDYM, SolutionFamily("lifted-chiral", ROTATION_FAMILY.A,
+                          ROTATION_FAMILY.B), sdym_grid(7))],
+    ids=["chiral", "sdym"])
+def test_dropped_cache_is_recomputed_equal(eq, family, grid):
+    rung = SolutionFields(eq, sample_solution(family, grid))
+    atoms = [Field(eq.field_name, orders)
+             for orders in ((1,) + (0,) * (len(grid.axes) - 1),
+                            (1, 1) + (0,) * (len(grid.axes) - 2))]
+    before = [rung.env.atom_values(a) for a in atoms]
+    potential, inverse = rung.potential, rung.inverse
+    connections = rung.connections
+    rung.drop_cache()
+    # u^-1 and the connections stay; derivatives and the potential go
+    assert rung.inverse is inverse and rung.connections is connections
+    assert all(a not in rung.env._cache for a in atoms)
+    for a, want in zip(atoms, before):
+        assert np.array_equal(rung.env.atom_values(a), want)
+    assert rung.potential is not potential
+    assert np.array_equal(rung.potential, potential)
 
 
 def test_eval_characteristic_reuses_rung_fields():
@@ -828,7 +897,7 @@ def test_real_chiral_sample_stays_float64(family):
     if family.kind != "perturbed-offshell":
         assert fields.potential.dtype == np.float64
         assert _tower_q(fields, NILPOTENT_A).dtype == np.float64
-    out = integrate_lax(fields, 0.5)
+    out = integrate_lax(fields, [0.5])[0]
     assert out.phi.values.dtype == np.float64
     assert out.psi.values.dtype == np.float64
 
@@ -839,7 +908,7 @@ def test_real_lifted_sample_stays_float64():
     fields = SolutionFields(SDYM, u)
     assert all(c.dtype == np.float64 for c in fields.connections)
     assert fields.potential.dtype == np.float64
-    out = integrate_lax(fields, 0.5)
+    out = integrate_lax(fields, [0.5])[0]
     assert out.phi.values.dtype == np.float64
     assert out.psi.values.dtype == np.float64
 
@@ -854,16 +923,16 @@ def test_complex_parameter_promotes_implicit_charge():
 def test_complex_lambda_promotes_lax_integration():
     u = sample_solution(ROTATION_FAMILY, chiral_grid(17))
     lam = 0.5 + 0.5j
-    got = integrate_lax(SolutionFields(CHIRAL, u), lam)
+    got = integrate_lax(SolutionFields(CHIRAL, u), [lam])[0]
     # the same integration with the sample cast to complex up front
     cast = GridField(u.grid, u.values.astype(complex))
-    want = integrate_lax(SolutionFields(CHIRAL, cast), lam)
+    want = integrate_lax(SolutionFields(CHIRAL, cast), [lam])[0]
     _agree(got.phi.values, want.phi.values)
     _agree(got.psi.values, want.psi.values)
     assert abs(got.compat_residual - want.compat_residual) <= 1e-12
     lifted = sample_solution(nilpotent_family("lifted-chiral"), sdym_grid(7))
-    assert integrate_lax(SolutionFields(SDYM, lifted), lam).phi.values.dtype \
-        == np.complex128
+    out = integrate_lax(SolutionFields(SDYM, lifted), [lam])[0]
+    assert out.phi.values.dtype == np.complex128
 
 
 def test_snapshot_sample_runs_in_complex():
@@ -878,5 +947,5 @@ def test_snapshot_sample_runs_in_complex():
         _agree(c_cplx, c_real)
     _agree(cplx.potential, real.potential)
     _agree(_tower_q(cplx, NILPOTENT_A), _tower_q(real, NILPOTENT_A))
-    _agree(integrate_lax(cplx, 0.5).psi.values,
-           integrate_lax(real, 0.5).psi.values)
+    _agree(integrate_lax(cplx, [0.5])[0].psi.values,
+           integrate_lax(real, [0.5])[0].psi.values)
