@@ -9,7 +9,13 @@ numeric check, so reports are traceable line by line.
 Configs are INI files with the sections ``[run]``, ``[grid]``,
 ``[tolerances]`` and ``[matrices]`` (README, "Configuration").  Every key is
 optional: a key a file leaves out takes the ``RunConfig`` default, and the
-equation supplies the default family, extent and grid counts.
+equation supplies the default family, extent and grid counts.  A section,
+key or matrix name the loader does not read is a ``ConfigInvalid``, as is a
+value out of its range.
+
+The claims of one run share one ``_RunContext``: it makes each product they
+share (the sampled ladder, the hierarchies, the Lax integrations and the
+on-shell twin of an off-shell run) once, on first use.
 
 The environment variable SYMLAX_CONFIG_DIR names the directory searched for
 a config given by bare name (and for ``symlax.ini`` when no config is
@@ -28,7 +34,7 @@ import sys
 import tempfile
 import traceback
 from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import click
@@ -136,6 +142,19 @@ class RunConfig:
         if len(set(tags)) < len(tags):
             raise ConfigInvalid(
                 f"spectral values {tags} repeat a claim tag")
+        for name in ("origin", "extent", "min_order", "zero_floor",
+                     "offshell_factor", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigInvalid(f"{name} must be finite, "
+                                    f"got {getattr(self, name)}")
+        if self.extent <= 0:
+            raise ConfigInvalid(f"extent must be positive, got {self.extent}")
+        if self.base_margin < 1:
+            raise ConfigInvalid(f"base_margin must be >= 1, "
+                                f"got {self.base_margin}")
+        if self.zero_floor < 0:
+            raise ConfigInvalid(f"zero_floor must be >= 0, "
+                                f"got {self.zero_floor}")
         if len(self.counts) < 3:
             raise ConfigInvalid("need at least 3 grid counts for a ladder")
         n0 = self.counts[0]
@@ -174,26 +193,6 @@ class RunConfig:
                         f"matrix {name!r} must be traceless for "
                         f"{self.equation}")
         return self
-
-    def grids(self) -> List[Grid]:
-        eq = get_equation(self.equation)
-        out = []
-        for n in self.counts:
-            h = self.extent / (n - 1)
-            out.append(Grid.regular(eq.vs.names, self.origin, h, n))
-        return out
-
-    def margins(self) -> List[int]:
-        return scaled_margins(self.counts, self.base_margin)
-
-    def family_obj(self) -> SolutionFamily:
-        eps = self.eps if self.family == "perturbed-offshell" else 0.0
-        return SolutionFamily(self.family, self.matrices["A"],
-                              self.matrices["B"], eps)
-
-    def params(self) -> Dict[str, np.ndarray]:
-        return {k: np.asarray(v)
-                for k, v in self.matrices.items() if k in ("M", "L")}
 
     def echo(self) -> dict:
         return {
@@ -253,6 +252,29 @@ _SECTIONS = {"run": ("seed", "window", "family", "lambdas", "output"),
              "tolerances": ("min_order", "zero_floor", "offshell_factor",
                             "eps")}
 
+# a key the loader accepts and ignores: the program no longer reads it, but
+# bench/configs/*.ini still set it; it goes once those configs drop the key
+_RETIRED_KEY = ("tolerances", "trace_tol")
+
+
+def _check_names(cp: ConfigParser):
+    """Reject a section, key or matrix name of ``cp`` that ``load_config``
+    does not read, naming it."""
+    known = {section: set(keys) for section, keys in _SECTIONS.items()}
+    known["run"].add("equation")
+    known[_RETIRED_KEY[0]].add(_RETIRED_KEY[1])
+    # the parser lower-cases every key
+    known["matrices"] = {name.lower() for name in _DEFAULT_MATRICES}
+    if cp.defaults():
+        raise ConfigInvalid("unknown config section [DEFAULT]")
+    for section in cp.sections():
+        if section not in known:
+            raise ConfigInvalid(f"unknown config section [{section}]")
+        for key in cp.options(section):
+            if key not in known[section]:
+                raise ConfigInvalid(f"unknown key {key!r} in [{section}]; "
+                                    f"known: {sorted(known[section])}")
+
 
 def _parse_value(text: str, default):
     """``text`` as a value of the type of ``default``: one element per word
@@ -268,7 +290,9 @@ def _parse_value(text: str, default):
 def load_config(path: Optional[str] = None, **overrides) -> RunConfig:
     """Build a RunConfig from an INI file plus keyword overrides.  A key the
     file leaves out takes the RunConfig default, except the family, extent
-    and counts, which default to the equation's own."""
+    and counts, which default to the equation's own.  A section, key or
+    matrix name the file sets and the loader does not read is a
+    ConfigInvalid."""
     cp = ConfigParser()
     if path is not None:
         try:
@@ -278,6 +302,7 @@ def load_config(path: Optional[str] = None, **overrides) -> RunConfig:
             raise ConfigInvalid(f"cannot read config {path!r}: {exc}")
         except ConfigParserError as exc:
             raise ConfigInvalid(f"malformed config {path!r}: {exc}")
+    _check_names(cp)
 
     equation = overrides.pop("equation", None) or \
         cp.get("run", "equation", fallback=RunConfig.equation)
@@ -457,7 +482,7 @@ def symbolic_claims(cfg: RunConfig) -> List[Claim]:
 
 
 # ---------------------------------------------------------------------------
-# Hierarchy claim catalog
+# Run context
 # ---------------------------------------------------------------------------
 
 def _seed_by_provenance(eq: EquationDef, name: str) -> Characteristic:
@@ -474,19 +499,88 @@ def _seed_by_provenance(eq: EquationDef, name: str) -> Characteristic:
     raise ConfigInvalid(f"unknown seed {name!r}; known: {known}")
 
 
-def hierarchy_claims(cfg: RunConfig,
-                     h: Optional[Hierarchy] = None) -> List[Claim]:
-    """The hierarchy claims, on ``h`` when given; otherwise the first claim
-    run generates the hierarchy and the others share it."""
-    eq = get_equation(cfg.equation)
-    seed = _seed_by_provenance(eq, cfg.seed)
+class _RunContext:
+    """Every product the claims of one run share, each made once, on first
+    use: the sampled ladder, the hierarchies, the Lax integrations and, for
+    an off-shell run, its on-shell twin.  Rung i is kept as a
+    ``SolutionFields``, which caches the arrays derived from the sample."""
 
-    def hierarchy():
-        nonlocal h
-        if h is None:
-            h = generate_hierarchy(eq, seed, *cfg.window)
-        return h
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.eq = eq = get_equation(cfg.equation)
+        self.params = {k: np.asarray(v)
+                       for k, v in cfg.matrices.items() if k in ("M", "L")}
+        self.offshell = cfg.family == "perturbed-offshell"
+        self.family = SolutionFamily(cfg.family, cfg.matrices["A"],
+                                     cfg.matrices["B"],
+                                     cfg.eps if self.offshell else 0.0)
+        self.grids = [Grid.regular(eq.vs.names, cfg.origin,
+                                   cfg.extent / (n - 1), n)
+                      for n in cfg.counts]
+        self.margins = scaled_margins(cfg.counts, cfg.base_margin)
+        self.hs = [max(g.spacings) for g in self.grids]
+        self._rungs: Dict[int, SolutionFields] = {}
+        self._hierarchies: Dict[Tuple[str, int, int], Hierarchy] = {}
+        self._lax: Dict[Tuple[float, int], LaxIntegration] = {}
 
+    def rung(self, i: int) -> SolutionFields:
+        if i not in self._rungs:
+            u = sample_solution(self.family, self.grids[i])
+            self._rungs[i] = SolutionFields(self.eq, u)
+        return self._rungs[i]
+
+    def hierarchy(self, seed: str, lo: int, hi: int) -> Hierarchy:
+        """The hierarchy of levels lo..hi from the named level-0 seed."""
+        key = (seed, lo, hi)
+        if key not in self._hierarchies:
+            self._hierarchies[key] = generate_hierarchy(
+                self.eq, _seed_by_provenance(self.eq, seed), lo, hi)
+        return self._hierarchies[key]
+
+    def lax(self, lam: float, i: int, last: bool = False) -> LaxIntegration:
+        """The Lax integration at spectral value ``lam`` on rung i.  Every
+        spectral value of a rung is integrated in one march, at the first
+        read of the rung, which first drops the cached arrays the march
+        does not read.  The ``last`` read of an integration releases it."""
+        if (lam, i) not in self._lax:
+            rung = self.rung(i)
+            rung.drop_cache()
+            lams = self.cfg.lambdas
+            self._lax.update(zip([(l, i) for l in lams],
+                                 integrate_lax(rung, lams)))
+        return self._lax.pop((lam, i)) if last else self._lax[(lam, i)]
+
+    @functools.cached_property
+    def twin(self) -> "_RunContext":
+        """The unperturbed counterpart of the run, for the off-shell ratio
+        claims, which read only its first spectral value."""
+        return _RunContext(replace(
+            self.cfg, family=self.eq.families[0],
+            lambdas=self.cfg.lambdas[:1]))
+
+    def conservation(self, qg: GridField, i: int) -> ResidualStats:
+        """Conservation residual of a characteristic sample on rung i."""
+        return conservation_residual(self.rung(i), qg, self.margins[i])
+
+    def trace(self, qg: GridField, i: int) -> ResidualStats:
+        """Trace of the transported characteristic sample u^-1 q on rung
+        i."""
+        w = self.rung(i).inverse @ qg.values
+        return residual_stats(np.trace(w, axis1=-2, axis2=-1),
+                              self.grids[i], self.margins[i])
+
+
+# ---------------------------------------------------------------------------
+# Hierarchy claim catalog
+# ---------------------------------------------------------------------------
+
+def hierarchy_claims(ctx: _RunContext) -> List[Claim]:
+    """The hierarchy claims, which share the context's hierarchy of the
+    configured seed and window."""
+    cfg, eq = ctx.cfg, ctx.eq
+    _seed_by_provenance(eq, cfg.seed)  # a bad seed fails the build
+
+    hierarchy = functools.partial(ctx.hierarchy, cfg.seed, *cfg.window)
     claims: List[Claim] = []
 
     def levels_verified():
@@ -540,45 +634,7 @@ def hierarchy_claims(cfg: RunConfig,
 # Numeric claim catalog
 # ---------------------------------------------------------------------------
 
-class _NumericContext:
-    """Lazily sampled solution ladder shared by the numeric and Lax claims.
-    Rung i is sampled once, on first use, and kept for the context's
-    lifetime as a ``SolutionFields``, which caches the arrays derived from
-    the sample (u^-1, field derivatives, slot connections, potential)."""
-
-    def __init__(self, cfg: RunConfig):
-        self.cfg = cfg
-        self.eq = get_equation(cfg.equation)
-        self.grids = cfg.grids()
-        self.margins = cfg.margins()
-        self.hs = [max(g.spacings) for g in self.grids]
-        self._rungs: Dict[int, SolutionFields] = {}
-
-    def rung(self, i: int) -> SolutionFields:
-        if i not in self._rungs:
-            u = sample_solution(self.cfg.family_obj(), self.grids[i])
-            self._rungs[i] = SolutionFields(self.eq, u)
-        return self._rungs[i]
-
-    def conservation(self, qg: GridField, i: int) -> ResidualStats:
-        """Conservation residual of a characteristic sample on rung i."""
-        return conservation_residual(self.rung(i), qg, self.margins[i])
-
-    def trace(self, qg: GridField, i: int) -> ResidualStats:
-        """Trace of the transported characteristic sample u^-1 q on rung
-        i."""
-        w = self.rung(i).inverse @ qg.values
-        return residual_stats(np.trace(w, axis1=-2, axis2=-1),
-                              self.grids[i], self.margins[i])
-
-    def onshell_twin(self) -> "_NumericContext":
-        """The unperturbed counterpart, for off-shell ratio claims."""
-        cfg2 = RunConfig(**{**self.cfg.__dict__,
-                            "family": self.eq.families[0]})
-        return _NumericContext(cfg2)
-
-
-def _ladder_claim(ctx: _NumericContext, cid: str, anchor: str, kind: str,
+def _ladder_claim(ctx: _RunContext, cid: str, anchor: str, kind: str,
                   expected_fail: bool,
                   rung_stats: Callable[[int], ResidualStats]) -> Claim:
     """A claim that measures ``rung_stats(i)`` on every rung i of the
@@ -592,12 +648,8 @@ def _ladder_claim(ctx: _NumericContext, cid: str, anchor: str, kind: str,
     return Claim(cid, anchor, kind, check, expected_fail)
 
 
-def numeric_claims(cfg: RunConfig,
-                   ctx: Optional[_NumericContext] = None) -> List[Claim]:
-    ctx = ctx or _NumericContext(cfg)
-    eq = ctx.eq
-    cfgp = cfg.params()
-    offshell = cfg.family == "perturbed-offshell"
+def numeric_claims(ctx: _RunContext) -> List[Claim]:
+    eq, cfgp, offshell = ctx.eq, ctx.params, ctx.offshell
     claims: List[Claim] = [_ladder_claim(
         ctx, "num.field-equation",
         "the finite-difference residual of the field equation converges at "
@@ -628,10 +680,11 @@ def numeric_claims(cfg: RunConfig,
         "relations to second order",
         "numeric", offshell, potential_relations))
 
-    @functools.cache
+    # a backward level does not depend on the forward window, so a default
+    # run reads the hierarchy the hier.* claims build
     def tower_charge() -> Characteristic:
-        seed = _seed_by_provenance(eq, DEFAULT_SEED)
-        return generate_hierarchy(eq, seed, -2, 0).charges[-2]
+        lo, hi = ctx.cfg.window
+        return ctx.hierarchy(DEFAULT_SEED, min(lo, -2), hi).charges[-2]
     claims.append(_ladder_claim(
         ctx, "num.implicit-charge",
         "the characteristic two levels below the seed, in its "
@@ -662,7 +715,7 @@ def numeric_claims(cfg: RunConfig,
                     eval_characteristic(q, ctx.rung(i), cfgp), i)))
 
     if offshell:
-        claims.extend(_negative_control_claims(cfg, ctx))
+        claims.extend(_negative_control_claims(ctx))
     return claims
 
 
@@ -673,14 +726,13 @@ def _offshell_ratio(off: float, on: float) -> float:
     return math.inf if off > 0 else 0.0
 
 
-def _negative_control_claims(cfg: RunConfig, ctx: _NumericContext) -> List[Claim]:
-    eq = ctx.eq
-    cfgp = cfg.params()
-    twin = ctx.onshell_twin()
+def _negative_control_claims(ctx: _RunContext) -> List[Claim]:
+    cfg, cfgp = ctx.cfg, ctx.params
     i = len(ctx.grids) - 1
-    seed_q = _seed_by_provenance(eq, DEFAULT_SEED)
+    seed_q = _seed_by_provenance(ctx.eq, DEFAULT_SEED)
 
     def conservation_ratio() -> ClaimResult:
+        twin = ctx.twin
         off = ctx.conservation(
             eval_characteristic(seed_q, ctx.rung(i), cfgp), i)
         on = twin.conservation(
@@ -691,9 +743,9 @@ def _negative_control_claims(cfg: RunConfig, ctx: _NumericContext) -> List[Claim
                            detail=f"off/on ratio = {ratio:.3e}")
 
     def lax_ratio() -> ClaimResult:
-        lam = cfg.lambdas[:1]
-        off = integrate_lax(ctx.rung(i), lam)[0].compat_residual
-        on = integrate_lax(twin.rung(i), lam)[0].compat_residual
+        lam = cfg.lambdas[0]
+        off = ctx.lax(lam, i).compat_residual
+        on = ctx.twin.lax(lam, i, last=True).compat_residual
         ratio = _offshell_ratio(off, on)
         ok = ratio >= cfg.offshell_factor
         return ClaimResult(ok, detail=f"off/on ratio = {ratio:.3e} "
@@ -734,51 +786,33 @@ def _negative_control_claims(cfg: RunConfig, ctx: _NumericContext) -> List[Claim
 # Lax claim catalog
 # ---------------------------------------------------------------------------
 
-def lax_claims(cfg: RunConfig,
-               ctx: Optional[_NumericContext] = None) -> List[Claim]:
-    ctx = ctx or _NumericContext(cfg)
-    offshell = cfg.family == "perturbed-offshell"
+def lax_claims(ctx: _RunContext) -> List[Claim]:
+    """Each (lambda, rung) integration is read by the path-independence
+    claim and released by the symmetry claim after it."""
     claims: List[Claim] = []
-
-    # every spectral value of a rung is integrated in one march, at the
-    # first read of the rung, which first drops the cached arrays the march
-    # does not read; each (lambda, rung) integration is read by the
-    # path-independence claim and released by the symmetry claim after it
-    cache: Dict[Tuple[float, int], LaxIntegration] = {}
-
-    def lax(lam, i) -> LaxIntegration:
-        if (lam, i) not in cache:
-            rung = ctx.rung(i)
-            rung.drop_cache()
-            cache.update(zip([(l, i) for l in cfg.lambdas],
-                             integrate_lax(rung, cfg.lambdas)))
-        return cache[(lam, i)]
-
-    def last_read(lam, i) -> LaxIntegration:
-        lax(lam, i)
-        return cache.pop((lam, i))
-
-    for lam in cfg.lambdas:
+    for lam in ctx.cfg.lambdas:
         tag = f"{lam:g}"
 
         def compat(lam=lam) -> ClaimResult:
-            vals = [lax(lam, i).compat_residual for i in range(len(ctx.grids))]
+            vals = [ctx.lax(lam, i).compat_residual
+                    for i in range(len(ctx.grids))]
             stats = [{"max": _fmt(v), "h": _fmt(h)}
                      for v, h in zip(vals, ctx.hs)]
-            return _order_result(vals, stats, ctx.hs, cfg)
+            return _order_result(vals, stats, ctx.hs, ctx.cfg)
         claims.append(Claim(
             f"lax.path-independence.{tag}",
             f"the two staircase integrations of the wavefunction agree to "
             f"second order at spectral value {tag}",
-            "lax", compat, expected_fail=offshell))
+            "lax", compat, expected_fail=ctx.offshell))
 
         # S(psi; u) is the conservation residual of psi
         claims.append(_ladder_claim(
             ctx, f"lax.wavefunction-symmetry.{tag}",
             f"the integrated wavefunction satisfies the linearized equation "
             f"to second order at spectral value {tag}",
-            "lax", offshell,
-            lambda i, lam=lam: ctx.conservation(last_read(lam, i).psi, i)))
+            "lax", ctx.offshell,
+            lambda i, lam=lam: ctx.conservation(
+                ctx.lax(lam, i, last=True).psi, i)))
     return claims
 
 
@@ -885,11 +919,11 @@ def write_atomic(path: str, text: str):
 
 def all_claims(cfg: RunConfig) -> List[Claim]:
     """The full catalog in report order: symbolic suite, hierarchy, numeric
-    suite, Lax checks; the numeric and Lax claims share one sampled
-    ladder.  Building it runs no claim."""
-    ctx = _NumericContext(cfg)
-    return (symbolic_claims(cfg) + hierarchy_claims(cfg)
-            + numeric_claims(cfg, ctx) + lax_claims(cfg, ctx))
+    suite, Lax checks; all but the symbolic claims share one run context.
+    Building it runs no claim."""
+    ctx = _RunContext(cfg)
+    return (symbolic_claims(cfg) + hierarchy_claims(ctx)
+            + numeric_claims(ctx) + lax_claims(ctx))
 
 
 def run(cfg: RunConfig) -> dict:
@@ -973,11 +1007,11 @@ def gen_hierarchy_cmd(config_path, equation, output, fmt, window, seed):
     """Generate the recursion hierarchy and verify every level."""
     cfg = _load(config_path, equation,
                 window=tuple(window) if window else None, seed=seed)
-    eq = get_equation(cfg.equation)
+    ctx = _RunContext(cfg)
     with _config_errors():  # the seed must sit at level 0
-        seed = _seed_by_provenance(eq, cfg.seed)
-    h = generate_hierarchy(eq, seed, *cfg.window)
-    report = build_report(cfg, run_claims(hierarchy_claims(cfg, h)))
+        claims = hierarchy_claims(ctx)
+    report = build_report(cfg, run_claims(claims))
+    h = ctx.hierarchy(cfg.seed, *cfg.window)
     # attach the serialized closed forms, with the defining rules of the
     # tower potentials each one uses, as data
     levels = {}
@@ -1005,7 +1039,7 @@ def verify_numeric_cmd(config_path, equation, output, fmt, counts):
     with _config_errors():
         counts = _parse_value(counts, RunConfig.counts) if counts else None
     cfg = _load(config_path, equation, counts=counts)
-    report = build_report(cfg, run_claims(numeric_claims(cfg)))
+    report = build_report(cfg, run_claims(numeric_claims(_RunContext(cfg))))
     _finish(cfg, report, fmt, output)
 
 
@@ -1018,7 +1052,7 @@ def lax_check_cmd(config_path, equation, output, fmt, lambdas):
     wavefunction's symmetry residual over the grid ladder."""
     cfg = _load(config_path, equation,
                 lambdas=tuple(lambdas) if lambdas else None)
-    report = build_report(cfg, run_claims(lax_claims(cfg)))
+    report = build_report(cfg, run_claims(lax_claims(_RunContext(cfg))))
     _finish(cfg, report, fmt, output)
 
 

@@ -22,7 +22,8 @@ from symlax.cli import (
     ClaimResult,
     RunConfig,
     _DEFAULT_MATRICES,
-    _NumericContext,
+    _RETIRED_KEY,
+    _RunContext,
     _SECTIONS,
     _ladder_claim,
     _offshell_ratio,
@@ -124,10 +125,44 @@ def test_overrides_beat_file(tmp_path):
     dict(lambdas=(0.5, float("inf"))),
     dict(lambdas=(0.5, 0.5)),
     dict(lambdas=(0.1234567, 0.12345671)),
+    # a grid without length or interior, or a value out of its range
+    dict(extent=-1.0),
+    dict(extent=0.0),
+    dict(extent=float("nan")),
+    dict(extent=float("inf")),
+    dict(origin=float("nan")),
+    dict(origin=float("-inf")),
+    dict(base_margin=0),
+    dict(min_order=float("nan")),
+    dict(zero_floor=-1e-9),
+    dict(offshell_factor=float("inf")),
+    dict(eps=float("nan")),
 ])
 def test_invalid_configs_rejected(kw):
     with pytest.raises(ConfigInvalid):
         load_config(**kw)
+
+
+@pytest.mark.parametrize("text,offender", [
+    ("[tolerances]\nmin_ordr = 5\n", "'min_ordr' in [tolerances]"),
+    ("[typo]\nmin_order = 5\n", "[typo]"),
+    ("[run]\nmin_order = 5\n", "'min_order' in [run]"),
+    ("[matrices]\nC = 0 1; 0 0\n", "'c' in [matrices]"),
+    ("[DEFAULT]\nmin_order = 5\n", "[DEFAULT]"),
+], ids=["key", "section", "key-in-wrong-section", "matrix", "default"])
+def test_unknown_config_names_rejected(tmp_path, text, offender):
+    p = tmp_path / "run.ini"
+    p.write_text(text)
+    with pytest.raises(ConfigInvalid) as info:
+        load_config(str(p))
+    assert offender in str(info.value)
+
+
+def test_retired_key_is_accepted_and_ignored(tmp_path):
+    section, key = _RETIRED_KEY
+    p = tmp_path / "run.ini"
+    p.write_text(f"[{section}]\n{key} = 1e-8\n")
+    assert load_config(str(p)).echo() == load_config().echo()
 
 
 def test_sdym_requires_traceless_matrices():
@@ -224,7 +259,7 @@ def test_symbolic_catalog_contents():
 
 
 def test_hierarchy_catalog_contents():
-    ids = _ids(hierarchy_claims(load_config()))
+    ids = _ids(hierarchy_claims(_RunContext(load_config())))
     assert "hier.levels-verified" in ids
     for n in (-2, -1, 0, 1):
         assert f"hier.level.{n}" in ids
@@ -233,18 +268,18 @@ def test_hierarchy_catalog_contents():
 
 def test_numeric_and_lax_catalogs_build():
     cfg = load_config(counts=(9, 17, 33))
-    ids = _ids(numeric_claims(cfg))
+    ids = _ids(numeric_claims(_RunContext(cfg)))
     assert "num.field-equation" in ids
     assert "num.conservation.right-action" in ids
     assert "num.potential-defining-relations" in ids
-    lx = _ids(lax_claims(cfg))
+    lx = _ids(lax_claims(_RunContext(cfg)))
     assert any(i.startswith("lax.path-independence.") for i in lx)
     assert any(i.startswith("lax.wavefunction-symmetry.") for i in lx)
 
 
 def test_negative_controls_marked_expected_fail():
     cfg = load_config(family="perturbed-offshell", counts=(9, 17, 33))
-    claims = numeric_claims(cfg)
+    claims = numeric_claims(_RunContext(cfg))
     ids = _ids(claims)
     assert "neg.conservation-ratio" in ids
     assert "neg.residual-nonconvergence" in ids
@@ -400,9 +435,34 @@ def test_cli_gen_hierarchy_generates_once(monkeypatch):
         return generate(*args, **kwargs)
 
     monkeypatch.setattr(cli, "generate_hierarchy", counting)
-    r = CliRunner().invoke(main, ["gen-hierarchy"])
-    assert r.exit_code == 0, r.output
-    assert len(calls) == 1
+    # the hier.* claims and num.implicit-charge share one hierarchy
+    for command in ("gen-hierarchy", "report"):
+        calls.clear()
+        r = CliRunner().invoke(main, [command])
+        assert r.exit_code == 0, r.output
+        assert len(calls) == 1, command
+
+
+def test_offshell_run_integrates_each_rung_and_value_once(monkeypatch):
+    # the negative controls and the lax.* claims share one integration of
+    # each (rung, spectral value)
+    import symlax.cli as cli
+    marched = []
+    integrate = cli.integrate_lax
+
+    def recording(rung, lams, *args, **kwargs):
+        marched.extend((rung, lam) for lam in lams)
+        return integrate(rung, lams, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_lax", recording)
+    cfg = load_config(family="perturbed-offshell", eps=0.1,
+                      counts=(17, 33, 65))
+    report = run(cfg)
+    assert report["summary"]["overall_pass"]
+    pairs = [(id(rung), lam) for rung, lam in marched]
+    assert len(set(pairs)) == len(pairs)
+    # three off-shell rungs with every value, one on-shell rung with one
+    assert len(pairs) == 3 * len(cfg.lambdas) + 1
 
 
 def test_run_integrates_each_rung_potential_once(monkeypatch):
@@ -462,7 +522,7 @@ def test_cli_rejects_seed_off_level_zero():
     assert not isinstance(r.exception, ValueError), r.exception
     assert "level 0" in r.output
     with pytest.raises(ConfigInvalid):
-        hierarchy_claims(load_config(seed="left-action"))
+        hierarchy_claims(_RunContext(load_config(seed="left-action")))
 
 
 def test_cli_seed_off_level_zero_only_stops_hierarchy_commands(tmp_path):
@@ -480,7 +540,7 @@ def test_cli_seed_off_level_zero_only_stops_hierarchy_commands(tmp_path):
 
 
 def _trace_records(cfg):
-    return run_claims([c for c in numeric_claims(cfg)
+    return run_claims([c for c in numeric_claims(_RunContext(cfg))
                        if c.id.startswith("num.trace-constraint.")])
 
 
@@ -506,7 +566,7 @@ def test_sdym_trace_claims_pass_on_the_rotation_pair():
 
 def test_trace_ladder_fails_a_characteristic_with_trace():
     # Q = J gives tr(J^-1 Q) = 2 on every rung: the ladder cannot pass it
-    ctx = _NumericContext(load_config(equation="sdym"))
+    ctx = _RunContext(load_config(equation="sdym"))
     claim = _ladder_claim(ctx, "num.trace-constraint.identity", "tr 2",
                           "numeric", False,
                           lambda i: ctx.trace(ctx.rung(i).u, i))
