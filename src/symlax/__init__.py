@@ -97,6 +97,7 @@ from .numerics import (
     integrate_lax,
     load_snapshot,
     nilpotent_family,
+    rung_grid,
     sample_solution,
     save_snapshot,
     scaled_margins,

@@ -34,7 +34,7 @@ import sys
 import tempfile
 import traceback
 from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import click
@@ -60,7 +60,6 @@ from .equations import (
 from .errors import ConfigInvalid, IoFailure, NonMonotone, SymlaxError
 from .expr import comm
 from .numerics import (
-    Grid,
     GridField,
     LaxIntegration,
     ResidualStats,
@@ -72,7 +71,7 @@ from .numerics import (
     eval_on_grid,
     fd_residual_field_equation,
     integrate_lax,
-    residual_stats,
+    rung_grid,
     sample_solution,
     scaled_margins,
 )
@@ -174,16 +173,19 @@ class RunConfig:
         dims = {np.asarray(m).shape[0] for m in self.matrices.values()}
         if len(dims) > 1:
             raise ConfigInvalid("parameter matrices must share one dimension")
-        # one matrix per grid point, entries of the matrices' promoted dtype
+        # one matrix per point of the sampled grid, entries of the
+        # matrices' promoted dtype
         n = dims.pop() if dims else 1
         itemsize = np.result_type(
             float, *(np.asarray(m) for m in self.matrices.values())).itemsize
-        axes = len(eq.vs.names)
-        nbytes = self.counts[-1] ** axes * n * n * itemsize
+        finest = rung_grid(eq, self.origin,
+                           self.extent / (self.counts[-1] - 1),
+                           self.counts[-1]).counts
+        nbytes = math.prod(finest) * n * n * itemsize
         if nbytes > FIELD_BYTES_BUDGET:
             raise ConfigInvalid(
-                f"the finest grid ({self.counts[-1]} points per axis) needs "
-                f"{nbytes} bytes per field sample, over the budget of "
+                f"the finest grid ({' x '.join(map(str, finest))} points) "
+                f"needs {nbytes} bytes per field sample, over the budget of "
                 f"{FIELD_BYTES_BUDGET} bytes")
         if eq.traceless:
             for name in ("A", "B", "M", "L"):
@@ -292,7 +294,11 @@ def load_config(path: Optional[str] = None, **overrides) -> RunConfig:
     file leaves out takes the RunConfig default, except the family, extent
     and counts, which default to the equation's own.  A section, key or
     matrix name the file sets and the loader does not read is a
-    ConfigInvalid."""
+    ConfigInvalid, as is an override that names no RunConfig field; an
+    override of None leaves its field as the file sets it."""
+    unknown = sorted(set(overrides) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise ConfigInvalid(f"unknown config override(s) {unknown}")
     cp = ConfigParser()
     if path is not None:
         try:
@@ -514,8 +520,7 @@ class _RunContext:
         self.family = SolutionFamily(cfg.family, cfg.matrices["A"],
                                      cfg.matrices["B"],
                                      cfg.eps if self.offshell else 0.0)
-        self.grids = [Grid.regular(eq.vs.names, cfg.origin,
-                                   cfg.extent / (n - 1), n)
+        self.grids = [rung_grid(eq, cfg.origin, cfg.extent / (n - 1), n)
                       for n in cfg.counts]
         self.margins = scaled_margins(cfg.counts, cfg.base_margin)
         self.hs = [max(g.spacings) for g in self.grids]
@@ -565,9 +570,9 @@ class _RunContext:
     def trace(self, qg: GridField, i: int) -> ResidualStats:
         """Trace of the transported characteristic sample u^-1 q on rung
         i."""
-        w = self.rung(i).inverse @ qg.values
-        return residual_stats(np.trace(w, axis1=-2, axis2=-1),
-                              self.grids[i], self.margins[i])
+        rung = self.rung(i)
+        w = rung.inverse @ qg.values
+        return rung.stats(np.trace(w, axis1=-2, axis2=-1), self.margins[i])
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +675,8 @@ def numeric_claims(ctx: _RunContext) -> List[Claim]:
         rung = ctx.rung(i)
         X = eq.potential_name
         env = rung.env.bind(potentials={X: rung.potential})
-        return max((residual_stats(eval_on_grid(eq.vs.pot(X, v) - rhs, env),
-                                   ctx.grids[i], ctx.margins[i])
+        return max((rung.stats(eval_on_grid(eq.vs.pot(X, v) - rhs, env),
+                               ctx.margins[i])
                     for v, rhs in eq.potential_rules[X].items()),
                    key=lambda st: st.max)
     claims.append(_ladder_claim(

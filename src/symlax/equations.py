@@ -55,6 +55,9 @@ class EquationDef:
     families: Tuple[str, ...]              # sampling families, default first
     extent: float                          # default per-axis grid length
     counts: Tuple[int, ...]                # default refinement ladder
+    # a lifted equation's sampled grid axes, one per ``lift`` pair, each
+    # over the pair's coordinate sum
+    diagonal: Tuple[str, ...] = ()
 
     @property
     def catalog(self) -> Tuple[Characteristic, ...]:
@@ -294,6 +297,7 @@ def _make_sdym() -> EquationDef:
         families=("lifted-chiral",),
         extent=0.5,
         counts=(9, 17, 33),
+        diagonal=("t", "x"),    # t = y+yb, x = z+zb
     )
 
 

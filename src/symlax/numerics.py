@@ -13,11 +13,16 @@ computed once on first use.  The tower potentials a characteristic carries
 go through the same staircase integration on each evaluation, since their
 rules read the parameter matrices bound to it.
 
-Every integration (potential, tower potentials, Lax wavefunction) runs on
-the rung's reduction and is lifted back by index sums.  A lifted equation
-(SDYM) is sampled as u = g(y+yb, z+zb), and its reduction is the rung over
-the sample's diagonal grid t = y+yb, x = z+zb, where its rules are the
-two-variable ones; any other rung is its own reduction.
+A lifted equation (SDYM, whose solutions J = g(y+yb, z+zb) depend on each
+plain/barred variable pair through its sum) is sampled on its diagonal
+only: ``rung_grid`` gives it one axis per pair, over the coordinate sum
+(t = y+yb, x = z+zb), with 2n-1 points at the spacing of an n-point rung.
+Its rung differentiates both variables of a pair along the pair's axis.  A
+central difference along y or yb in the interior of the four-variable grid
+reads exactly the samples of the difference along t, so every residual,
+potential and wavefunction is measured on the diagonal; ``residual_stats``
+trims a paired axis by twice the four-variable margin and weights each
+diagonal point by the number of four-variable points it stands for.
 
 Grid arrays are real or complex, by promotion: every array takes the dtype
 numpy's promotion gives from the inputs, so a real sample with real
@@ -133,7 +138,9 @@ def save_snapshot(f, gf: GridField):
 
 def load_snapshot(f) -> GridField:
     """Read a snapshot written by ``save_snapshot``.  A foreign, truncated
-    or garbled snapshot raises IoFailure."""
+    or garbled snapshot raises IoFailure, a truncated one at its first
+    missing entry: the array is built from the entries read, never
+    allocated from the header's counts."""
     def line(tag, arity=None):
         """The values of the next line, which must start with ``tag`` and
         hold ``arity`` values (one or more when None)."""
@@ -162,15 +169,16 @@ def load_snapshot(f) -> GridField:
         if nmat < 1:
             raise IoFailure(f"bad gridfield snapshot: matdim {nmat}")
         grid = Grid(tuple(axes), names)
-        count = int(np.prod(grid.counts)) * nmat * nmat
-        data = np.empty(count, dtype=complex)
+        count = math.prod(grid.counts) * nmat * nmat
+        data = []
         for i in range(count):
             parts = f.readline().split()
             if len(parts) != 2:
                 raise IoFailure(f"bad gridfield snapshot: entry {i} of "
                                 f"{count} has {len(parts)} values")
-            data[i] = complex(float(parts[0]), float(parts[1]))
-        return GridField(grid, data.reshape(grid.counts + (nmat, nmat)))
+            data.append(complex(float(parts[0]), float(parts[1])))
+        return GridField(grid, np.array(data).reshape(
+            grid.counts + (nmat, nmat)))
     except (ValueError, GridTooSmall) as exc:
         raise IoFailure(f"bad gridfield snapshot: {exc}") from exc
 
@@ -253,62 +261,37 @@ def _perturbation(t, x, n):
             + np.cos(t - x)[..., None, None] * P2)
 
 
+def rung_grid(eq: EquationDef, origin: float, h: float, n: int) -> Grid:
+    """The grid a rung of ``eq`` is sampled on, for a ladder count of n
+    points at spacing h from ``origin`` per variable.  A lifted equation is
+    sampled on its diagonal: one axis per plain/barred pair, named in
+    ``eq.diagonal``, over the pair's coordinate sum, so with 2n - 1 points
+    from 2 * origin."""
+    if eq.lift:
+        return Grid.regular(eq.diagonal, 2 * origin, h, 2 * n - 1)
+    return Grid.regular(eq.vs.names, origin, h, n)
+
+
 def sample_solution(family: SolutionFamily, grid: Grid) -> GridField:
+    """The family's solution on a two-axis grid (t, x); the lifted family
+    J = g(y+yb, z+zb) is sampled on its diagonal, t = y+yb, x = z+zb."""
     A = np.asarray(family.A)
     B = np.asarray(family.B)
     n = A.shape[0]
-
-    def chiral_values(tv, xv):
-        et = dense_expm(tv[:, None, None] * A)
-        ex = dense_expm(xv[:, None, None] * B)
-        return et[:, None] @ ex[None]
-
-    if family.kind == "exponential-product":
-        tv, xv = (ax.points() for ax in grid.axes)
-        return GridField(grid, chiral_values(tv, xv))
-
+    if family.kind not in ("exponential-product", "lifted-chiral",
+                           "perturbed-offshell"):
+        raise ValueError(f"unknown family kind {family.kind!r}")
+    if len(grid.axes) != 2:
+        raise DimensionMismatch(
+            f"a solution family samples a grid of two axes, not "
+            f"{len(grid.axes)}")
+    tv, xv = (ax.points() for ax in grid.axes)
+    g = dense_expm(tv[:, None, None] * A)[:, None] \
+        @ dense_expm(xv[:, None, None] * B)[None]
     if family.kind == "perturbed-offshell":
-        tv, xv = (ax.points() for ax in grid.axes)
-        g = chiral_values(tv, xv)
         T, X = np.meshgrid(tv, xv, indexing="ij")
-        pert = np.eye(n) + family.eps * _perturbation(T, X, n)
-        return GridField(grid, g @ pert)
-
-    if family.kind == "lifted-chiral":
-        # J = g(y+yb, z+zb) on the axes (y, z, yb, zb): sample g on the
-        # diagonal grid once and lift it
-        dgrid, lift_at, _ = _diagonal_grid(grid, ((0, 2), (1, 3)))
-        tv, xv = (ax.points() for ax in dgrid.axes)
-        return GridField(grid, chiral_values(tv, xv)[lift_at])
-
-    raise ValueError(f"unknown family kind {family.kind!r}")
-
-
-def _diagonal_grid(grid: Grid, pairs):
-    """The grid of the coordinate sums of each (plain, barred) pair of
-    ``grid``'s axes, which must share their spacing, and two tuples of index
-    arrays.  The first reads an array over that diagonal grid at every
-    point of ``grid``: each diagonal index is the sum of its pair's indices.
-    The second reads an array over ``grid`` at every diagonal point: point
-    k of a pair reads min(k, n - 1) along the plain axis of n points, the
-    rest along the barred one."""
-    counts, nd = grid.counts, len(grid.axes)
-    axes, names, lift, diag = [], [], [], [None] * nd
-    for d, (a, b) in enumerate(pairs):
-        pa, pb = grid.axes[a], grid.axes[b]
-        if not math.isclose(pa.h, pb.h):
-            raise DimensionMismatch(
-                f"lifted axes {grid.names[a]!r} and {grid.names[b]!r} need "
-                f"one spacing")
-        axes.append(Axis(pa.origin + pb.origin, pa.h, pa.n + pb.n - 1))
-        names.append(f"{grid.names[a]}+{grid.names[b]}")
-        lift.append(sum(np.arange(counts[i]).reshape(
-            [-1 if j == i else 1 for j in range(nd)]) for i in (a, b)))
-        k = np.arange(axes[-1].n).reshape(
-            [-1 if j == d else 1 for j in range(len(pairs))])
-        diag[a] = np.minimum(k, pa.n - 1)
-        diag[b] = k - diag[a]
-    return Grid(tuple(axes), tuple(names)), tuple(lift), tuple(diag)
+        g = g @ (np.eye(n) + family.eps * _perturbation(T, X, n))
+    return GridField(grid, g)
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +409,12 @@ class ResidualStats:
     h: float
 
 
-def _interior(arr: np.ndarray, margin: int, n_axes: int) -> np.ndarray:
-    for axis in range(n_axes):
-        if arr.shape[axis] <= 2 * margin:
+def _interior(arr: np.ndarray, margins: Sequence[int]) -> np.ndarray:
+    for axis, m in enumerate(margins):
+        if arr.shape[axis] <= 2 * m:
             raise GridTooSmall(
-                f"axis {axis} has {arr.shape[axis]} points, margin {margin}")
-    sl = tuple(slice(margin, -margin) for _ in range(n_axes)) + (Ellipsis,)
-    return arr[sl]
+                f"axis {axis} has {arr.shape[axis]} points, margin {m}")
+    return arr[tuple(slice(m, -m) for m in margins)]
 
 def scaled_margins(counts: Sequence[int], base: int = 3):
     """Interior-trim margins for a refinement ladder, scaled so every grid is
@@ -456,11 +438,33 @@ def scaled_margins(counts: Sequence[int], base: int = 3):
     return out
 
 
-def residual_stats(arr: np.ndarray, grid: Grid, margin: int) -> ResidualStats:
-    core = _interior(arr, margin, len(grid.axes))
+def residual_stats(arr: np.ndarray, grid: Grid, margin: int,
+                   paired: Sequence[int] = ()) -> ResidualStats:
+    """Maximum and root mean square of ``arr`` over the grid's interior,
+    ``margin`` points in from every edge.  An axis in ``paired`` is the
+    diagonal of a plain/barred pair of n-point axes, each trimmed by
+    ``margin``: it is trimmed by 2 * margin, and in the mean each of its
+    points k counts as the (n - 2 margin) - |k - (n - 1)| index pairs of
+    that interior whose sum it is.  The record keeps ``margin``."""
+    margins = [2 * margin if a in paired else margin
+               for a in range(len(grid.axes))]
+    core = _interior(arr, margins)
     mags = np.abs(core)
+    weights = None
+    if paired:
+        weights = np.ones(())
+        for a, (ax, m) in enumerate(zip(grid.axes, margins)):
+            k = np.arange(m, ax.n - m)
+            # n points per axis of the pair; m is 2 * margin on it
+            n = (ax.n + 1) // 2
+            c = n - m - np.abs(k - (n - 1)) if a in paired else np.ones(k.size)
+            weights = np.multiply.outer(weights, c)
+        weights = np.broadcast_to(
+            weights.reshape(weights.shape + (1,) * (mags.ndim - weights.ndim)),
+            mags.shape)
     return ResidualStats(max=float(mags.max()),
-                         l2=float(np.sqrt(np.mean(mags ** 2))),
+                         l2=float(np.sqrt(np.average(mags ** 2,
+                                                     weights=weights))),
                          margin=margin,
                          h=max(grid.spacings))
 
@@ -475,17 +479,27 @@ class SolutionFields:
     every later check on the same sample (``drop_cache`` frees the
     derivatives and the potential).  These are the grid environment of
     ``u`` (finite-difference derivatives and ``u^-1``, cached per atom), the
-    slot connections, the samples of the equation's potential and the
-    rung's reduction, on which every integration runs."""
+    slot connections and the samples of the equation's potential.
+
+    Each variable differentiates along one grid axis (``env.axes``): its
+    own, or for a lifted equation the diagonal axis of its plain/barred
+    pair.  A sample over any other number of axes than the equation maps
+    onto raises DimensionMismatch."""
 
     def __init__(self, eq: EquationDef, u: GridField):
+        pairs = list(eq.lift.items()) or [(v,) for v in eq.vs.names]
+        if len(u.grid.axes) != len(pairs):
+            raise DimensionMismatch(
+                f"{eq.name} maps its variables {eq.vs.names} onto "
+                f"{len(pairs)} grid axes; the sample has "
+                f"{len(u.grid.axes)}")
         self.eq = eq
         self.u = u
         self.env = GridEnv(u.grid, {eq.field_name: u.values})
+        axis = {v: d for d, pair in enumerate(pairs) for v in pair}
+        self.env.axes = tuple(axis[v] for v in eq.vs.names)
         self._connections: Optional[Tuple[np.ndarray, ...]] = None
         self._potential: Optional[np.ndarray] = None
-        self._reduced: Optional[SolutionFields] = None
-        self._lift_at = self._diagonal_at = None
 
     @property
     def inverse(self) -> np.ndarray:
@@ -508,60 +522,27 @@ class SolutionFields:
             self._potential = compute_potential(self).field.values
         return self._potential
 
-    @property
-    def reduced(self) -> "SolutionFields":
-        """The rung every integration runs on.  For a lifted equation it is
-        the rung over the sample's diagonal grid, one axis per plain/barred
-        pair, along which both variables of the pair differentiate; the
-        sample must equal the lift of its own diagonal, else
-        PathInconsistent.  Any other rung is its own reduction."""
-        if self._reduced is None:
-            self._reduced = self._reduce() if self.eq.lift else self
-        return self._reduced
-
-    def _reduce(self) -> "SolutionFields":
-        u, eq, grid = self.u, self.eq, self.u.grid
-        pairs = [(grid.axis_index(p), grid.axis_index(b))
-                 for p, b in eq.lift.items()]
-        dgrid, self._lift_at, self._diagonal_at = _diagonal_grid(grid, pairs)
-        diag = u.values[self._diagonal_at]
-        # a lifted sample equals the lift of its diagonal up to round-off
-        dev = float(np.abs(diag[self._lift_at] - u.values).max())
-        if dev > 1e-10 * (1.0 + float(np.abs(u.values).max())):
-            raise PathInconsistent(
-                f"the sample is not translation-lifted: it deviates from "
-                f"the lift of its diagonal by {dev:.3e}", residual=dev)
-        red = SolutionFields(eq, GridField(dgrid, diag))
-        red._reduced = red
-        axis = {v: d for d, pair in enumerate(eq.lift.items()) for v in pair}
-        red.env.axes = tuple(axis[v] for v in eq.vs.names)
-        return red
+    def stats(self, arr: np.ndarray, margin: int) -> ResidualStats:
+        """``residual_stats`` of an array over this rung, whose axes that
+        two variables share are paired."""
+        axes = self.env.axes
+        return residual_stats(arr, self.u.grid, margin,
+                              {a for a in axes if axes.count(a) > 1})
 
     def drop_cache(self) -> None:
-        """Drop the cached field derivatives and the potential; u, u^-1,
-        the connections and the reduction stay.  A later reader recomputes
-        what was dropped with the same code, so its values do not
-        change."""
+        """Drop the cached field derivatives and the potential; u, u^-1
+        and the connections stay.  A later reader recomputes what was
+        dropped with the same code, so its values do not change."""
         self.env._cache = {a: v for a, v in self.env._cache.items()
                            if isinstance(a, InvField)}
         self._potential = None
-
-    def lift(self, arr: np.ndarray) -> np.ndarray:
-        """An array over the reduction's grid, read at every point of this
-        rung's grid by index sums."""
-        return arr if self.reduced is self else arr[self._lift_at]
-
-    def _diagonal(self, arr: np.ndarray) -> np.ndarray:
-        """An array over this rung's grid, read on the reduction's grid;
-        ``lift`` inverts it on a lifted array."""
-        return arr if self.reduced is self else arr[self._diagonal_at]
 
 
 def fd_residual_field_equation(fields: SolutionFields,
                                margin: int = 3) -> ResidualStats:
     """Central-difference evaluation of F[u] over interior points."""
     F = eval_on_grid(field_equation_residual(fields.eq), fields.env)
-    return residual_stats(F, fields.u.grid, margin)
+    return fields.stats(F, margin)
 
 
 def conservation_residual(fields: SolutionFields, qgrid: GridField,
@@ -573,16 +554,17 @@ def conservation_residual(fields: SolutionFields, qgrid: GridField,
         raise DimensionMismatch("characteristic and solution grids differ")
     w = fields.inverse @ qgrid.values
     div = np.zeros_like(w)
+    axes, vs = fields.env.axes, fields.eq.vs
     # in place, each temporary released once read: G = [A, w] + D_cov w,
     # then div += D_div G
     for s, conn in zip(fields.eq.slots, fields.connections):
-        cov_axis = grid.axis_index(s.cov_var)
+        cov_axis = axes[vs.index(s.cov_var)]
         G = commutator(conn, w)
         G += gradient(w, grid.axes[cov_axis].h, cov_axis)
-        div_axis = grid.axis_index(s.div_var)
+        div_axis = axes[vs.index(s.div_var)]
         div += gradient(G, grid.axes[div_axis].h, div_axis)
         del G
-    return residual_stats(div, grid, margin)
+    return fields.stats(div, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -631,14 +613,12 @@ class PotentialResult:
 
 def compute_potential(fields: SolutionFields) -> PotentialResult:
     """Integrate the potential defining system of a rung from the origin
-    (base value zero) along a staircase path, on the rung's reduction, and
-    lift it to the rung; the transposed path measures path-independence,
-    which fails off-shell."""
+    (base value zero) along a staircase path; the transposed path measures
+    path-independence, which fails off-shell."""
     eq = fields.eq
-    red = fields.reduced
-    X, resid = _integrate_potential(red, eq.potential_rules[eq.potential_name],
-                                    red.env)
-    return PotentialResult(GridField(fields.u.grid, fields.lift(X)), resid)
+    X, resid = _integrate_potential(fields, eq.potential_rules[eq.potential_name],
+                                    fields.env)
+    return PotentialResult(GridField(fields.u.grid, X), resid)
 
 
 def _integrate_potential(fields: SolutionFields, rules: Dict[str, JetExpr],
@@ -687,9 +667,8 @@ def eval_characteristic(q: Characteristic, fields: SolutionFields,
     """Sample a characteristic's closed form on a rung.  The rung supplies
     the cached u^-1 and field derivatives, and its potential when the form
     or a tower rule reads it.  The tower potentials ``q`` carries are
-    path-integrated here, on the rung's reduction and in the order they
-    were defined, since their rules read ``params``, which bind to this
-    evaluation only; the form reads them lifted to the rung."""
+    path-integrated here, in the order they were defined, since their rules
+    read ``params``, which bind to this evaluation only."""
     eq = fields.eq
     exprs = [q.body.expr] + [r for rules in q.potentials.values()
                              for r in rules.values()]
@@ -697,14 +676,8 @@ def eval_characteristic(q: Characteristic, fields: SolutionFields,
     if any(isinstance(a, Potential) and a.name == eq.potential_name
            for e in exprs for a in e.atoms()):
         env.potentials[eq.potential_name] = fields.potential
-    if q.potentials:
-        red = fields.reduced
-        red_env = red.env.bind(params=params, potentials={
-            name: fields._diagonal(v) for name, v in env.potentials.items()})
-        for name, rules in q.potentials.items():
-            red_env.potentials[name] = _integrate_potential(red, rules,
-                                                            red_env)[0]
-            env.potentials[name] = fields.lift(red_env.potentials[name])
+    for name, rules in q.potentials.items():
+        env.potentials[name] = _integrate_potential(fields, rules, env)[0]
     return GridField(fields.u.grid, eval_on_grid(q.body.expr, env))
 
 
@@ -714,21 +687,16 @@ def eval_characteristic(q: Characteristic, fields: SolutionFields,
 
 @dataclass(frozen=True)
 class LaxIntegration:
-    """The wavefunction of one spectral value on a rung.  It is kept on the
-    rung's reduction; ``phi`` and ``psi = u phi`` are lifted to the rung
-    when read."""
+    """The wavefunction phi of one spectral value on a rung, and
+    ``psi = u phi``."""
     rung: SolutionFields
-    reduced_phi: np.ndarray
+    phi: GridField
     compat_residual: float
-
-    @property
-    def phi(self) -> GridField:
-        return GridField(self.rung.u.grid, self.rung.lift(self.reduced_phi))
 
     @property
     def psi(self) -> GridField:
         u = self.rung.u
-        return GridField(u.grid, u.values @ self.rung.lift(self.reduced_phi))
+        return GridField(u.grid, u.values @ self.phi.values)
 
 
 def _check_lambda(lam):
@@ -748,8 +716,8 @@ def integrate_lax(fields: SolutionFields, lams: Sequence[complex],
     value, in order.  The maximum pointwise difference between the two
     sweeps is the compatibility residual (it vanishes with h only
     on-shell).  Every value is checked before the march, which runs on the
-    connections of the rung's reduction.  A stack that holds a complex
-    value is marched in complex."""
+    rung's connections.  A stack that holds a complex value is marched in
+    complex."""
     for lam in lams:
         _check_lambda(lam)
     n = fields.u.n_dim
@@ -760,10 +728,11 @@ def integrate_lax(fields: SolutionFields, lams: Sequence[complex],
         phi0 = np.eye(n) + 0.5 * rng.standard_normal((n, n))
     phi0 = np.asarray(phi0)
 
-    red = fields.reduced
-    a, b = red.connections
-    phis, resids = _integrate_lax_2d(red.u.grid, a, b, lams, phi0)
-    return [LaxIntegration(fields, phi, r) for phi, r in zip(phis, resids)]
+    grid = fields.u.grid
+    a, b = fields.connections
+    phis, resids = _integrate_lax_2d(grid, a, b, lams, phi0)
+    return [LaxIntegration(fields, GridField(grid, phi), r)
+            for phi, r in zip(phis, resids)]
 
 
 def _march_lines(phi_start, coef, m, h):

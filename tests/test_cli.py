@@ -158,6 +158,15 @@ def test_unknown_config_names_rejected(tmp_path, text, offender):
     assert offender in str(info.value)
 
 
+def test_unknown_override_rejected():
+    # a keyword override must name a RunConfig field
+    with pytest.raises(ConfigInvalid, match="min_ordr"):
+        load_config(min_ordr=5)
+    with pytest.raises(ConfigInvalid, match="min_ordr"):
+        load_config(min_ordr=None)
+    assert load_config(min_order=2.5).min_order == 2.5
+
+
 def test_retired_key_is_accepted_and_ignored(tmp_path):
     section, key = _RETIRED_KEY
     p = tmp_path / "run.ini"
@@ -191,12 +200,18 @@ def test_non_finite_matrix_rejected(tmp_path, bad):
 
 
 def test_oversized_grid_rejected_before_allocation():
-    # 257^4 points of 2x2 float64 entries: about 140 GB for one field
+    # the budget judges the grid that is sampled: sdym's diagonal of
+    # 2n - 1 points per pair, 4097^2 points of 2x2 float64 entries here
     with pytest.raises(ConfigInvalid) as info:
-        load_config(equation="sdym", counts=(65, 129, 257))
-    assert str(257 ** 4 * 4 * 8) in str(info.value)
-    # the largest default field, sdym's 33^4 points, sits well inside it
-    assert 33 ** 4 * 4 * 8 < FIELD_BYTES_BUDGET // 4
+        load_config(equation="sdym", counts=(513, 1025, 2049))
+    assert str(4097 ** 2 * 4 * 8) in str(info.value)
+    assert 4097 ** 2 * 4 * 8 > FIELD_BYTES_BUDGET
+    with pytest.raises(ConfigInvalid) as info:
+        load_config(counts=(1025, 2049, 4097))
+    assert str(4097 ** 2 * 4 * 8) in str(info.value)
+    # sdym's 257-point ladder samples 513^2 points, not 257^4
+    assert 513 ** 2 * 4 * 8 < FIELD_BYTES_BUDGET // 4
+    load_config(equation="sdym", counts=(65, 129, 257))
     load_config(equation="sdym")
 
 

@@ -14,8 +14,14 @@ import pytest
 
 from symlax import kernels, numerics
 from symlax.calculus import total_derivative
-from symlax.equations import Characteristic, ClosedForm, get_equation
+from symlax.equations import (
+    Characteristic,
+    ClosedForm,
+    field_equation_residual,
+    get_equation,
+)
 from symlax.errors import (
+    DimensionMismatch,
     GridTooSmall,
     IoFailure,
     NonMonotone,
@@ -47,6 +53,7 @@ from symlax.numerics import (
     load_snapshot,
     nilpotent_family,
     residual_stats,
+    rung_grid,
     sample_solution,
     save_snapshot,
     scaled_margins,
@@ -73,8 +80,9 @@ def chiral_grid(n, extent=1.0):
 
 
 def sdym_grid(n, extent=0.5):
-    h = extent / (n - 1)
-    return Grid.regular(("y", "z", "yb", "zb"), -extent / 2, h, n)
+    """The diagonal grid (t = y+yb, x = z+zb) that an sdym rung of n points
+    per variable samples."""
+    return rung_grid(SDYM, -extent / 2, extent / (n - 1), n)
 
 
 def closed_potential(grid):
@@ -129,10 +137,13 @@ def test_zero_parameters_sample_identity():
 
 
 def test_lifted_sample_constant_on_translation_level_sets():
-    J = sample_solution(nilpotent_family("lifted-chiral"), sdym_grid(7))
-    # J depends only on y+yb and z+zb
-    assert np.allclose(J.values[1:, :, :-1, :], J.values[:-1, :, 1:, :])
-    assert np.allclose(J.values[:, 1:, :, :-1], J.values[:, :-1, :, 1:])
+    # J depends only on t = y+yb and x = z+zb: its sample is g(t, x) on
+    # the diagonal grid
+    grid = sdym_grid(7)
+    J = sample_solution(nilpotent_family("lifted-chiral"), grid)
+    g = sample_solution(nilpotent_family(), grid)
+    assert grid.names == ("t", "x") and grid.counts == (13, 13)
+    assert np.array_equal(J.values, g.values)
     assert np.allclose(np.linalg.det(J.values), 1.0, atol=1e-12)
 
 
@@ -194,6 +205,15 @@ def test_snapshot_garbled_is_io_failure(old, new):
     assert old in text
     with pytest.raises(IoFailure):
         load_snapshot(io.StringIO(text.replace(old, new, 1)))
+
+
+def test_snapshot_header_counts_are_not_allocated():
+    # 10^6 x 10^6 points of 2x2 entries would need 58 TiB; the file holds
+    # one entry, so it fails at the second
+    text = ("symlax-gridfield 1\naxes t x\naxis t 0.0 0.1 1000000\n"
+            "axis x 0.0 0.1 1000000\nmatdim 2\n0.0 0.0\n")
+    with pytest.raises(IoFailure, match="entry 1 of 4000000000000"):
+        load_snapshot(io.StringIO(text))
 
 
 def test_dense_expm_nilpotent_is_exact():
@@ -387,24 +407,26 @@ def test_potential_lifted_sample():
 
 
 def test_potential_underdetermined_without_lift():
+    # a bump along t = y+yb takes the sample off the solution set: the
+    # potential's defining system is no longer integrable
     grid = sdym_grid(9)
     u = sample_solution(nilpotent_family("lifted-chiral"), grid)
     vals = u.values.copy()
-    bump = 0.3 * np.sin(3.0 * grid.coord_array("y"))
+    bump = 0.3 * np.sin(3.0 * grid.coord_array("t"))
     vals[..., 0, 1] = vals[..., 0, 1] + bump
     with pytest.raises(PathInconsistent):
         compute_potential(SolutionFields(SDYM, GridField(grid, vals)))
 
 
-def test_lax_rejects_sample_that_is_not_lifted():
-    # the sample of test_potential_underdetermined_without_lift: its
-    # diagonal no longer determines it, so no integration may run on it
-    grid = sdym_grid(9)
-    u = sample_solution(nilpotent_family("lifted-chiral"), grid)
-    vals = u.values.copy()
-    vals[..., 0, 1] = vals[..., 0, 1] + 0.3 * np.sin(3.0 * grid.coord_array("y"))
-    with pytest.raises(PathInconsistent):
-        integrate_lax(SolutionFields(SDYM, GridField(grid, vals)), [0.5])
+def test_four_variable_sdym_sample_is_a_dimension_mismatch():
+    # sdym maps its four variables onto two diagonal axes; a sample over
+    # (y, z, yb, zb) is not a rung of it
+    grid = Grid.regular(SDYM.vs.names, 0.0, 0.1, 5)
+    u = identity_field(grid)
+    with pytest.raises(DimensionMismatch, match="2 grid axes"):
+        SolutionFields(SDYM, u)
+    with pytest.raises(DimensionMismatch):
+        sample_solution(nilpotent_family("lifted-chiral"), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -571,11 +593,14 @@ def test_lax_on_shell_convergence():
 
 
 def test_lax_lifted_agrees_with_diagonal_problem():
-    u = sample_solution(nilpotent_family("lifted-chiral"), sdym_grid(9))
-    out = integrate_lax(SolutionFields(SDYM, u), [0.5])[0]
-    # the lifted wavefunction inherits the level-set structure
-    assert np.allclose(out.phi.values[1:, :, :-1, :],
-                       out.phi.values[:-1, :, 1:, :], atol=1e-12)
+    # on its diagonal the sdym linear pair is the chiral one
+    u = sample_solution(SolutionFamily("lifted-chiral", ROTATION_FAMILY.A,
+                                       ROTATION_FAMILY.B), sdym_grid(9))
+    got = integrate_lax(SolutionFields(SDYM, u), [0.5])[0]
+    want = integrate_lax(SolutionFields(CHIRAL, u), [0.5])[0]
+    assert got.compat_residual == want.compat_residual
+    assert np.array_equal(got.phi.values, want.phi.values)
+    assert np.array_equal(got.psi.values, want.psi.values)
 
 
 # ---------------------------------------------------------------------------
@@ -708,12 +733,6 @@ def test_tower_charge_satisfies_published_pair(family):
     assert est.exact or est.order >= 1.8
 
 
-def _level_sets_agree(arr):
-    """Is a sample over (y, z, yb, zb) constant on y+yb and on z+zb?"""
-    return (np.array_equal(arr[1:, :, :-1], arr[:-1, :, 1:])
-            and np.array_equal(arr[:, 1:, :, :-1], arr[:, :-1, :, 1:]))
-
-
 @pytest.mark.parametrize("provenance,family,exact", [
     ("right-action", nilpotent_family("lifted-chiral"), False),
     ("right-action", SolutionFamily("lifted-chiral", ROTATION_FAMILY.A,
@@ -724,7 +743,7 @@ def _level_sets_agree(arr):
 def test_lifted_rung_conserves_backward_tower_charge(provenance, family,
                                                      exact):
     # Z2 two levels below the seed is pinned along the plain directions
-    # (y, z) only; the lifted rung integrates it on its diagonal grid
+    # (y, z) only; the rung integrates it along t and x
     q = generate_hierarchy(SDYM, _seed(SDYM, provenance), -2, 0).charges[-2]
     assert set(q.potentials["Z2"]) == {"y", "z"}
     params = {"L": NILPOTENT_B}
@@ -733,8 +752,6 @@ def test_lifted_rung_conserves_backward_tower_charge(provenance, family,
     for n, m in zip(counts, scaled_margins(counts, 2)):
         rung = SolutionFields(SDYM, sample_solution(family, sdym_grid(n)))
         Q = eval_characteristic(q, rung, params)
-        assert _level_sets_agree(Q.values)
-        assert _level_sets_agree(rung.potential)
         maxes.append(conservation_residual(rung, Q, m).max)
         hs.append(max(rung.u.grid.spacings))
     est = convergence_order(maxes, hs)
@@ -745,7 +762,7 @@ def test_lifted_rung_conserves_backward_tower_charge(provenance, family,
     (CHIRAL, chiral_grid(9), ("t",)),
     (SDYM, sdym_grid(7), ("y", "yb"))], ids=["chiral", "sdym"])
 def test_tower_potential_free_along_an_axis_is_unbound(eq, grid, axes):
-    # rules along one axis of the reduction leave the other free
+    # rules along one axis of the rung leave the other free
     family = nilpotent_family(eq.families[0])
     rung = SolutionFields(eq, sample_solution(family, grid))
     vs = eq.vs
@@ -763,26 +780,91 @@ def test_batched_lax_lifted_matches_loop_reference():
     phi0 = np.array([[1.2, -0.4], [0.3, 0.9]])
     out = integrate_lax(SolutionFields(SDYM, u), [0.5], phi0=phi0)[0]
 
-    ny, nz, nyb, nzb = grid.counts
-    hy, hz = grid.spacings[:2]
-    eff = np.empty((ny + nyb - 1, nz + nzb - 1, 2, 2), dtype=u.values.dtype)
-    for it in range(eff.shape[0]):
-        for ix in range(eff.shape[1]):
-            iy, iz = min(it, ny - 1), min(ix, nz - 1)
-            eff[it, ix] = u.values[iy, iz, it - iy, ix - iz]
-    eff_grid = Grid.regular(("t", "x"), 0.0, hy, eff.shape[0])
-    inv = kernels.inv(eff)
-    a = _mm(inv, np.gradient(eff, hy, axis=0, edge_order=2))
-    b = _mm(inv, np.gradient(eff, hz, axis=1, edge_order=2))
-    phi1, phi2 = _ref_lax_2d(eff_grid, a, b, 0.5, phi0)
-    lift = np.empty(grid.counts + (2, 2), dtype=phi1.dtype)
-    for iy in range(ny):
-        for iz in range(nz):
-            lift[iy, iz] = phi1[iy:iy + nyb, iz:iz + nzb]
+    # the connections J^-1 J_y and J^-1 J_z differentiate along t and x
+    h = grid.spacings[0]
+    inv = kernels.inv(u.values)
+    a = _mm(inv, np.gradient(u.values, h, axis=0, edge_order=2))
+    b = _mm(inv, np.gradient(u.values, h, axis=1, edge_order=2))
+    phi1, phi2 = _ref_lax_2d(grid, a, b, 0.5, phi0)
 
     assert out.compat_residual == float(np.abs(phi1 - phi2).max())
-    assert np.array_equal(out.phi.values, lift)
-    assert np.array_equal(out.psi.values, _mm(u.values, lift))
+    assert np.array_equal(out.phi.values, phi1)
+    assert np.array_equal(out.psi.values, _mm(u.values, phi1))
+
+
+# ---------------------------------------------------------------------------
+# The diagonal rung against a four-variable reference
+# ---------------------------------------------------------------------------
+
+def _lift(diag, n):
+    """An array over the diagonal grid of an n-point sdym rung, read at
+    every point (y, z, yb, zb) of the four-variable grid: at (y+yb, z+zb),
+    by index sums."""
+    i = np.arange(n)
+    return diag[i[:, None, None, None] + i[None, None, :, None],
+                i[None, :, None, None] + i[None, None, None, :]]
+
+
+def _reference_divergence(env4, w):
+    """sum_slots D_div([A_slot, w] + D_cov w) on the four-variable grid,
+    each variable along its own axis."""
+    grid, div = env4.grid, np.zeros_like(w)
+    for s in SDYM.slots:
+        conn = eval_on_grid(s.connection, env4)
+        cov, dv = SDYM.vs.index(s.cov_var), SDYM.vs.index(s.div_var)
+        G = kernels.commutator(conn, w) \
+            + kernels.gradient(w, grid.axes[cov].h, cov)
+        div = div + kernels.gradient(G, grid.axes[dv].h, dv)
+    return div
+
+
+@pytest.mark.parametrize("n,m", [(9, 3), (17, 6)])
+def test_lifted_rung_matches_four_variable_reference(n, m):
+    # J(y, z, yb, zb) = g(y+yb, z+zb) built by hand from the diagonal
+    # sample and evaluated over (y, z, yb, zb) with margin m: the diagonal
+    # rung's maxima (margin 2m) are the same floats, and its weighted l2
+    # is the four-variable root mean square up to summation order
+    diag = sample_solution(SolutionFamily("lifted-chiral", ROTATION_FAMILY.A,
+                                          ROTATION_FAMILY.B), sdym_grid(n))
+    rung = SolutionFields(SDYM, diag)
+    params = {"M": NILPOTENT_A, "L": NILPOTENT_B}
+    X = SDYM.potential_name
+    env = rung.env.bind(params=params, potentials={X: rung.potential})
+    J4 = _lift(diag.values, n)
+    env4 = GridEnv(Grid.regular(SDYM.vs.names, -0.25, 0.5 / (n - 1), n),
+                   {SDYM.field_name: J4}, params=params,
+                   potentials={X: _lift(rung.potential, n)})
+    inv4 = kernels.inv(J4)
+
+    pairs = [(fd_residual_field_equation(rung, m),
+              eval_on_grid(field_equation_residual(SDYM), env4))]
+    for v, rhs in SDYM.potential_rules[X].items():
+        e = SDYM.vs.pot(X, v) - rhs
+        pairs.append((rung.stats(eval_on_grid(e, env), m),
+                      eval_on_grid(e, env4)))
+    for q in SDYM.catalog:
+        Q = eval_characteristic(q, rung, params)
+        w4 = inv4 @ eval_on_grid(q.body.expr, env4)
+        pairs.append((conservation_residual(rung, Q, m),
+                      _reference_divergence(env4, w4)))
+        pairs.append((rung.stats(np.trace(rung.inverse @ Q.values,
+                                          axis1=-2, axis2=-1), m),
+                      np.trace(w4, axis1=-2, axis2=-1)))
+    assert len(pairs) == 3 + 2 * len(SDYM.catalog)
+    for got, ref in pairs:
+        core = np.abs(ref[(slice(m, -m),) * 4])
+        assert (got.max, got.margin, got.h) == (core.max(), m, 0.5 / (n - 1))
+        assert got.l2 == pytest.approx(np.sqrt(np.mean(core ** 2)),
+                                       rel=1e-12, abs=0)
+
+
+def test_unpaired_stats_are_the_plain_root_mean_square():
+    arr = np.random.default_rng(3).standard_normal((17, 19, 2, 2))
+    grid = Grid((Axis(0.0, 0.1, 17), Axis(0.0, 0.1, 19)), ("t", "x"))
+    st = residual_stats(arr, grid, 3)
+    core = np.abs(arr[3:-3, 3:-3])
+    assert st.max == float(core.max())
+    assert st.l2 == float(np.sqrt(np.mean(core ** 2)))
 
 
 def test_cached_fields_match_fresh_evaluation():
@@ -806,9 +888,9 @@ def test_cached_fields_match_fresh_evaluation():
     ids=["chiral", "sdym"])
 def test_dropped_cache_is_recomputed_equal(eq, family, grid):
     rung = SolutionFields(eq, sample_solution(family, grid))
+    nv = len(eq.vs.names)
     atoms = [Field(eq.field_name, orders)
-             for orders in ((1,) + (0,) * (len(grid.axes) - 1),
-                            (1, 1) + (0,) * (len(grid.axes) - 2))]
+             for orders in ((1,) + (0,) * (nv - 1), (1, 1) + (0,) * (nv - 2))]
     before = [rung.env.atom_values(a) for a in atoms]
     potential, inverse = rung.potential, rung.inverse
     connections = rung.connections
@@ -858,8 +940,8 @@ def test_eval_characteristic_binds_the_rung_potential(eq, family, grid,
     got = eval_characteristic(q, rung, params)
     # the same form with the integrated potential bound by hand
     X = compute_potential(SolutionFields(eq, u)).field.values
-    env = GridEnv(grid, {eq.field_name: u.values}, params=params,
-                  potentials={eq.potential_name: X})
+    env = SolutionFields(eq, u).env.bind(params=params,
+                                          potentials={eq.potential_name: X})
     assert np.array_equal(got.values, eval_on_grid(q.body.expr, env))
     # the rung integrates its potential once and keeps it
     assert np.array_equal(rung.potential, X)
