@@ -164,6 +164,11 @@ class RunConfig:
                     f"(n -> 2n-1); got {a} -> {b}")
         if n0 <= 2 * self.base_margin:
             raise ConfigInvalid("base margin leaves no interior points")
+        names, known = set(self.matrices), set(_DEFAULT_MATRICES)
+        if names != known:
+            raise ConfigInvalid(
+                f"parameter matrices must be {sorted(known)}; missing "
+                f"{sorted(known - names)}, unknown {sorted(names - known)}")
         for name, m in self.matrices.items():
             m = np.asarray(m)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -912,12 +917,20 @@ def emit_report(report: dict, fmt: str = "structured") -> str:
 
 
 def write_atomic(path: str, text: str):
+    """Write ``text`` to a temporary file beside ``path``, then rename it
+    over ``path``.  A failed write removes the temporary file; an OSError
+    is raised as IoFailure."""
     d = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".symlax-")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
         raise IoFailure(f"cannot write {path!r}: {exc}")
 

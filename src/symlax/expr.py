@@ -11,8 +11,8 @@ are equal, and an expression represents the zero matrix iff it has no
 monomials.
 
 A small "raw" tree layer (sums, products, commutators, inverses held
-unexpanded) is kept for serialization round-trips and for independent
-numeric cross-checks of normalized identities.
+unexpanded) is the unnormalized oracle of the tests: ``normalize`` and
+``evaluate`` check the normal form against it numerically.
 """
 
 from __future__ import annotations

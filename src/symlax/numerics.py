@@ -6,6 +6,11 @@ conservation residuals of the charge hierarchy, potential consistency and
 path independence, Lax wavefunction integration, and convergence-order
 measurement.  A perturbed off-shell family provides negative controls.
 
+Every path integral, the potential's X_x = a, X_t = -b and the
+wavefunction's phi_x = [Cx, phi], phi_t = [Ct, phi], goes through one
+function, ``_staircase_paths``: both staircase paths from the grid's corner,
+one kept, the other compared with it; their difference fails off-shell.
+
 Every grid check takes one rung of a ladder, a ``SolutionFields``: the
 equation, the sampled solution and what is derived from the sample
 (u^-1, field derivatives, slot connections and the potential), each
@@ -568,41 +573,58 @@ def conservation_residual(fields: SolutionFields, qgrid: GridField,
 
 
 # ---------------------------------------------------------------------------
-# Potential integration
+# Staircase path integration
 # ---------------------------------------------------------------------------
 
-def _staircase(integrands: Dict[int, np.ndarray], grid: Grid,
-               order: Sequence[int]) -> np.ndarray:
-    """Trapezoidal staircase integral from the grid origin.
+def _staircase_paths(march, coef, start: np.ndarray, grid: Grid, keep: int):
+    """Both staircase paths of a first-order system over a two-axis grid
+    from ``start`` at its corner, a stack of systems ``(S, 1, N, N)``.  The
+    path of edge axis e marches along e at index 0 of the other axis, then
+    from that edge along every line of the other.  ``march(start, coef, m,
+    h)`` yields the value at each of m points, for every line at once;
+    ``coef(axis, idx)`` is the coefficient along ``axis`` at grid points
+    ``idx``.  Returns the path of edge axis ``keep``, one array per system
+    of the promoted dtype of ``start`` and every coefficient, and per
+    system its largest difference from the other path, which is compared
+    one slab at a time and never stored."""
+    def at(axis, k, rest):  # grid index: k along axis, rest along the other
+        return (k, rest) if axis == 0 else (rest, k)
 
-    ``integrands[axis]`` is the partial-derivative sample along that axis.
-    Later axes in ``order`` are held at index 0 while integrating earlier
-    ones, giving the axis-aligned staircase path.
-    """
-    shape = next(iter(integrands.values())).shape
-    total = np.zeros(shape)
-    for i, axis in enumerate(order):
-        f = integrands[axis]
-        # slice later-order axes at 0
-        idx = [slice(None)] * len(grid.axes)
-        for later in order[i + 1:]:
-            idx[later] = slice(0, 1)
-        part = _cumulative_trapezoid(f[tuple(idx)], grid.axes[axis].h, axis)
-        total = total + np.broadcast_to(part, shape)
-    return total
+    def path(e):
+        o = 1 - e
+        edge = np.concatenate(list(march(
+            start, lambda k: coef(e, at(e, k, slice(0, 1))),
+            grid.counts[e], grid.spacings[e])), axis=-3)
+        return march(edge, lambda k: coef(o, at(o, k, slice(None))),
+                     grid.counts[o], grid.spacings[o])
+
+    corner = (slice(0, 1), 0)
+    dtype = np.result_type(start, coef(0, corner), coef(1, corner))
+    kept = [np.empty(grid.counts + start.shape[-2:], dtype) for _ in start]
+    for k, p in enumerate(path(keep)):
+        idx = at(1 - keep, k, slice(None))
+        for out, q in zip(kept, p):
+            out[idx] = q
+    resid = np.zeros(len(kept))
+    for k, p in enumerate(path(1 - keep)):
+        idx = at(keep, k, slice(None))
+        resid = np.maximum(resid, [np.abs(out[idx] - q).max()
+                                   for out, q in zip(kept, p)])
+    return kept, resid.tolist()
 
 
-def _cumulative_trapezoid(y: np.ndarray, dx: float, axis: int) -> np.ndarray:
-    """Running trapezoid integral of ``y`` along ``axis`` from 0 at the first
-    point: the expression of scipy's ``cumulative_trapezoid(y, dx=dx,
-    axis=axis, initial=0.0)``, in numpy alone."""
-    lo = [slice(None)] * y.ndim
-    hi = [slice(None)] * y.ndim
-    lo[axis], hi[axis] = slice(None, -1), slice(1, None)
-    steps = np.cumsum(dx * (y[tuple(hi)] + y[tuple(lo)]) / 2.0, axis=axis)
-    out = np.zeros(y.shape, dtype=steps.dtype)
-    out[tuple(hi)] = steps
-    return out
+def _trapezoid_leg(start, coef, m, h):
+    """Yield ``start`` plus the running trapezoid integral of ``coef(k)``
+    at each of the m points of a line: the steps h (f[k+1] + f[k]) / 2
+    summed in order, as ``np.cumsum`` sums them."""
+    yield start + 0.0
+    run, f0 = None, coef(0)
+    for k in range(1, m):
+        f1 = coef(k)
+        step = h * (f1 + f0) / 2.0
+        run = step if run is None else run + step
+        yield start + run
+        f0 = f1
 
 
 @dataclass(frozen=True)
@@ -612,9 +634,10 @@ class PotentialResult:
 
 
 def compute_potential(fields: SolutionFields) -> PotentialResult:
-    """Integrate the potential defining system of a rung from the origin
-    (base value zero) along a staircase path; the transposed path measures
-    path-independence, which fails off-shell."""
+    """Integrate the potential defining system of a rung from the grid's
+    corner (base value zero) along the staircase path t first, then x along
+    every row; the path x first is compared with it, and their largest
+    difference, ``path_residual``, fails off-shell."""
     eq = fields.eq
     X, resid = _integrate_potential(fields, eq.potential_rules[eq.potential_name],
                                     fields.env)
@@ -624,10 +647,10 @@ def compute_potential(fields: SolutionFields) -> PotentialResult:
 def _integrate_potential(fields: SolutionFields, rules: Dict[str, JetExpr],
                          env: GridEnv) -> Tuple[np.ndarray, float]:
     """Samples of the potential whose first derivatives are ``rules``,
-    evaluated in ``env`` over the rung ``fields``, and the largest
-    difference between the two staircase orders; a difference above
-    tolerance raises PathInconsistent, a grid axis the rules leave free
-    UnboundAtom."""
+    evaluated in ``env`` over the rung ``fields``, along the staircase path
+    t first, and its largest difference from the path x first; a
+    difference above tolerance raises PathInconsistent, a grid axis the
+    rules leave free UnboundAtom."""
     grid = fields.u.grid
     integrands: Dict[int, np.ndarray] = {}
     for v, rhs in rules.items():
@@ -637,17 +660,17 @@ def _integrate_potential(fields: SolutionFields, rules: Dict[str, JetExpr],
             f"potential rules along {sorted(rules)} leave a direction of "
             f"the grid free; numerical integration is underdetermined")
 
-    order = sorted(integrands)
-    X1 = _staircase(integrands, grid, order)
-    X2 = _staircase(integrands, grid, list(reversed(order)))
-    resid = float(np.abs(X1 - X2).max())
+    # kept path: t first along x = 0, then x along every row
+    (X,), (resid,) = _staircase_paths(
+        _trapezoid_leg, lambda axis, idx: integrands[axis][idx],
+        np.zeros((1, 1) + integrands[0].shape[-2:]), grid, keep=0)
     tol = _potential_tolerance(grid, integrands)
     if resid > tol:
         raise PathInconsistent(
             f"potential integration is path-dependent "
             f"(residual {resid:.3e} > tol {tol:.3e}); input is off-shell",
             residual=resid)
-    return X1, resid
+    return X, resid
 
 
 def _potential_tolerance(grid: Grid, integrands) -> float:
@@ -711,13 +734,14 @@ def _check_lambda(lam):
 def integrate_lax(fields: SolutionFields, lams: Sequence[complex],
                   phi0: Optional[np.ndarray] = None) -> List[LaxIntegration]:
     """Integrate the explicit first-order form of the Lax pair for the
-    wavefunction phi = u^-1 Psi on a rung, along both staircase orders,
+    wavefunction phi = u^-1 Psi on a rung, along both staircase paths,
     for every spectral value of ``lams`` at once: one integration per
-    value, in order.  The maximum pointwise difference between the two
-    sweeps is the compatibility residual (it vanishes with h only
-    on-shell).  Every value is checked before the march, which runs on the
-    rung's connections.  A stack that holds a complex value is marched in
-    complex."""
+    value, in order.  ``phi`` holds the path that runs x first along
+    t = 0, then t along every column; its maximum pointwise difference
+    from the path t first is the compatibility residual (it vanishes with
+    h only on-shell).  Every value is checked before the march, which runs
+    on the rung's connections.  A stack that holds a complex value is
+    marched in complex."""
     for lam in lams:
         _check_lambda(lam)
     n = fields.u.n_dim
@@ -728,9 +752,23 @@ def integrate_lax(fields: SolutionFields, lams: Sequence[complex],
         phi0 = np.eye(n) + 0.5 * rng.standard_normal((n, n))
     phi0 = np.asarray(phi0)
 
-    grid = fields.u.grid
+    lam = np.asarray(lams).reshape(-1, 1, 1, 1)
+    den = 1.0 + lam * lam
     a, b = fields.connections
-    phis, resids = _integrate_lax_2d(grid, a, b, lams, phi0)
+
+    def coef(axis, idx):
+        """Ct = -(lam b + lam^2 a)/(1+lam^2) along t, Cx = (lam a -
+        lam^2 b)/(1+lam^2) along x, for the whole stack of values."""
+        ak, bk = a[idx], b[idx]
+        if axis == 0:
+            return -(lam * bk + lam * lam * ak) / den
+        return (lam * ak - lam * lam * bk) / den
+
+    # kept path: x first along t = 0, then t along every column
+    grid = fields.u.grid
+    phis, resids = _staircase_paths(
+        _march_lines, coef, np.broadcast_to(phi0, (len(lam), 1) + phi0.shape),
+        grid, keep=1)
     return [LaxIntegration(fields, GridField(grid, phi), r)
             for phi, r in zip(phis, resids)]
 
@@ -758,45 +796,6 @@ def _march_lines(phi_start, coef, m, h):
         k4 = commutator(c1, p + h * k3)
         p = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         yield p
-
-
-def _integrate_lax_2d(grid: Grid, a, b, lams, phi0):
-    """Two staircase sweeps of phi_x = [Cx, phi], phi_t = [Ct, phi] where
-    Cx = (lam a - lam^2 b)/(1+lam^2), Ct = -(lam b + lam^2 a)/(1+lam^2),
-    one march per direction for the whole stack of spectral values.  The
-    result is sweep A's phi, one array per value, and per value the largest
-    pointwise difference from sweep B, which is compared with sweep A one
-    column at a time and never stored."""
-    lam = np.asarray(lams).reshape(-1, 1, 1, 1)
-    den = 1.0 + lam * lam
-
-    def Cx(ak, bk):
-        return (lam * ak - lam * lam * bk) / den
-
-    def Ct(ak, bk):
-        return -(lam * bk + lam * lam * ak) / den
-
-    nt, nx = grid.counts
-    ht, hx = grid.spacings
-    start = np.broadcast_to(phi0, (len(lam), 1) + phi0.shape)
-
-    # order A: x first along t=0, then t upward on every column
-    edge = np.concatenate(list(_march_lines(
-        start, lambda k: Cx(a[0, k:k + 1], b[0, k:k + 1]), nx, hx)), axis=1)
-    phis = [np.empty((nt,) + e.shape, dtype=edge.dtype) for e in edge]
-    for k, p in enumerate(_march_lines(edge, lambda k: Ct(a[k], b[k]),
-                                       nt, ht)):
-        for phi, q in zip(phis, p):
-            phi[k] = q
-    # order B: t first along x=0, then x along every row
-    edge = np.concatenate(list(_march_lines(
-        start, lambda k: Ct(a[k:k + 1, 0], b[k:k + 1, 0]), nt, ht)), axis=1)
-    resid = np.zeros(len(phis))
-    for k, p in enumerate(_march_lines(edge, lambda k: Cx(a[:, k], b[:, k]),
-                                       nx, hx)):
-        resid = np.maximum(resid, [np.abs(phi[:, k] - q).max()
-                                   for phi, q in zip(phis, p)])
-    return phis, resid.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,8 @@ def integrate_bt_symbolic(sys: BTSystem) -> Characteristic:
 
 @dataclass
 class Hierarchy:
-    seed: Characteristic
+    """The charges of a window by level, the seed at level 0, with each
+    level's verdict."""
     charges: Dict[int, Characteristic] = dc_field(default_factory=dict)
     verdicts: Dict[int, str] = dc_field(default_factory=dict)
     notes: List[str] = dc_field(default_factory=list)
@@ -191,7 +192,7 @@ def generate_hierarchy(eq: EquationDef, seed: Characteristic,
     if seed.index != 0:
         raise ValueError("seed must sit at level 0")
 
-    h = Hierarchy(seed=seed)
+    h = Hierarchy()
     h.charges[0] = seed
     h.verdicts[0] = _verdict_of(eq, seed)
 
@@ -259,7 +260,6 @@ class LaxSystem:
     cross_identity: JetExpr       # cross-derivative residue + lam*S(psi): zero
     covariant_identity: JetExpr   # covariant residue - S(psi) + [F, u^-1 psi]: zero
     covariant_residue_on_shell: JetExpr  # reduce of (covariant residue - S): zero
-    symmetry_form: JetExpr        # S(psi; u)
 
 
 def _lax_constraints(eq: EquationDef, w: JetExpr) -> Tuple[JetExpr, JetExpr]:
@@ -296,7 +296,7 @@ def lax_pair(eq: EquationDef, psi_name: str = "psi") -> LaxSystem:
     on_shell = reduce_mod_field_equation(Ccoef - S, eq)
 
     return LaxSystem(eq, psi_name, (e1, e2), cross_identity,
-                     covariant_identity, on_shell, S)
+                     covariant_identity, on_shell)
 
 
 def lax_truncation_residues(eq: EquationDef, charges: Dict[int, Characteristic]

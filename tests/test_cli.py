@@ -137,6 +137,14 @@ def test_overrides_beat_file(tmp_path):
     dict(zero_floor=-1e-9),
     dict(offshell_factor=float("inf")),
     dict(eps=float("nan")),
+    # a parameter matrix missing, or one the equations do not read
+    dict(matrices={"A": np.eye(2), "X": np.eye(2)}),
+    dict(matrices={k: np.asarray(v) for k, v in _DEFAULT_MATRICES.items()
+                   if k != "L"}),
+    dict(equation="sdym",
+         matrices={k: np.asarray(v) for k, v in _DEFAULT_MATRICES.items()
+                   if k != "M"}),
+    dict(matrices=dict(_DEFAULT_MATRICES, C=np.eye(2))),
 ])
 def test_invalid_configs_rejected(kw):
     with pytest.raises(ConfigInvalid):
@@ -404,6 +412,22 @@ def test_write_atomic(tmp_path):
     write_atomic(str(p), "world\n")
     assert p.read_text() == "world\n"
     assert [f for f in os.listdir(p.parent)] == ["r.json"]
+
+
+def test_write_atomic_failure_leaves_no_temp_file(tmp_path):
+    # the target is a directory, or the text cannot be encoded
+    (tmp_path / "r.json").mkdir()
+    with pytest.raises(IoFailure):
+        write_atomic(str(tmp_path / "r.json"), "hello\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_atomic(str(tmp_path / "s.json"), "\ud800")
+    assert os.listdir(tmp_path) == ["r.json"]
+
+
+def test_matrix_names_are_named_when_wrong():
+    with pytest.raises(ConfigInvalid, match=r"missing \['B', 'L', 'M'\], "
+                                            r"unknown \['X'\]"):
+        load_config(matrices={"A": np.eye(2), "X": np.eye(2)})
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,7 @@ from symlax.numerics import (
     GridField,
     SolutionFamily,
     SolutionFields,
-    _cumulative_trapezoid,
-    _integrate_lax_2d,
+    _trapezoid_leg,
     compute_potential,
     conservation_residual,
     convergence_order,
@@ -366,15 +365,52 @@ def test_fd_residual_offshell_does_not_converge():
 @pytest.mark.parametrize("shape", [(9, 17), (5, 6, 7, 8), (9, 17, 2, 2)],
                          ids=["2d", "4d", "2d-matrix"])
 def test_cumulative_trapezoid_matches_scipy(shape):
+    # the trapezoid leg from a zero start, along every axis
     from scipy.integrate import cumulative_trapezoid
 
     y = np.random.default_rng(11).standard_normal(shape)
     for axis in range(len(shape)):
         for dx in (1.0 / 64, 0.3):
             want = cumulative_trapezoid(y, dx=dx, axis=axis, initial=0.0)
-            got = _cumulative_trapezoid(y, dx, axis)
+            start = np.zeros(shape[:axis] + shape[axis + 1:])
+            got = np.stack(list(_trapezoid_leg(
+                start, lambda k: y.take(k, axis), shape[axis], dx)),
+                axis=axis)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+
+def _two_path_reference(rung):
+    """Both staircase paths of the rung's potential, each built with
+    scipy's cumulative trapezoid: X1 runs t first along x = 0, then x along
+    every row; X2 runs x first along t = 0, then t along every column."""
+    from scipy.integrate import cumulative_trapezoid
+
+    eq = rung.eq
+    f = {rung.env.axes[eq.vs.index(v)]: eval_on_grid(r, rung.env)
+         for v, r in eq.potential_rules[eq.potential_name].items()}
+    ht, hx = rung.u.grid.spacings
+    X1 = (cumulative_trapezoid(f[0][:, :1], dx=ht, axis=0, initial=0.0)
+          + cumulative_trapezoid(f[1], dx=hx, axis=1, initial=0.0))
+    X2 = (cumulative_trapezoid(f[1][:1], dx=hx, axis=1, initial=0.0)
+          + cumulative_trapezoid(f[0], dx=ht, axis=0, initial=0.0))
+    return X1, X2
+
+
+# the rotation pair with A and B exchanged: its two paths part most on the
+# last row, the compared path's last slab
+@pytest.mark.parametrize("eq,kind,grid", [
+    (CHIRAL, "exponential-product", chiral_grid(17)),
+    (SDYM, "lifted-chiral", sdym_grid(9))], ids=["chiral", "sdym"])
+def test_potential_matches_two_path_reference(eq, kind, grid):
+    family = SolutionFamily(kind, ROTATION_FAMILY.B, ROTATION_FAMILY.A)
+    rung = SolutionFields(eq, sample_solution(family, grid))
+    X1, X2 = _two_path_reference(rung)
+    res = compute_potential(rung)
+    assert np.array_equal(res.field.values, X1)
+    gap = np.abs(X1 - X2)
+    assert gap[-1].max() == gap.max() > 0
+    assert res.path_residual == float(gap.max())
 
 
 def test_potential_matches_closed_form():
@@ -692,16 +728,15 @@ def _ref_lax_2d(grid, a, b, lam, phi0):
                          ids=["nilpotent", "rotation"])
 def test_batched_lax_2d_matches_per_line_reference(family):
     grid = chiral_grid(17)
-    u = sample_solution(family, grid)
-    a, b = SolutionFields(CHIRAL, u).connections
+    rung = SolutionFields(CHIRAL, sample_solution(family, grid))
+    a, b = rung.connections
     phi0 = np.array([[1.2, -0.4], [0.3, 0.9]])
     lams = (0.5, 2.0)
-    phis, resids = _integrate_lax_2d(grid, a, b, lams, phi0)
-    for lam, phi, resid in zip(lams, phis, resids):
+    for lam, out in zip(lams, integrate_lax(rung, lams, phi0)):
         phiA, phiB = _ref_lax_2d(grid, a, b, lam, phi0)
-        assert np.array_equal(phi, phiA)
+        assert np.array_equal(out.phi.values, phiA)
         # sweep B is never stored: its running comparison is the residual
-        assert resid == float(np.abs(phiA - phiB).max())
+        assert out.compat_residual == float(np.abs(phiA - phiB).max())
 
 
 @pytest.mark.parametrize("family", [nilpotent_family(), ROTATION_FAMILY],
