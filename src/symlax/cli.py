@@ -61,7 +61,6 @@ from .errors import ConfigInvalid, IoFailure, NonMonotone, SymlaxError
 from .expr import comm
 from .numerics import (
     GridField,
-    LaxIntegration,
     ResidualStats,
     SolutionFamily,
     SolutionFields,
@@ -135,8 +134,10 @@ class RunConfig:
             raise ConfigInvalid("hierarchy window must contain 0")
         if not self.lambdas:
             raise ConfigInvalid("need at least one spectral value")
-        if not all(np.isfinite(l) and l != 0 for l in self.lambdas):
-            raise ConfigInvalid("spectral values must be finite and nonzero")
+        for l in self.lambdas:
+            if l == 0 or not np.isfinite(1.0 + l * l):
+                raise ConfigInvalid(f"spectral value {l:g} must be nonzero, "
+                                    f"with 1 + lambda^2 finite")
         tags = [f"{l:g}" for l in self.lambdas]
         if len(set(tags)) < len(tags):
             raise ConfigInvalid(
@@ -531,7 +532,7 @@ class _RunContext:
         self.hs = [max(g.spacings) for g in self.grids]
         self._rungs: Dict[int, SolutionFields] = {}
         self._hierarchies: Dict[Tuple[str, int, int], Hierarchy] = {}
-        self._lax: Dict[Tuple[float, int], LaxIntegration] = {}
+        self._lax: Dict[Tuple[float, int], Tuple[float, ResidualStats]] = {}
 
     def rung(self, i: int) -> SolutionFields:
         if i not in self._rungs:
@@ -547,18 +548,21 @@ class _RunContext:
                 self.eq, _seed_by_provenance(self.eq, seed), lo, hi)
         return self._hierarchies[key]
 
-    def lax(self, lam: float, i: int, last: bool = False) -> LaxIntegration:
-        """The Lax integration at spectral value ``lam`` on rung i.  Every
-        spectral value of a rung is integrated in one march, at the first
-        read of the rung, which first drops the cached arrays the march
-        does not read.  The ``last`` read of an integration releases it."""
+    def lax(self, lam: float, i: int) -> Tuple[float, ResidualStats]:
+        """The compatibility residual of the Lax integration at spectral
+        value ``lam`` on rung i, and the conservation residual of its
+        psi.  Every spectral value of a rung is integrated in one march,
+        at the first read of the rung, which first drops the cached arrays
+        the march does not read.  Each integration is reduced to these two
+        numbers as soon as it is made, and its arrays are released."""
         if (lam, i) not in self._lax:
             rung = self.rung(i)
             rung.drop_cache()
             lams = self.cfg.lambdas
-            self._lax.update(zip([(l, i) for l in lams],
-                                 integrate_lax(rung, lams)))
-        return self._lax.pop((lam, i)) if last else self._lax[(lam, i)]
+            for l, lax in zip(lams, integrate_lax(rung, lams)):
+                self._lax[(l, i)] = (lax.compat_residual,
+                                     self.conservation(lax.psi, i))
+        return self._lax[(lam, i)]
 
     @functools.cached_property
     def twin(self) -> "_RunContext":
@@ -754,8 +758,8 @@ def _negative_control_claims(ctx: _RunContext) -> List[Claim]:
 
     def lax_ratio() -> ClaimResult:
         lam = cfg.lambdas[0]
-        off = ctx.lax(lam, i).compat_residual
-        on = ctx.twin.lax(lam, i, last=True).compat_residual
+        off, _ = ctx.lax(lam, i)
+        on, _ = ctx.twin.lax(lam, i)
         ratio = _offshell_ratio(off, on)
         ok = ratio >= cfg.offshell_factor
         return ClaimResult(ok, detail=f"off/on ratio = {ratio:.3e} "
@@ -798,14 +802,14 @@ def _negative_control_claims(ctx: _RunContext) -> List[Claim]:
 
 def lax_claims(ctx: _RunContext) -> List[Claim]:
     """Each (lambda, rung) integration is read by the path-independence
-    claim and released by the symmetry claim after it."""
+    claim and the symmetry claim, as the two residuals it was reduced
+    to."""
     claims: List[Claim] = []
     for lam in ctx.cfg.lambdas:
         tag = f"{lam:g}"
 
         def compat(lam=lam) -> ClaimResult:
-            vals = [ctx.lax(lam, i).compat_residual
-                    for i in range(len(ctx.grids))]
+            vals = [ctx.lax(lam, i)[0] for i in range(len(ctx.grids))]
             stats = [{"max": _fmt(v), "h": _fmt(h)}
                      for v, h in zip(vals, ctx.hs)]
             return _order_result(vals, stats, ctx.hs, ctx.cfg)
@@ -821,8 +825,7 @@ def lax_claims(ctx: _RunContext) -> List[Claim]:
             f"the integrated wavefunction satisfies the linearized equation "
             f"to second order at spectral value {tag}",
             "lax", ctx.offshell,
-            lambda i, lam=lam: ctx.conservation(
-                ctx.lax(lam, i, last=True).psi, i)))
+            lambda i, lam=lam: ctx.lax(lam, i)[1]))
     return claims
 
 

@@ -380,7 +380,8 @@ class GridEnv:
 
 def eval_on_grid(e: JetExpr, env: GridEnv) -> np.ndarray:
     """Pointwise evaluation of a normal-form expression over the grid; a
-    monomial with a power of the spectral parameter raises UnboundAtom."""
+    monomial with a power of the spectral parameter, or with a coordinate
+    the grid has no axis for, raises UnboundAtom."""
     n = env.matdim()
     shape = env.grid.counts + (n, n)
     out = None
@@ -391,6 +392,8 @@ def eval_on_grid(e: JetExpr, env: GridEnv) -> np.ndarray:
         scal = float(coef)
         term = None
         for c in coords:
+            if c not in env.grid.names:  # a lifted rung's plain variable
+                raise UnboundAtom(f"no grid data for coordinate {c!r}")
             arr = env.grid.coord_array(c)[..., None, None]
             term = arr * eye if term is None else term * arr
         for a in factors:
@@ -727,8 +730,10 @@ def _check_lambda(lam):
         raise ValueError("spectral parameter must be finite")
     if lam == 0:
         raise ZeroLambda("spectral parameter must be nonzero")
-    if abs(1.0 + lam * lam) < 1e-8:
-        raise SingularLambda("1 + lambda^2 vanishes; elimination is singular")
+    den = 1.0 + lam * lam
+    if not np.isfinite(den) or abs(den) < 1e-8:
+        raise SingularLambda(f"1 + lambda^2 vanishes or overflows at "
+                             f"lambda = {lam}; elimination is singular")
 
 
 def integrate_lax(fields: SolutionFields, lams: Sequence[complex],

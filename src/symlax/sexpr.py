@@ -21,16 +21,22 @@ Grammar (whitespace-separated tokens, fully parenthesized)::
               | "(dpot"   NAME orders ")"
     orders   := "(o" INT* ")"                        ; one count per variable
     COEF     := INT | INT "/" POSINT                 ; e.g. -3/4
+    INT      := "-"? [0-9]+                          ; >= 0 in cap, orders
+    POSINT   := [0-9]* [1-9] [0-9]*
     NAME     := [A-Za-z_][A-Za-z0-9_]*
 
-An empty ``(sum)`` is the zero matrix.
+Variable names are distinct, and the total order of a multi-index is at
+most the cap.  An empty ``(sum)`` is the zero matrix.  ``loads`` rebuilds
+each monomial by multiplying its parts, so what it returns is in normal
+form (like monomials collected, adjacent ``g g^-1`` cancelled); a document
+outside the grammar raises IoFailure.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Optional
+from typing import Optional
 
 from .errors import IoFailure
 from .expr import (
@@ -45,6 +51,8 @@ from .expr import (
 )
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_INT_RE = re.compile(r"-?[0-9]+")
+_COEF_RE = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
 _TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
 
 
@@ -94,105 +102,108 @@ def dumps(e: JetExpr) -> str:
 # Reading
 # ---------------------------------------------------------------------------
 
-def _tokenize(text: str) -> List[str]:
-    return _TOKEN_RE.findall(text)
+def _show(tok) -> str:
+    """A token for an error message; a nested list is not spelled out."""
+    return repr(tok) if isinstance(tok, str) else "a parenthesized list"
 
 
-class _Parser:
-    def __init__(self, tokens: List[str]):
-        self.toks = tokens
-        self.pos = 0
-
-    def peek(self) -> Optional[str]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self) -> str:
-        t = self.peek()
-        if t is None:
-            raise IoFailure("unexpected end of input")
-        self.pos += 1
-        return t
-
-    def expect(self, tok: str):
-        t = self.next()
-        if t != tok:
-            raise IoFailure(f"expected {tok!r}, found {t!r}")
-
-    def open_tag(self, tag: str):
-        self.expect("(")
-        self.expect(tag)
-
-    def names_until_close(self) -> List[str]:
-        out = []
-        while self.peek() != ")":
-            name = self.next()
-            if not _NAME_RE.match(name):
-                raise IoFailure(f"bad name token {name!r}")
-            out.append(name)
-        self.next()
-        return out
-
-    def int_(self) -> int:
-        t = self.next()
-        try:
-            return int(t)
-        except ValueError:
-            raise IoFailure(f"expected integer, found {t!r}")
-
-    def fraction(self) -> Fraction:
-        t = self.next()
-        try:
-            return Fraction(t)
-        except ValueError:
-            raise IoFailure(f"expected rational, found {t!r}")
-
-    def orders(self, arity: int) -> tuple:
-        self.open_tag("o")
-        out = []
-        while self.peek() != ")":
-            out.append(self.int_())
-        self.next()
-        if len(out) != arity:
-            raise IoFailure(f"multi-index arity {len(out)}, expected {arity}")
-        if any(k < 0 for k in out):
-            raise IoFailure("negative derivative count")
-        return tuple(out)
-
-    def atom(self, arity: int) -> Atom:
-        self.expect("(")
-        kind = self.next()
-        name = self.next()
-        if not _NAME_RE.match(name):
-            raise IoFailure(f"bad name token {name!r}")
-        if kind == "field":
-            a = Field(name, self.orders(arity))
-        elif kind == "inv":
-            a = InvField(name)
-        elif kind == "param":
-            a = Param(name)
-        elif kind == "pot":
-            a = Potential(name, self.orders(arity))
-        elif kind == "dpot":
-            a = DPotential(name, self.orders(arity))
+def _read(text: str):
+    """The document as nested lists of tokens, built with an explicit stack,
+    so deep nesting costs memory, not recursion."""
+    stack = [[]]
+    for tok in _TOKEN_RE.findall(text):
+        if tok == "(":
+            stack.append([])
+        elif tok != ")":
+            stack[-1].append(tok)
+        elif len(stack) > 1:
+            done = stack.pop()
+            stack[-1].append(done)
         else:
-            raise IoFailure(f"unknown atom kind {kind!r}")
-        self.expect(")")
-        return a
+            raise IoFailure("unbalanced ')'")
+    match stack:
+        case [[doc]]:
+            return doc
+        case [[_, extra, *_]]:
+            raise IoFailure(f"trailing tokens after document: {_show(extra)}")
+    raise IoFailure("unexpected end of input")
+
+
+def _token(tok, pattern: re.Pattern = _NAME_RE, what: str = "a name") -> str:
+    if isinstance(tok, str) and pattern.fullmatch(tok):
+        return tok
+    raise IoFailure(f"expected {what}, found {_show(tok)}")
+
+
+def _int(tok) -> int:
+    try:
+        return int(_token(tok, _INT_RE, "an integer"))
+    except ValueError:  # more digits than the interpreter converts
+        raise IoFailure(f"integer {tok[:20]}... has too many digits")
+
+
+def _coef(tok) -> Fraction:
+    num, _, den = _token(tok, _COEF_RE, "INT or INT/POSINT").partition("/")
+    return Fraction(_int(num), _int(den or "1"))
+
+
+def _orders(tok, vs: VarSpace) -> tuple:
+    match tok:
+        case ["o", *counts] if len(counts) == vs.arity:
+            out = tuple(_int(k) for k in counts)
+        case _:
+            raise IoFailure(f"expected (o INT*) with {vs.arity} counts, "
+                            f"found {_show(tok)}")
+    if min(out, default=0) < 0 or sum(out) > vs.max_order:
+        raise IoFailure(f"derivative counts {out} are negative or exceed "
+                        f"the cap {vs.max_order}")
+    return out
+
+
+_ORDERED = {"field": Field, "pot": Potential, "dpot": DPotential}
+_BARE = {"inv": InvField, "param": Param}
+
+
+def _atom(tok, vs: VarSpace) -> Atom:
+    match tok:
+        case [str(kind), name, orders] if kind in _ORDERED:
+            return _ORDERED[kind](_token(name), _orders(orders, vs))
+        case [str(kind), name] if kind in _BARE:
+            return _BARE[kind](_token(name))
+    raise IoFailure(f"expected an atom, found {_show(tok)}")
+
+
+def _monomial(tok, vs: VarSpace) -> JetExpr:
+    match tok:
+        case ["mon", coef, lam, ["coords", *coords], ["factors", *factors]]:
+            term = vs.lam(_int(lam)).scale(_coef(coef))
+            for c in coords:
+                if _token(c) not in vs.names:
+                    raise IoFailure(f"coordinate {c!r} is not a variable")
+                term = term * vs.coord(c)
+            for a in factors:
+                term = term * vs.atom(_atom(a, vs))
+            return term
+    raise IoFailure("expected (mon COEF INT (coords ...) (factors ...)), "
+                    f"found {_show(tok)}")
 
 
 def loads(text: str, vs: Optional[VarSpace] = None) -> JetExpr:
-    """Parse a serialized expression.
+    """Parse a serialized expression into its normal form.
 
     When ``vs`` is given the document's variable space must match it exactly
     and the result is built over ``vs``; otherwise a fresh space is created.
     """
-    p = _Parser(_tokenize(text))
-    p.open_tag("jet")
-    p.open_tag("vars")
-    names = tuple(p.names_until_close())
-    p.open_tag("cap")
-    cap = p.int_()
-    p.expect(")")
+    match _read(text):
+        case ["jet", ["vars", *names], ["cap", cap], ["sum", *mons]]:
+            names, cap = tuple(_token(v) for v in names), _int(cap)
+        case doc:
+            raise IoFailure("expected (jet (vars ...) (cap INT) (sum ...)), "
+                            f"found {_show(doc)}")
+    if len(set(names)) != len(names):
+        raise IoFailure(f"variable names {names} are not distinct")
+    if cap < 0:
+        raise IoFailure(f"negative derivative cap {cap}")
     if vs is not None:
         if vs.names != names or vs.max_order != cap:
             raise IoFailure(
@@ -200,31 +211,9 @@ def loads(text: str, vs: Optional[VarSpace] = None) -> JetExpr:
                 f"space {vs.names}/cap {vs.max_order}")
     else:
         vs = VarSpace(names, max_order=cap)
-
-    p.open_tag("sum")
     out = vs.zero()
-    while p.peek() != ")":
-        p.open_tag("mon")
-        coef = p.fraction()
-        lam = p.int_()
-        p.open_tag("coords")
-        coords = p.names_until_close()
-        for c in coords:
-            if c not in vs.names:
-                raise IoFailure(f"coordinate {c!r} not in the variable space")
-        p.open_tag("factors")
-        factors = []
-        while p.peek() != ")":
-            factors.append(p.atom(vs.arity))
-        p.next()  # close factors
-        p.expect(")")  # close mon
-        term = JetExpr(vs, ((coef, lam, tuple(sorted(coords)),
-                             tuple(factors)),))
-        out = out + term
-    p.next()  # close sum
-    p.expect(")")  # close jet
-    if p.peek() is not None:
-        raise IoFailure(f"trailing tokens after document: {p.peek()!r}")
+    for m in mons:
+        out = out + _monomial(m, vs)
     return out
 
 

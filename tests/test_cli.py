@@ -145,6 +145,8 @@ def test_overrides_beat_file(tmp_path):
          matrices={k: np.asarray(v) for k, v in _DEFAULT_MATRICES.items()
                    if k != "M"}),
     dict(matrices=dict(_DEFAULT_MATRICES, C=np.eye(2))),
+    # a spectral value whose square overflows
+    dict(lambdas=(0.5, 1e200)),
 ])
 def test_invalid_configs_rejected(kw):
     with pytest.raises(ConfigInvalid):

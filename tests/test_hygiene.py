@@ -1,16 +1,19 @@
 """Source hygiene: every name a module imports is used in that module,
-and every private function or method is referenced by some module.
+every private function or method is referenced by some module, and every
+module parses as the oldest Python that ``pyproject.toml`` supports.
 
 An AST scan of ``src/symlax/*.py``.  The package ``__init__.py`` is left
 out of the import check: its imports are the public re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "symlax"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "symlax"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -84,3 +87,19 @@ def test_no_unreferenced_private_functions():
     unused = [f"{name} ({path}:{line})" for path, tree in sorted(trees.items())
               for name, line in _private_defs(tree) if name not in referenced]
     assert not unused, f"private functions no module references: {unused}"
+
+
+def _oldest_python():
+    """The minimum of ``requires-python`` in ``pyproject.toml``, read with
+    a pattern since ``tomllib`` is newer than some supported versions."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    m = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', text, re.M)
+    assert m, "pyproject.toml states no requires-python minimum"
+    return int(m.group(1)), int(m.group(2))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_sources_parse_on_the_oldest_python(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+              feature_version=_oldest_python())

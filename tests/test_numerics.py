@@ -579,7 +579,9 @@ def test_lax_lambda_guards(monkeypatch):
     for lams, error in [([0.0], ZeroLambda), ([1.0j], SingularLambda),
                         ([0.5, 2.0, 0.0], ZeroLambda),
                         ([0.5, -1.0j, 2.0], SingularLambda),
-                        ([0.5, float("nan")], ValueError)]:
+                        ([0.5, float("nan")], ValueError),
+                        ([0.5, 1e200], SingularLambda),
+                        ([-1e200j], SingularLambda)]:
         with pytest.raises(error):
             integrate_lax(rung, lams)
     assert marches == []
@@ -981,6 +983,23 @@ def test_eval_characteristic_binds_the_rung_potential(eq, family, grid,
     # the rung integrates its potential once and keeps it
     assert np.array_equal(rung.potential, X)
     assert rung.potential is rung.potential
+
+
+def test_eval_on_grid_reads_coordinates_off_the_grid():
+    # t g_t on a plain rung is the t axis's points times g_t; the diagonal
+    # grid of a lifted rung has no axis for a plain or barred coordinate
+    rung = SolutionFields(CHIRAL,
+                          sample_solution(ROTATION_FAMILY, chiral_grid(9)))
+    vs = CHIRAL.vs
+    got = eval_on_grid(vs.coord("t") * vs.field("g", "t"), rung.env)
+    g_t = rung.env.atom_values(Field("g", (1, 0)))
+    assert np.array_equal(
+        got, rung.u.grid.coord_array("t")[..., None, None] * g_t)
+    lifted = SolutionFields(SDYM, sample_solution(
+        nilpotent_family("lifted-chiral"), sdym_grid(9)))
+    with pytest.raises(UnboundAtom, match="coordinate 'y'"):
+        eval_on_grid(SDYM.vs.coord("y") * SDYM.vs.field("J", "y"),
+                     lifted.env)
 
 
 # ---------------------------------------------------------------------------
