@@ -103,6 +103,16 @@ DEFAULT_SEED = "right-action"
 # Run configuration
 # ---------------------------------------------------------------------------
 
+def _overflows_float(v) -> bool:
+    """Whether ``v`` is an integer too large to convert to a float."""
+    if isinstance(v, int):
+        try:
+            float(v)
+        except OverflowError:
+            return True
+    return False
+
+
 @dataclass
 class RunConfig:
     equation: str = "chiral"
@@ -134,6 +144,14 @@ class RunConfig:
             raise ConfigInvalid("hierarchy window must contain 0")
         if not self.lambdas:
             raise ConfigInvalid("need at least one spectral value")
+        reals = ("origin", "extent", "min_order", "zero_floor",
+                 "offshell_factor", "eps")
+        for name in ("lambdas",) + reals:
+            value = getattr(self, name)
+            if any(map(_overflows_float,
+                       value if name == "lambdas" else (value,))):
+                raise ConfigInvalid(
+                    f"{name} holds an integer too large for a float")
         for l in self.lambdas:
             if l == 0 or not np.isfinite(1.0 + l * l):
                 raise ConfigInvalid(f"spectral value {l:g} must be nonzero, "
@@ -142,8 +160,7 @@ class RunConfig:
         if len(set(tags)) < len(tags):
             raise ConfigInvalid(
                 f"spectral values {tags} repeat a claim tag")
-        for name in ("origin", "extent", "min_order", "zero_floor",
-                     "offshell_factor", "eps"):
+        for name in reals:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigInvalid(f"{name} must be finite, "
                                     f"got {getattr(self, name)}")
@@ -515,7 +532,8 @@ class _RunContext:
     """Every product the claims of one run share, each made once, on first
     use: the sampled ladder, the hierarchies, the Lax integrations and, for
     an off-shell run, its on-shell twin.  Rung i is kept as a
-    ``SolutionFields``, which caches the arrays derived from the sample."""
+    ``SolutionFields``, which keeps u^-1, the connections and the
+    potential of its sample."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -552,9 +570,10 @@ class _RunContext:
         """The compatibility residual of the Lax integration at spectral
         value ``lam`` on rung i, and the conservation residual of its
         psi.  Every spectral value of a rung is integrated in one march,
-        at the first read of the rung, which first drops the cached arrays
-        the march does not read.  Each integration is reduced to these two
-        numbers as soon as it is made, and its arrays are released."""
+        at the first read of the rung, which first drops the rung's
+        potential, which the march does not read.  Each integration is
+        reduced to these two numbers as soon as it is made, and its arrays
+        are released."""
         if (lam, i) not in self._lax:
             rung = self.rung(i)
             rung.drop_cache()

@@ -12,11 +12,13 @@ function, ``_staircase_paths``: both staircase paths from the grid's corner,
 one kept, the other compared with it; their difference fails off-shell.
 
 Every grid check takes one rung of a ladder, a ``SolutionFields``: the
-equation, the sampled solution and what is derived from the sample
-(u^-1, field derivatives, slot connections and the potential), each
-computed once on first use.  The tower potentials a characteristic carries
-go through the same staircase integration on each evaluation, since their
-rules read the parameter matrices bound to it.
+equation, the sampled solution u and the three products of it that many
+checks read, u^-1, the slot connections and the potential, each computed
+once on first use and kept.  Field derivatives are not kept: each
+evaluation computes those it reads in an environment of its own, bound
+from the rung's, and frees them when it returns.  The tower potentials a
+characteristic carries go through the same staircase integration on each
+evaluation, since their rules read the parameter matrices bound to it.
 
 A lifted equation (SDYM, whose solutions J = g(y+yb, z+zb) depend on each
 plain/barred variable pair through its sum) is sampled on its diagonal
@@ -305,9 +307,10 @@ def sample_solution(family: SolutionFamily, grid: Grid) -> GridField:
 
 class GridEnv:
     """Binding of symbolic atoms to grid data: field samples, parameter
-    matrices and potential samples.  Finite-difference derivative arrays
-    are cached per atom; an environment made by ``bind`` reads and caches
-    its field atoms in the environment it was bound from."""
+    matrices and potential samples.  Every atom's array is cached per atom
+    for the environment's lifetime; an environment made by ``bind`` reads
+    inverse fields from the environment it was bound from and caches every
+    other atom itself."""
 
     def __init__(self, grid: Grid,
                  fields: Dict[str, np.ndarray],
@@ -326,9 +329,9 @@ class GridEnv:
              potentials: Optional[Dict[str, np.ndarray]] = None
              ) -> "GridEnv":
         """An environment over the same field samples with its own parameter
-        matrices and potentials.  Field atoms (derivatives and inverses)
-        come from this environment's cache; the new bindings and the atoms
-        computed from them stay in the returned one."""
+        matrices and potentials.  Inverse fields come from this
+        environment's cache; every other atom, field derivatives included,
+        is computed and cached in the returned one, and freed with it."""
         env = GridEnv(self.grid, self.fields, params, potentials)
         env.axes = self.axes
         env._field_env = self
@@ -346,7 +349,7 @@ class GridEnv:
     def atom_values(self, a) -> np.ndarray:
         if a in self._cache:
             return self._cache[a]
-        if self._field_env is not None and isinstance(a, (Field, InvField)):
+        if self._field_env is not None and isinstance(a, InvField):
             return self._field_env.atom_values(a)
         if isinstance(a, Field):
             if a.name not in self.fields:
@@ -379,12 +382,12 @@ class GridEnv:
 
 
 def eval_on_grid(e: JetExpr, env: GridEnv) -> np.ndarray:
-    """Pointwise evaluation of a normal-form expression over the grid; a
-    monomial with a power of the spectral parameter, or with a coordinate
-    the grid has no axis for, raises UnboundAtom."""
+    """Pointwise evaluation of a normal-form expression over the grid, into
+    a new array; a monomial with a power of the spectral parameter, or with
+    a coordinate the grid has no axis for, raises UnboundAtom."""
     n = env.matdim()
     shape = env.grid.counts + (n, n)
-    out = None
+    out, owned = None, False
     eye = np.broadcast_to(np.eye(n), shape)
     for coef, lam, coords, factors in e.mons:
         if lam:
@@ -401,8 +404,20 @@ def eval_on_grid(e: JetExpr, env: GridEnv) -> np.ndarray:
             term = v if term is None else term @ v
         if term is None:
             term = eye
-        out = scal * term if out is None else out + scal * term
-    return np.zeros(shape) if out is None else out
+        if scal != 1.0:
+            term = scal * term
+        # a unit monomial of one atom, or of none, is a cached atom or the
+        # broadcast identity, which nothing may write into
+        fresh = scal != 1.0 or bool(coords) or len(factors) > 1
+        if out is None:
+            out, owned = term, fresh
+        elif owned and np.result_type(out, term) == out.dtype:
+            out += term
+        else:
+            out, owned = out + term, True
+    if out is None:
+        return np.zeros(shape)
+    return out if owned else out.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +498,12 @@ def residual_stats(arr: np.ndarray, grid: Grid, margin: int,
 
 class SolutionFields:
     """One rung of a solution ladder: the sampled solution ``u`` of ``eq``
-    and the arrays derived from it, each computed on first use and kept for
-    every later check on the same sample (``drop_cache`` frees the
-    derivatives and the potential).  These are the grid environment of
-    ``u`` (finite-difference derivatives and ``u^-1``, cached per atom), the
-    slot connections and the samples of the equation's potential.
+    and the arrays derived from it that it keeps, each computed on first
+    use: ``u^-1`` (cached in the grid environment ``env``), the slot
+    connections and the samples of the equation's potential
+    (``drop_cache`` frees the potential).  A check that reads field
+    derivatives evaluates in ``env.bind()``, which shares ``u^-1`` and
+    frees the derivatives with it.
 
     Each variable differentiates along one grid axis (``env.axes``): its
     own, or for a lifted equation the diagonal axis of its plain/barred
@@ -517,7 +533,8 @@ class SolutionFields:
     def connections(self) -> Tuple[np.ndarray, ...]:
         """Connection samples, one per slot of the equation."""
         if self._connections is None:
-            self._connections = tuple(eval_on_grid(s.connection, self.env)
+            env = self.env.bind()
+            self._connections = tuple(eval_on_grid(s.connection, env)
                                       for s in self.eq.slots)
         return self._connections
 
@@ -538,9 +555,10 @@ class SolutionFields:
                               {a for a in axes if axes.count(a) > 1})
 
     def drop_cache(self) -> None:
-        """Drop the cached field derivatives and the potential; u, u^-1
-        and the connections stay.  A later reader recomputes what was
-        dropped with the same code, so its values do not change."""
+        """Drop the potential, and any derivative a direct reader of
+        ``env`` cached there; u, u^-1 and the connections stay.  A later
+        reader recomputes what was dropped with the same code, so its
+        values do not change."""
         self.env._cache = {a: v for a, v in self.env._cache.items()
                            if isinstance(a, InvField)}
         self._potential = None
@@ -549,7 +567,7 @@ class SolutionFields:
 def fd_residual_field_equation(fields: SolutionFields,
                                margin: int = 3) -> ResidualStats:
     """Central-difference evaluation of F[u] over interior points."""
-    F = eval_on_grid(field_equation_residual(fields.eq), fields.env)
+    F = eval_on_grid(field_equation_residual(fields.eq), fields.env.bind())
     return fields.stats(F, margin)
 
 
@@ -561,16 +579,20 @@ def conservation_residual(fields: SolutionFields, qgrid: GridField,
     if qgrid.grid is not grid and qgrid.grid != grid:
         raise DimensionMismatch("characteristic and solution grids differ")
     w = fields.inverse @ qgrid.values
-    div = np.zeros_like(w)
+    div = None
     axes, vs = fields.env.axes, fields.eq.vs
     # in place, each temporary released once read: G = [A, w] + D_cov w,
-    # then div += D_div G
+    # then D_div G: the first slot's starts div, each other slot's adds to it
     for s, conn in zip(fields.eq.slots, fields.connections):
         cov_axis = axes[vs.index(s.cov_var)]
         G = commutator(conn, w)
         G += gradient(w, grid.axes[cov_axis].h, cov_axis)
         div_axis = axes[vs.index(s.div_var)]
-        div += gradient(G, grid.axes[div_axis].h, div_axis)
+        G = gradient(G, grid.axes[div_axis].h, div_axis)
+        if div is None:
+            div = G
+        else:
+            div += G
         del G
     return fields.stats(div, margin)
 
@@ -643,7 +665,7 @@ def compute_potential(fields: SolutionFields) -> PotentialResult:
     difference, ``path_residual``, fails off-shell."""
     eq = fields.eq
     X, resid = _integrate_potential(fields, eq.potential_rules[eq.potential_name],
-                                    fields.env)
+                                    fields.env.bind())
     return PotentialResult(GridField(fields.u.grid, X), resid)
 
 

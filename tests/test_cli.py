@@ -147,6 +147,11 @@ def test_overrides_beat_file(tmp_path):
     dict(matrices=dict(_DEFAULT_MATRICES, C=np.eye(2))),
     # a spectral value whose square overflows
     dict(lambdas=(0.5, 1e200)),
+    # an integer too large for a float
+    dict(lambdas=(10 ** 400,)),
+    dict(origin=10 ** 400),
+    dict(extent=10 ** 400),
+    dict(eps=10 ** 400),
 ])
 def test_invalid_configs_rejected(kw):
     with pytest.raises(ConfigInvalid):

@@ -1,6 +1,8 @@
 """Source hygiene: every name a module imports is used in that module,
-every private function or method is referenced by some module, and every
-module parses as the oldest Python that ``pyproject.toml`` supports.
+every private function or method is referenced by some module, every
+module parses as the oldest Python that ``pyproject.toml`` supports, and no
+module calls numpy's ``gradient``: ``kernels.gradient`` is the one
+finite-difference stencil.
 
 An AST scan of ``src/symlax/*.py``.  The package ``__init__.py`` is left
 out of the import check: its imports are the public re-exports.
@@ -103,3 +105,33 @@ def _oldest_python():
 def test_sources_parse_on_the_oldest_python(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
               feature_version=_oldest_python())
+
+
+def _numpy_gradient_calls(tree):
+    """Lines of the calls to numpy's ``gradient``, through the module (under
+    any alias) or through a name imported from it."""
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names
+                           if a.name == "numpy")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            names.update(a.asname or a.name for a in node.names
+                         if a.name == "gradient")
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and f.attr == "gradient" \
+                and isinstance(f.value, ast.Name) and f.value.id in modules \
+                or isinstance(f, ast.Name) and f.id in names:
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_one_finite_difference_stencil(path):
+    # every derivative goes through kernels.gradient
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = list(_numpy_gradient_calls(tree))
+    assert not lines, f"{path.name} calls numpy's gradient on lines {lines}"

@@ -1,4 +1,5 @@
-"""Batched small-matrix kernels against numpy's ``@`` and ``linalg.inv``.
+"""Batched small-matrix kernels against numpy's ``@`` and ``linalg.inv``,
+and the finite-difference stencil against ``np.gradient``.
 
 Products are numpy's ``@`` itself; the product tests check the commutator,
 whose 2 x 2 case is a closed form, against ``A @ B - B @ A`` for every
@@ -103,3 +104,34 @@ def test_singular_2x2_raises():
     A[1] = [[1.0, 2.0], [2.0, 4.0]]
     with pytest.raises(np.linalg.LinAlgError):
         kernels.inv(A)
+
+
+def _stacks():
+    """(id, array) of real and complex grid stacks, and of transposed
+    (non-contiguous) views of them."""
+    for make in (_real, _complex):
+        for shape in ((5, 3, 2, 2), (3, 4, 5, 2, 2), (6, 7, 3, 3)):
+            a = make(*shape)
+            name = make.__name__[1:] + "-" + "x".join(map(str, shape))
+            yield name, a
+            yield name + "-T", a.T
+
+
+STACKS = list(_stacks())
+
+
+@pytest.mark.parametrize("a", [a for _, a in STACKS],
+                         ids=[name for name, _ in STACKS])
+def test_gradient_is_numpy_gradient_bit_for_bit(a):
+    # every axis, an axis of exactly 3 points included, in dtype and layout
+    for axis in range(a.ndim):
+        if a.shape[axis] < 3:
+            with pytest.raises(ValueError):
+                np.gradient(a, 0.1, axis=axis, edge_order=2)
+            with pytest.raises(ValueError):
+                kernels.gradient(a, 0.1, axis)
+            continue
+        want = np.gradient(a, 0.1, axis=axis, edge_order=2)
+        got = kernels.gradient(a, 0.1, axis)
+        assert got.dtype == want.dtype and got.strides == want.strides
+        assert np.array_equal(got, want)

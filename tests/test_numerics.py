@@ -8,6 +8,7 @@ BAB = B collapse the series).  These closed forms are the oracles below.
 """
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -954,13 +955,70 @@ def test_eval_characteristic_reuses_rung_fields():
             want = eval_characteristic(h.charges[level],
                                        SolutionFields(CHIRAL, u), params)
             assert np.array_equal(got.values, want.values)
-    # the rung keeps the field atoms and none of the bindings
+    # the rung keeps u^-1 and none of the bindings or derivatives; a bound
+    # environment shares u^-1 and computes its derivatives itself
     assert not any(isinstance(a, (Param, Potential))
+                   or isinstance(a, Field) and any(a.orders)
                    for a in fields.env._cache)
     bound = fields.env.bind(params={"L": NILPOTENT_A})
     assert bound.atom_values(InvField("g")) is fields.inverse
-    assert bound.atom_values(Field("g", (1, 0))) \
-        is fields.env.atom_values(Field("g", (1, 0)))
+    assert np.array_equal(bound.atom_values(Field("g", (1, 0))),
+                          SolutionFields(CHIRAL, u).env.atom_values(
+                              Field("g", (1, 0))))
+
+
+def test_rung_keeps_no_field_derivative():
+    # after the field-equation, conservation and potential evaluations the
+    # rung's cache holds u^-1 and no derivative; a bound environment
+    # shares u^-1 by identity
+    rung = SolutionFields(CHIRAL,
+                          sample_solution(ROTATION_FAMILY, chiral_grid(17)))
+    params = {"M": NILPOTENT_A, "L": NILPOTENT_B}
+    fd_residual_field_equation(rung)
+    for q in CHIRAL.catalog:
+        conservation_residual(rung, eval_characteristic(q, rung, params))
+    rung.potential
+    assert list(rung.env._cache) == [InvField("g")]
+    assert rung.env.bind().atom_values(InvField("g")) is rung.inverse
+
+
+def test_eval_on_grid_never_writes_into_a_cached_atom():
+    # the first monomial of each normal form is the bare cached atom g_x,
+    # which the sum must not accumulate into
+    rung = SolutionFields(CHIRAL,
+                          sample_solution(ROTATION_FAMILY, chiral_grid(17)))
+    vs = CHIRAL.vs
+    atoms = [Field("g", (1, 0)), Field("g", (0, 1))]
+    g_t, g_x = cached = [rung.env.atom_values(a) for a in atoms]
+    kept = [v.copy() for v in cached]
+    for e, want in ((vs.field("g", "t") + vs.field("g", "x"), g_x + g_t),
+                    (vs.field("g", "x") - 2 * vs.field("g", "t"),
+                     g_x + -2.0 * g_t)):
+        assert e.mons[0][0] == 1 and e.mons[0][3] == (atoms[1],)
+        assert np.array_equal(eval_on_grid(e, rung.env), want)
+        for a, v, k in zip(atoms, cached, kept):
+            assert rung.env.atom_values(a) is v and np.array_equal(v, k)
+    # an expression that is one bare atom comes back as a copy
+    got = eval_on_grid(vs.field("g", "t"), rung.env)
+    assert got is not g_t and np.array_equal(got, g_t)
+
+
+def test_conservation_residual_peak_is_bounded():
+    # with u^-1, the connections and q made beforehand, the divergence of a
+    # 65^2 rung of 3x3 matrices peaks at no more than 5 field sizes
+    rung = SolutionFields(CHIRAL, sample_solution(
+        SolutionFamily("exponential-product", SO3_A, SO3_B),
+        chiral_grid(65)))
+    rung.inverse, rung.connections
+    q = GridField(rung.u.grid, rung.u.values @ SO3_A)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        conservation_residual(rung, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / rung.u.values.nbytes <= 5.0
 
 
 @pytest.mark.parametrize("eq,family,grid,provenance", [
