@@ -60,14 +60,15 @@ from .equations import (
 from .errors import ConfigInvalid, IoFailure, NonMonotone, SymlaxError
 from .expr import comm
 from .numerics import (
-    GridField,
     ResidualStats,
     SolutionFamily,
     SolutionFields,
     conservation_residual,
     convergence_order,
+    current_divergence,
     eval_characteristic,
     eval_on_grid,
+    eval_rule,
     fd_residual_field_equation,
     integrate_lax,
     rung_grid,
@@ -102,6 +103,11 @@ DEFAULT_SEED = "right-action"
 # ---------------------------------------------------------------------------
 # Run configuration
 # ---------------------------------------------------------------------------
+
+def _is_int(v) -> bool:
+    """Whether ``v`` is a Python integer and not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
 
 def _overflows_float(v) -> bool:
     """Whether ``v`` is an integer too large to convert to a float."""
@@ -140,6 +146,10 @@ class RunConfig:
             raise ConfigInvalid(
                 f"family {self.family!r} cannot sample {self.equation}; "
                 f"known: {list(eq.families)}")
+        if not (isinstance(self.window, (tuple, list))
+                and len(self.window) == 2 and all(map(_is_int, self.window))):
+            raise ConfigInvalid(f"window must be two integers, "
+                                f"got {self.window!r}")
         if not (self.window[0] <= 0 <= self.window[1]):
             raise ConfigInvalid("hierarchy window must contain 0")
         if not self.lambdas:
@@ -166,6 +176,9 @@ class RunConfig:
                                     f"got {getattr(self, name)}")
         if self.extent <= 0:
             raise ConfigInvalid(f"extent must be positive, got {self.extent}")
+        if not _is_int(self.base_margin):
+            raise ConfigInvalid(f"base_margin must be an integer, "
+                                f"got {self.base_margin!r}")
         if self.base_margin < 1:
             raise ConfigInvalid(f"base_margin must be >= 1, "
                                 f"got {self.base_margin}")
@@ -174,6 +187,9 @@ class RunConfig:
                                 f"got {self.zero_floor}")
         if len(self.counts) < 3:
             raise ConfigInvalid("need at least 3 grid counts for a ladder")
+        if not all(map(_is_int, self.counts)):
+            raise ConfigInvalid(f"counts must be integers, "
+                                f"got {self.counts!r}")
         n0 = self.counts[0]
         for a, b in zip(self.counts, self.counts[1:]):
             if b != 2 * a - 1:
@@ -346,9 +362,6 @@ def load_config(path: Optional[str] = None, **overrides) -> RunConfig:
             if cp.has_option(section, key):
                 setattr(cfg, key, _parse_value(cp.get(section, key),
                                                getattr(cfg, key)))
-    if len(cfg.window) != 2:
-        raise ConfigInvalid("window must be two integers")
-
     if cp.has_section("matrices"):
         for key, val in cp.items("matrices"):
             cfg.matrices[key.upper()] = _parse_matrix(val)
@@ -533,7 +546,8 @@ class _RunContext:
     use: the sampled ladder, the hierarchies, the Lax integrations and, for
     an off-shell run, its on-shell twin.  Rung i is kept as a
     ``SolutionFields``, which keeps u^-1, the connections and the
-    potential of its sample."""
+    potential of its sample and drops u^-1 and the potential before its
+    Lax march."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -569,18 +583,20 @@ class _RunContext:
     def lax(self, lam: float, i: int) -> Tuple[float, ResidualStats]:
         """The compatibility residual of the Lax integration at spectral
         value ``lam`` on rung i, and the conservation residual of its
-        psi.  Every spectral value of a rung is integrated in one march,
-        at the first read of the rung, which first drops the rung's
-        potential, which the march does not read.  Each integration is
-        reduced to these two numbers as soon as it is made, and its arrays
-        are released."""
+        psi = u phi.  That residual reads u^-1 psi, which is phi, so it is
+        taken on phi itself and neither psi nor u^-1 psi is formed.  Every
+        spectral value of a rung is integrated in one march, at the first
+        read of the rung, which first drops the rung's u^-1 and potential:
+        the march and the residual read only the connections.  Each
+        integration is reduced to these two numbers as soon as it is made,
+        and its arrays are released."""
         if (lam, i) not in self._lax:
             rung = self.rung(i)
             rung.drop_cache()
             lams = self.cfg.lambdas
             for l, lax in zip(lams, integrate_lax(rung, lams)):
-                self._lax[(l, i)] = (lax.compat_residual,
-                                     self.conservation(lax.psi, i))
+                self._lax[(l, i)] = (lax.compat_residual, current_divergence(
+                    rung, lax.phi.values, self.margins[i]))
         return self._lax[(lam, i)]
 
     @functools.cached_property
@@ -591,15 +607,19 @@ class _RunContext:
             self.cfg, family=self.eq.families[0],
             lambdas=self.cfg.lambdas[:1]))
 
-    def conservation(self, qg: GridField, i: int) -> ResidualStats:
-        """Conservation residual of a characteristic sample on rung i."""
-        return conservation_residual(self.rung(i), qg, self.margins[i])
-
-    def trace(self, qg: GridField, i: int) -> ResidualStats:
-        """Trace of the transported characteristic sample u^-1 q on rung
-        i."""
+    def conservation(self, q: Characteristic, i: int) -> ResidualStats:
+        """Conservation residual of characteristic q on rung i, under the
+        run's parameter matrices.  Its sample is freed once transported."""
         rung = self.rung(i)
-        w = rung.inverse @ qg.values
+        return conservation_residual(
+            rung, eval_characteristic(q, rung, self.params), self.margins[i])
+
+    def trace(self, q: Characteristic, i: int) -> ResidualStats:
+        """Trace of the transported sample u^-1 q of characteristic q on
+        rung i, under the run's parameter matrices.  The sample is freed
+        once transported."""
+        rung = self.rung(i)
+        w = rung.inverse @ eval_characteristic(q, rung, self.params).values
         return rung.stats(np.trace(w, axis1=-2, axis2=-1), self.margins[i])
 
 
@@ -682,7 +702,7 @@ def _ladder_claim(ctx: _RunContext, cid: str, anchor: str, kind: str,
 
 
 def numeric_claims(ctx: _RunContext) -> List[Claim]:
-    eq, cfgp, offshell = ctx.eq, ctx.params, ctx.offshell
+    eq, offshell = ctx.eq, ctx.offshell
     claims: List[Claim] = [_ladder_claim(
         ctx, "num.field-equation",
         "the finite-difference residual of the field equation converges at "
@@ -696,15 +716,14 @@ def numeric_claims(ctx: _RunContext) -> List[Claim]:
             f"the conserved current of the {q.provenance} characteristic has "
             f"second-order divergence residual on the grid",
             "numeric", offshell,
-            lambda i, q=q: ctx.conservation(
-                eval_characteristic(q, ctx.rung(i), cfgp), i)))
+            lambda i, q=q: ctx.conservation(q, i)))
 
     def potential_relations(i: int) -> ResidualStats:
         rung = ctx.rung(i)
         X = eq.potential_name
         env = rung.env.bind(potentials={X: rung.potential})
-        return max((rung.stats(eval_on_grid(eq.vs.pot(X, v) - rhs, env),
-                               ctx.margins[i])
+        return max((rung.stats(eval_on_grid(eq.vs.pot(X, v), env)
+                               - eval_rule(rung, rhs, env), ctx.margins[i])
                     for v, rhs in eq.potential_rules[X].items()),
                    key=lambda st: st.max)
     claims.append(_ladder_claim(
@@ -724,8 +743,7 @@ def numeric_claims(ctx: _RunContext) -> List[Claim]:
         "path-integrated tower potential, is conserved to the expected "
         "order",
         "numeric", offshell,
-        lambda i: ctx.conservation(
-            eval_characteristic(tower_charge(), ctx.rung(i), cfgp), i)))
+        lambda i: ctx.conservation(tower_charge(), i)))
 
     if eq.traceless:
         def det_preserved() -> ClaimResult:
@@ -744,8 +762,7 @@ def numeric_claims(ctx: _RunContext) -> List[Claim]:
                 f"the {q.provenance} characteristic keeps the transported "
                 f"field traceless to the expected order",
                 "numeric", False,
-                lambda i, q=q: ctx.trace(
-                    eval_characteristic(q, ctx.rung(i), cfgp), i)))
+                lambda i, q=q: ctx.trace(q, i)))
 
     if offshell:
         claims.extend(_negative_control_claims(ctx))
@@ -760,16 +777,14 @@ def _offshell_ratio(off: float, on: float) -> float:
 
 
 def _negative_control_claims(ctx: _RunContext) -> List[Claim]:
-    cfg, cfgp = ctx.cfg, ctx.params
+    cfg = ctx.cfg
     i = len(ctx.grids) - 1
     seed_q = _seed_by_provenance(ctx.eq, DEFAULT_SEED)
 
     def conservation_ratio() -> ClaimResult:
         twin = ctx.twin
-        off = ctx.conservation(
-            eval_characteristic(seed_q, ctx.rung(i), cfgp), i)
-        on = twin.conservation(
-            eval_characteristic(seed_q, twin.rung(i), cfgp), i)
+        off = ctx.conservation(seed_q, i)
+        on = twin.conservation(seed_q, i)
         ratio = _offshell_ratio(off.max, on.max)
         ok = ratio >= cfg.offshell_factor
         return ClaimResult(ok, residuals=[_stats_dict(off), _stats_dict(on)],
@@ -838,7 +853,8 @@ def lax_claims(ctx: _RunContext) -> List[Claim]:
             f"second order at spectral value {tag}",
             "lax", compat, expected_fail=ctx.offshell))
 
-        # S(psi; u) is the conservation residual of psi
+        # S(psi; u) is the conservation residual of psi, read on
+        # phi = u^-1 psi
         claims.append(_ladder_claim(
             ctx, f"lax.wavefunction-symmetry.{tag}",
             f"the integrated wavefunction satisfies the linearized equation "

@@ -14,9 +14,11 @@ one kept, the other compared with it; their difference fails off-shell.
 Every grid check takes one rung of a ladder, a ``SolutionFields``: the
 equation, the sampled solution u and the three products of it that many
 checks read, u^-1, the slot connections and the potential, each computed
-once on first use and kept.  Field derivatives are not kept: each
-evaluation computes those it reads in an environment of its own, bound
-from the rung's, and frees them when it returns.  The tower potentials a
+once on first use and kept until the Lax march, which keeps only the
+connections.  Field derivatives are not kept: each evaluation computes
+those it reads in an environment of its own, bound from the rung's, and
+frees them when it returns.  A potential rule that is plus or minus a slot
+connection reads the rung's connection.  The tower potentials a
 characteristic carries go through the same staircase integration on each
 evaluation, since their rules read the parameter matrices bound to it.
 
@@ -500,10 +502,11 @@ class SolutionFields:
     """One rung of a solution ladder: the sampled solution ``u`` of ``eq``
     and the arrays derived from it that it keeps, each computed on first
     use: ``u^-1`` (cached in the grid environment ``env``), the slot
-    connections and the samples of the equation's potential
-    (``drop_cache`` frees the potential).  A check that reads field
-    derivatives evaluates in ``env.bind()``, which shares ``u^-1`` and
-    frees the derivatives with it.
+    connections and the samples of the equation's potential.
+    ``drop_cache`` frees u^-1 and the potential, and keeps the
+    connections, all the Lax march and its residual read.  A check that
+    reads field derivatives evaluates in ``env.bind()``, which shares
+    ``u^-1`` and frees the derivatives with it.
 
     Each variable differentiates along one grid axis (``env.axes``): its
     own, or for a lifted equation the diagonal axis of its plain/barred
@@ -555,12 +558,11 @@ class SolutionFields:
                               {a for a in axes if axes.count(a) > 1})
 
     def drop_cache(self) -> None:
-        """Drop the potential, and any derivative a direct reader of
-        ``env`` cached there; u, u^-1 and the connections stay.  A later
-        reader recomputes what was dropped with the same code, so its
-        values do not change."""
-        self.env._cache = {a: v for a, v in self.env._cache.items()
-                           if isinstance(a, InvField)}
+        """Drop u^-1, the potential, and any derivative a direct reader of
+        ``env`` cached there; u and the connections stay.  A later reader
+        recomputes what was dropped with the same code, so its values do
+        not change."""
+        self.env._cache = {}
         self._potential = None
 
 
@@ -574,11 +576,22 @@ def fd_residual_field_equation(fields: SolutionFields,
 def conservation_residual(fields: SolutionFields, qgrid: GridField,
                           margin: int = 3) -> ResidualStats:
     """Divergence of the conserved current pair built from a characteristic
-    sample: sum_slots D_div(A_slot(u^-1 q))."""
-    grid = fields.u.grid
-    if qgrid.grid is not grid and qgrid.grid != grid:
+    sample: ``current_divergence`` of its transport u^-1 q.  The sample is
+    released once transported, so a caller that passes it inline frees it
+    before the divergence is formed."""
+    if qgrid.grid is not fields.u.grid and qgrid.grid != fields.u.grid:
         raise DimensionMismatch("characteristic and solution grids differ")
     w = fields.inverse @ qgrid.values
+    del qgrid
+    return current_divergence(fields, w, margin)
+
+
+def current_divergence(fields: SolutionFields, w: np.ndarray,
+                       margin: int = 3) -> ResidualStats:
+    """Divergence of the conserved current pair of a transported sample
+    w = u^-1 q: sum_slots D_div(A_slot w), read on the rung's connections
+    alone.  ``w`` is only read."""
+    grid = fields.u.grid
     div = None
     axes, vs = fields.env.axes, fields.eq.vs
     # in place, each temporary released once read: G = [A, w] + D_cov w,
@@ -662,7 +675,8 @@ def compute_potential(fields: SolutionFields) -> PotentialResult:
     """Integrate the potential defining system of a rung from the grid's
     corner (base value zero) along the staircase path t first, then x along
     every row; the path x first is compared with it, and their largest
-    difference, ``path_residual``, fails off-shell."""
+    difference, ``path_residual``, fails off-shell.  A rule that is plus or
+    minus a slot connection is read off the rung (``eval_rule``)."""
     eq = fields.eq
     X, resid = _integrate_potential(fields, eq.potential_rules[eq.potential_name],
                                     fields.env.bind())
@@ -671,15 +685,16 @@ def compute_potential(fields: SolutionFields) -> PotentialResult:
 
 def _integrate_potential(fields: SolutionFields, rules: Dict[str, JetExpr],
                          env: GridEnv) -> Tuple[np.ndarray, float]:
-    """Samples of the potential whose first derivatives are ``rules``,
-    evaluated in ``env`` over the rung ``fields``, along the staircase path
-    t first, and its largest difference from the path x first; a
-    difference above tolerance raises PathInconsistent, a grid axis the
-    rules leave free UnboundAtom."""
+    """Samples of the potential whose first derivatives are ``rules``, each
+    evaluated by ``eval_rule`` from ``env`` over the rung ``fields``, along
+    the staircase path t first, and its largest difference from the path x
+    first; a difference above tolerance raises PathInconsistent, a grid
+    axis the rules leave free UnboundAtom."""
     grid = fields.u.grid
     integrands: Dict[int, np.ndarray] = {}
     for v, rhs in rules.items():
-        integrands[env.axes[fields.eq.vs.index(v)]] = eval_on_grid(rhs, env)
+        axis = env.axes[fields.eq.vs.index(v)]
+        integrands[axis] = eval_rule(fields, rhs, env)
     if len(integrands) < len(grid.axes):
         raise UnboundAtom(
             f"potential rules along {sorted(rules)} leave a direction of "
@@ -698,6 +713,22 @@ def _integrate_potential(fields: SolutionFields, rules: Dict[str, JetExpr],
     return X, resid
 
 
+def eval_rule(fields: SolutionFields, rule: JetExpr,
+              env: GridEnv) -> np.ndarray:
+    """Samples of a potential's defining rule over the rung ``fields``.  A
+    rule that is a slot connection is that connection's array, which the
+    caller only reads; its negative is ``-1.0 * c``, as ``eval_on_grid``
+    forms it.  Any other rule is evaluated in an environment of its own,
+    bound from ``env``, so the derivatives it reads are freed when it
+    returns."""
+    for k, s in enumerate(fields.eq.slots):
+        if rule == s.connection:
+            return fields.connections[k]
+        if rule == -s.connection:
+            return -1.0 * fields.connections[k]
+    return eval_on_grid(rule, env.bind(env.params, env.potentials))
+
+
 def _potential_tolerance(grid: Grid, integrands) -> float:
     h = max(grid.spacings)
     scale = max(float(np.abs(f).max()) for f in integrands.values())
@@ -713,10 +744,11 @@ def eval_characteristic(q: Characteristic, fields: SolutionFields,
                         params: Optional[Dict[str, np.ndarray]] = None
                         ) -> GridField:
     """Sample a characteristic's closed form on a rung.  The rung supplies
-    the cached u^-1 and field derivatives, and its potential when the form
-    or a tower rule reads it.  The tower potentials ``q`` carries are
-    path-integrated here, in the order they were defined, since their rules
-    read ``params``, which bind to this evaluation only."""
+    u^-1, and its potential when the form or a tower rule reads it.  The
+    tower potentials ``q`` carries are path-integrated here, in the order
+    they were defined, since their rules read ``params``, which bind to
+    this evaluation only; each rule is evaluated in an environment of its
+    own, so no rule's derivatives outlive it."""
     eq = fields.eq
     exprs = [q.body.expr] + [r for rules in q.potentials.values()
                              for r in rules.values()]

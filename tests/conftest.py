@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import strategies as st
@@ -140,3 +141,16 @@ def eval_pair(raw, seed: int):
     a = evaluate(raw, assign, 2, lam_value=lam, coord_values=coords)
     b = evaluate(e, assign, 2, lam_value=lam, coord_values=coords)
     return a, b
+
+
+def peak_field_sizes(fn, nbytes):
+    """How far ``fn()`` raises the traced memory at its peak over what was
+    allocated before it, in units of ``nbytes`` (one field sample)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / nbytes

@@ -11,12 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from conftest import peak_field_sizes
 
 import symlax
 from symlax import sexpr
 from symlax.cli import (
     CONFIG_DIR_ENV,
     DEFAULT_CONFIG_NAME,
+    DEFAULT_SEED,
     FIELD_BYTES_BUDGET,
     Claim,
     ClaimResult,
@@ -41,8 +43,18 @@ from symlax.cli import (
     symbolic_claims,
     write_atomic,
 )
-from symlax.equations import equation_names, get_equation
+from symlax.equations import (
+    Characteristic,
+    ClosedForm,
+    equation_names,
+    get_equation,
+)
 from symlax.errors import ConfigInvalid, IoFailure
+from symlax.numerics import (
+    conservation_residual,
+    eval_characteristic,
+    integrate_lax,
+)
 from symlax.recursion import generate_hierarchy
 
 
@@ -152,10 +164,26 @@ def test_overrides_beat_file(tmp_path):
     dict(origin=10 ** 400),
     dict(extent=10 ** 400),
     dict(eps=10 ** 400),
+    # a window, ladder or margin that is not made of integers
+    dict(window=(0,)),
+    dict(window=(-1, 0, 1)),
+    dict(window=(-1.5, 1)),
+    dict(counts=(17.0, 33.0, 65.0)),
+    dict(base_margin=2.5),
+    dict(base_margin=True),
 ])
 def test_invalid_configs_rejected(kw):
     with pytest.raises(ConfigInvalid):
         load_config(**kw)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("window", (0,)), ("window", (-1, 0, 1)), ("window", (-1.5, 1)),
+    ("window", (False, 1)), ("counts", (17.0, 33.0, 65.0)),
+    ("base_margin", 2.5), ("base_margin", True)])
+def test_non_integer_config_value_names_its_key(key, value):
+    with pytest.raises(ConfigInvalid, match=key):
+        load_config(**{key: value})
 
 
 @pytest.mark.parametrize("text,offender", [
@@ -613,13 +641,80 @@ def test_sdym_trace_claims_pass_on_the_rotation_pair():
 def test_trace_ladder_fails_a_characteristic_with_trace():
     # Q = J gives tr(J^-1 Q) = 2 on every rung: the ladder cannot pass it
     ctx = _RunContext(load_config(equation="sdym"))
+    q = Characteristic(0, ClosedForm(ctx.eq.u()), "identity")
     claim = _ladder_claim(ctx, "num.trace-constraint.identity", "tr 2",
-                          "numeric", False,
-                          lambda i: ctx.trace(ctx.rung(i).u, i))
+                          "numeric", False, lambda i: ctx.trace(q, i))
     rec, = run_claims([claim])
     assert not rec["passed"] and rec["order"] == "non-monotone"
     assert [float(s["max"]) for s in rec["residuals"]] == \
         pytest.approx([2.0] * 3)
+
+
+_ROTATION = {"A": [[0.0, -1.0], [1.0, 0.0]], "B": [[0.3, 0.8], [-0.5, -0.3]]}
+
+
+@pytest.mark.parametrize("equation,counts", [
+    ("chiral", (17, 33, 65)), ("sdym", (9, 17, 33))])
+def test_lax_residual_on_phi_is_the_residual_of_psi(equation, counts):
+    # ctx.lax reads the residual of psi = u phi on phi = u^-1 psi; it is
+    # the residual of psi itself up to the round-off of u^-1 (u phi)
+    mats = dict(_DEFAULT_MATRICES, **_ROTATION)
+    ctx = _RunContext(load_config(
+        equation=equation, counts=counts,
+        matrices={k: np.asarray(v) for k, v in mats.items()}))
+    for i in range(len(counts)):
+        want = [conservation_residual(ctx.rung(i), lax.psi, ctx.margins[i])
+                for lax in integrate_lax(ctx.rung(i), ctx.cfg.lambdas)]
+        for lam, w in zip(ctx.cfg.lambdas, want):
+            got = ctx.lax(lam, i)[1]
+            assert w.max > 1e-8
+            assert got.max == pytest.approx(w.max, rel=1e-5)
+            assert got.l2 == pytest.approx(w.l2, rel=1e-5)
+            assert (got.margin, got.h) == (w.margin, w.h)
+
+
+def _so3_context():
+    """A chiral-so3 run context (3 x 3 rotation generators) whose 65^2
+    rung 0 holds u^-1, its connections and its potential, as after the
+    numeric claims of a report.  A Lax march on a 9-point rung runs first,
+    so that no module the march imports on first use (numpy.random, some
+    600 kB) counts toward a measured peak."""
+    mats = {"A": [[0, -1, 0], [1, 0, 0], [0, 0, 0]],
+            "B": [[0, 0, 0.5], [0, 0, -0.3], [-0.5, 0.3, 0]],
+            "M": [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+            "L": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]}
+    mats = {k: np.asarray(v, dtype=float) for k, v in mats.items()}
+    _RunContext(load_config(matrices=mats, counts=(9, 17, 33))).lax(0.25, 0)
+    ctx = _RunContext(load_config(matrices=mats))
+    rung = ctx.rung(0)
+    assert rung.u.grid.counts == (65, 65)
+    rung.inverse, rung.connections, rung.potential
+    return ctx, rung
+
+
+def test_lax_phase_peak_is_bounded():
+    # four wavefunctions and the divergence of one, with no psi, no
+    # u^-1 psi and no u^-1 beside them
+    ctx, rung = _so3_context()
+    assert peak_field_sizes(lambda: ctx.lax(0.25, 0),
+                            rung.u.values.nbytes) <= 8.5
+
+
+def test_tower_characteristic_peak_is_bounded():
+    # level -2 integrates tower potentials; each rule's derivatives are
+    # freed before the next rule is evaluated
+    ctx, rung = _so3_context()
+    q = ctx.hierarchy(DEFAULT_SEED, -2, 1).charges[-2]
+    assert peak_field_sizes(lambda: eval_characteristic(q, rung, ctx.params),
+                            rung.u.values.nbytes) <= 5.5
+
+
+def test_context_conservation_peak_is_bounded():
+    # the characteristic's sample is freed once transported
+    ctx, rung = _so3_context()
+    seed = next(s for s in ctx.eq.seeds if s.provenance == DEFAULT_SEED)
+    assert peak_field_sizes(lambda: ctx.conservation(seed, 0),
+                            rung.u.values.nbytes) <= 5.0
 
 
 def test_offshell_ratio_with_zero_on_shell_residual():

@@ -8,10 +8,10 @@ BAB = B collapse the series).  These closed forms are the oracles below.
 """
 
 import io
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import peak_field_sizes
 
 from symlax import kernels, numerics
 from symlax.calculus import total_derivative
@@ -412,6 +412,31 @@ def test_potential_matches_two_path_reference(eq, kind, grid):
     gap = np.abs(X1 - X2)
     assert gap[-1].max() == gap.max() > 0
     assert res.path_residual == float(gap.max())
+
+
+@pytest.mark.parametrize("eq,kind,grid", [
+    (CHIRAL, "exponential-product", chiral_grid(17)),
+    (SDYM, "lifted-chiral", sdym_grid(9))], ids=["chiral", "sdym"])
+def test_potential_reads_the_rung_connections(eq, kind, grid, monkeypatch):
+    # each potential rule is plus or minus a slot connection: once the
+    # connections exist the integration differentiates nothing, and its
+    # samples are those of the rules evaluated afresh
+    family = SolutionFamily(kind, ROTATION_FAMILY.A, ROTATION_FAMILY.B)
+    u = sample_solution(family, grid)
+    X1, _ = _two_path_reference(SolutionFields(eq, u))
+    rung = SolutionFields(eq, u)
+    rung.connections
+    calls = []
+    derivative = GridEnv.derivative
+
+    def counting(env, *args):
+        calls.append(args)
+        return derivative(env, *args)
+
+    monkeypatch.setattr(GridEnv, "derivative", counting)
+    got = compute_potential(rung).field.values
+    assert calls == []
+    assert np.array_equal(got, X1)
 
 
 def test_potential_matches_closed_form():
@@ -933,9 +958,12 @@ def test_dropped_cache_is_recomputed_equal(eq, family, grid):
     potential, inverse = rung.potential, rung.inverse
     connections = rung.connections
     rung.drop_cache()
-    # u^-1 and the connections stay; derivatives and the potential go
-    assert rung.inverse is inverse and rung.connections is connections
-    assert all(a not in rung.env._cache for a in atoms)
+    # the connections stay; u^-1, derivatives and the potential go, and
+    # each is recomputed equal
+    assert rung.connections is connections
+    assert rung.env._cache == {}
+    assert rung.inverse is not inverse
+    assert np.array_equal(rung.inverse, inverse)
     for a, want in zip(atoms, before):
         assert np.array_equal(rung.env.atom_values(a), want)
     assert rung.potential is not potential
@@ -1011,14 +1039,8 @@ def test_conservation_residual_peak_is_bounded():
         chiral_grid(65)))
     rung.inverse, rung.connections
     q = GridField(rung.u.grid, rung.u.values @ SO3_A)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        conservation_residual(rung, q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - base) / rung.u.values.nbytes <= 5.0
+    assert peak_field_sizes(lambda: conservation_residual(rung, q),
+                            rung.u.values.nbytes) <= 5.0
 
 
 @pytest.mark.parametrize("eq,family,grid,provenance", [
