@@ -63,17 +63,16 @@ from .numerics import (
     ResidualStats,
     SolutionFamily,
     SolutionFields,
-    conservation_residual,
     convergence_order,
     current_divergence,
     eval_characteristic,
-    eval_on_grid,
     eval_rule,
     fd_residual_field_equation,
     integrate_lax,
     rung_grid,
     sample_solution,
     scaled_margins,
+    transport,
 )
 from .recursion import (
     Hierarchy,
@@ -609,17 +608,18 @@ class _RunContext:
 
     def conservation(self, q: Characteristic, i: int) -> ResidualStats:
         """Conservation residual of characteristic q on rung i, under the
-        run's parameter matrices.  Its sample is freed once transported."""
+        run's parameter matrices.  Its sample is this call's own, so it is
+        transported in place (``transport``)."""
         rung = self.rung(i)
-        return conservation_residual(
-            rung, eval_characteristic(q, rung, self.params), self.margins[i])
+        w = transport(rung, eval_characteristic(q, rung, self.params).values)
+        return current_divergence(rung, w, self.margins[i])
 
     def trace(self, q: Characteristic, i: int) -> ResidualStats:
         """Trace of the transported sample u^-1 q of characteristic q on
-        rung i, under the run's parameter matrices.  The sample is freed
-        once transported."""
+        rung i, under the run's parameter matrices.  The sample is this
+        call's own, so it is transported in place."""
         rung = self.rung(i)
-        w = rung.inverse @ eval_characteristic(q, rung, self.params).values
+        w = transport(rung, eval_characteristic(q, rung, self.params).values)
         return rung.stats(np.trace(w, axis1=-2, axis2=-1), self.margins[i])
 
 
@@ -719,11 +719,17 @@ def numeric_claims(ctx: _RunContext) -> List[Claim]:
             lambda i, q=q: ctx.conservation(q, i)))
 
     def potential_relations(i: int) -> ResidualStats:
+        # X_v - rule, with the rule subtracted in place from the fresh X_v
         rung = ctx.rung(i)
         X = eq.potential_name
         env = rung.env.bind(potentials={X: rung.potential})
-        return max((rung.stats(eval_on_grid(eq.vs.pot(X, v), env)
-                               - eval_rule(rung, rhs, env), ctx.margins[i])
+
+        def relation(v: str, rhs) -> ResidualStats:
+            (atom,) = eq.vs.pot(X, v).atoms()
+            d = env.derivative(rung.potential, atom.orders)
+            d -= eval_rule(rung, rhs, env)
+            return rung.stats(d, ctx.margins[i])
+        return max((relation(v, rhs)
                     for v, rhs in eq.potential_rules[X].items()),
                    key=lambda st: st.max)
     claims.append(_ladder_claim(

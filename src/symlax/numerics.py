@@ -16,11 +16,20 @@ equation, the sampled solution u and the three products of it that many
 checks read, u^-1, the slot connections and the potential, each computed
 once on first use and kept until the Lax march, which keeps only the
 connections.  Field derivatives are not kept: each evaluation computes
-those it reads in an environment of its own, bound from the rung's, and
-frees them when it returns.  A potential rule that is plus or minus a slot
-connection reads the rung's connection.  The tower potentials a
-characteristic carries go through the same staircase integration on each
-evaluation, since their rules read the parameter matrices bound to it.
+those it reads in an environment of its own, bound from the rung's.  A
+potential rule that is plus or minus a slot connection reads the rung's
+connection.  The tower potentials a characteristic carries go through the
+same staircase integration on each evaluation, since their rules read the
+parameter matrices bound to it.
+
+Every full-grid expression, divergence and transport is evaluated one
+block of ``BLOCK_ROWS`` rows (along axis 0) at a time, into its one output
+array.  A block differentiates a field or potential on its rows plus a
+halo of as many rows as the derivative's order along axis 0 (``_halo``),
+so no whole derivative is formed, and each block's temporaries are a
+block's.  Every per-element operation and every per-matrix product is the
+one the whole grid would take, so a block's rows are bit for bit the
+whole grid's.
 
 A lifted equation (SDYM, whose solutions J = g(y+yb, z+zb) depend on each
 plain/barred variable pair through its sum) is sampled on its diagonal
@@ -309,10 +318,12 @@ def sample_solution(family: SolutionFamily, grid: Grid) -> GridField:
 
 class GridEnv:
     """Binding of symbolic atoms to grid data: field samples, parameter
-    matrices and potential samples.  Every atom's array is cached per atom
-    for the environment's lifetime; an environment made by ``bind`` reads
-    inverse fields from the environment it was bound from and caches every
-    other atom itself."""
+    matrices and potential samples.  ``atom_values`` gives an atom's whole
+    array and caches it for the environment's lifetime; ``rows`` gives its
+    values on a block of rows, reading a cached array, and otherwise
+    differentiating a field or potential on the block plus a halo without
+    caching it.  An environment made by ``bind`` reads inverse fields from
+    the environment it was bound from and caches every other atom itself."""
 
     def __init__(self, grid: Grid,
                  fields: Dict[str, np.ndarray],
@@ -332,8 +343,8 @@ class GridEnv:
              ) -> "GridEnv":
         """An environment over the same field samples with its own parameter
         matrices and potentials.  Inverse fields come from this
-        environment's cache; every other atom, field derivatives included,
-        is computed and cached in the returned one, and freed with it."""
+        environment's cache; every other atom is read in the returned one,
+        and whatever it caches is freed with it."""
         env = GridEnv(self.grid, self.fields, params, potentials)
         env.axes = self.axes
         env._field_env = self
@@ -348,29 +359,29 @@ class GridEnv:
                 out = gradient(out, h, axis)
         return out
 
+    def _base(self, a) -> np.ndarray:
+        """The bound samples a field, inverse-field or potential atom reads."""
+        kind, bound = (("potential", self.potentials)
+                       if isinstance(a, Potential) else ("field", self.fields))
+        if a.name not in bound:
+            raise UnboundAtom(f"{kind} {a.name!r} not bound")
+        return bound[a.name]
+
     def atom_values(self, a) -> np.ndarray:
         if a in self._cache:
             return self._cache[a]
         if self._field_env is not None and isinstance(a, InvField):
             return self._field_env.atom_values(a)
-        if isinstance(a, Field):
-            if a.name not in self.fields:
-                raise UnboundAtom(f"field {a.name!r} not bound")
-            v = self.derivative(self.fields[a.name], a.orders)
+        if isinstance(a, (Field, Potential)):
+            v = self.derivative(self._base(a), a.orders)
         elif isinstance(a, InvField):
-            if a.name not in self.fields:
-                raise UnboundAtom(f"field {a.name!r} not bound")
-            v = inv(self.fields[a.name])
+            v = inv(self._base(a))
         elif isinstance(a, Param):
             if a.name not in self.params:
                 raise UnboundAtom(f"parameter matrix {a.name!r} not bound")
             n = self.matdim()
             v = np.broadcast_to(np.asarray(self.params[a.name]),
                                 self.grid.counts + (n, n))
-        elif isinstance(a, Potential):
-            if a.name not in self.potentials:
-                raise UnboundAtom(f"potential {a.name!r} not bound")
-            v = self.derivative(self.potentials[a.name], a.orders)
         elif isinstance(a, DPotential):
             raise UnboundAtom(f"no grid data for linearized potential {a.name!r}")
         else:
@@ -378,19 +389,88 @@ class GridEnv:
         self._cache[a] = v
         return v
 
+    def rows(self, a, r0: int, r1: int) -> np.ndarray:
+        """The values of atom ``a`` on grid rows r0:r1 (along axis 0), which
+        the caller only reads.  A field or potential derivative that is not
+        cached is differentiated on those rows plus a halo of as many rows
+        as its order along axis 0 (``_halo``), bit for bit its rows of the
+        whole derivative, and is not cached; any other atom is read off
+        ``atom_values``."""
+        if isinstance(a, (Field, Potential)) and any(a.orders) \
+                and a not in self._cache:
+            base = self._base(a)
+            k = sum(o for var, o in enumerate(a.orders) if self.axes[var] == 0)
+            lo, hi = _halo(r0, r1, base.shape[0], k)
+            return self.derivative(base[lo:hi], a.orders)[r0 - lo:r1 - lo]
+        return self.atom_values(a)[r0:r1]
+
     def matdim(self) -> int:
         any_field = next(iter(self.fields.values()))
         return any_field.shape[-1]
 
 
+# rows of a grid evaluated at once: every full-grid expression, divergence
+# and transport is formed block by block, so its temporaries are a block's
+BLOCK_ROWS = 32
+
+
+def _row_blocks(n: int):
+    """The blocks ``(r0, r1)`` of ``BLOCK_ROWS`` rows that cover n rows."""
+    return [(r0, min(r0 + BLOCK_ROWS, n)) for r0 in range(0, n, BLOCK_ROWS)]
+
+
+def _halo(r0: int, r1: int, n: int, k: int) -> Tuple[int, int]:
+    """The rows lo:hi of n from which k ``gradient`` steps along axis 0
+    give rows r0:r1 bit for bit as the steps over all n rows do.  Each step
+    is exact one row further in from a side the window cuts, and its
+    one-sided edge formula reads three rows, so the window reaches k rows
+    past the block, and k + 2 rows in from a grid edge it holds."""
+    if k == 0:
+        return r0, r1
+    return max(0, min(r0, n - 2) - k), min(n, max(r1, 2) + k)
+
+
+def _fill_rows(n: int, fill) -> np.ndarray:
+    """An array of n rows filled one block of rows at a time.
+    ``fill(r0, r1, None)`` returns rows r0:r1 of the first block, whose
+    dtype the array takes; ``fill(r0, r1, dst)`` writes every later block
+    into ``dst``, its rows of the array."""
+    out = None
+    for r0, r1 in _row_blocks(n):
+        if out is None:
+            first = fill(r0, r1, None)
+            out = np.empty((n,) + first.shape[1:], first.dtype)
+            out[r0:r1] = first
+        else:
+            fill(r0, r1, out[r0:r1])
+    return out
+
+
 def eval_on_grid(e: JetExpr, env: GridEnv) -> np.ndarray:
     """Pointwise evaluation of a normal-form expression over the grid, into
-    a new array; a monomial with a power of the spectral parameter, or with
-    a coordinate the grid has no axis for, raises UnboundAtom."""
+    a new array, filled one block of rows at a time: each monomial's
+    products are formed on the block, from each atom's rows
+    (``GridEnv.rows``), each read once per block.  The input arrays and
+    cached atoms are only read.  A monomial with a power of the spectral
+    parameter, or with a coordinate the grid has no axis for, raises
+    UnboundAtom."""
+    if not e.mons:
+        n = env.matdim()
+        return np.zeros(env.grid.counts + (n, n))
+    return _fill_rows(env.grid.counts[0],
+                      lambda r0, r1, dst: _eval_rows(e, env, r0, r1, dst))
+
+
+def _eval_rows(e: JetExpr, env: GridEnv, r0: int, r1: int,
+               dst: Optional[np.ndarray]) -> np.ndarray:
+    """The sum of the monomials of ``e`` on rows r0:r1, accumulated into
+    ``dst`` when given, else into an array of the promoted dtype (which a
+    unit monomial of one atom may leave a view of that atom)."""
     n = env.matdim()
-    shape = env.grid.counts + (n, n)
-    out, owned = None, False
+    shape = (r1 - r0,) + env.grid.counts[1:] + (n, n)
     eye = np.broadcast_to(np.eye(n), shape)
+    vals: Dict[object, np.ndarray] = {}
+    out, owned = None, False
     for coef, lam, coords, factors in e.mons:
         if lam:
             raise UnboundAtom("no grid data for the spectral parameter")
@@ -399,27 +479,33 @@ def eval_on_grid(e: JetExpr, env: GridEnv) -> np.ndarray:
         for c in coords:
             if c not in env.grid.names:  # a lifted rung's plain variable
                 raise UnboundAtom(f"no grid data for coordinate {c!r}")
-            arr = env.grid.coord_array(c)[..., None, None]
+            arr = env.grid.coord_array(c)[r0:r1, ..., None, None]
             term = arr * eye if term is None else term * arr
         for a in factors:
-            v = env.atom_values(a)
+            if a not in vals:
+                vals[a] = env.rows(a, r0, r1)
+            v = vals[a]
             term = v if term is None else term @ v
         if term is None:
             term = eye
         if scal != 1.0:
             term = scal * term
-        # a unit monomial of one atom, or of none, is a cached atom or the
+        # a unit monomial of one atom, or of none, is an atom's rows or the
         # broadcast identity, which nothing may write into
         fresh = scal != 1.0 or bool(coords) or len(factors) > 1
-        if out is None:
+        if dst is not None:
+            if out is None:
+                dst[...] = term
+                out = dst
+            else:
+                dst += term
+        elif out is None:
             out, owned = term, fresh
         elif owned and np.result_type(out, term) == out.dtype:
             out += term
         else:
             out, owned = out + term, True
-    if out is None:
-        return np.zeros(shape)
-    return out if owned else out.copy()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +560,7 @@ def residual_stats(arr: np.ndarray, grid: Grid, margin: int,
     margins = [2 * margin if a in paired else margin
                for a in range(len(grid.axes))]
     core = _interior(arr, margins)
-    mags = np.abs(core)
+    mags = np.abs(core)  # a fresh array, squared in place once its max is read
     weights = None
     if paired:
         weights = np.ones(())
@@ -487,9 +573,10 @@ def residual_stats(arr: np.ndarray, grid: Grid, margin: int,
         weights = np.broadcast_to(
             weights.reshape(weights.shape + (1,) * (mags.ndim - weights.ndim)),
             mags.shape)
-    return ResidualStats(max=float(mags.max()),
-                         l2=float(np.sqrt(np.average(mags ** 2,
-                                                     weights=weights))),
+    top = float(mags.max())
+    np.square(mags, out=mags)
+    return ResidualStats(max=top,
+                         l2=float(np.sqrt(np.average(mags, weights=weights))),
                          margin=margin,
                          h=max(grid.spacings))
 
@@ -506,7 +593,8 @@ class SolutionFields:
     ``drop_cache`` frees u^-1 and the potential, and keeps the
     connections, all the Lax march and its residual read.  A check that
     reads field derivatives evaluates in ``env.bind()``, which shares
-    ``u^-1`` and frees the derivatives with it.
+    ``u^-1``; it differentiates one block of rows, plus its halo, at a
+    time, so no whole derivative is formed.
 
     Each variable differentiates along one grid axis (``env.axes``): its
     own, or for a lifted equation the diagonal axis of its plain/barred
@@ -576,38 +664,57 @@ def fd_residual_field_equation(fields: SolutionFields,
 def conservation_residual(fields: SolutionFields, qgrid: GridField,
                           margin: int = 3) -> ResidualStats:
     """Divergence of the conserved current pair built from a characteristic
-    sample: ``current_divergence`` of its transport u^-1 q.  The sample is
-    released once transported, so a caller that passes it inline frees it
-    before the divergence is formed."""
+    sample: ``current_divergence`` of its transport u^-1 q, formed in an
+    array of its own.  The sample is only read, and it stays alive in the
+    caller for the whole call; a caller that owns its sample and has no
+    further use for it saves that array with ``transport``."""
     if qgrid.grid is not fields.u.grid and qgrid.grid != fields.u.grid:
         raise DimensionMismatch("characteristic and solution grids differ")
-    w = fields.inverse @ qgrid.values
-    del qgrid
-    return current_divergence(fields, w, margin)
+    return current_divergence(fields, fields.inverse @ qgrid.values, margin)
+
+
+def transport(fields: SolutionFields, q: np.ndarray) -> np.ndarray:
+    """The transport u^-1 q of a characteristic sample of the rung
+    ``fields``, written over ``q`` one block of rows at a time, so ``q``
+    must be the caller's own.  When u^-1 q takes a wider dtype than ``q``
+    it is formed in a new array instead."""
+    inverse = fields.inverse
+    if np.result_type(inverse, q) != q.dtype:
+        return inverse @ q
+    for r0, r1 in _row_blocks(q.shape[0]):
+        q[r0:r1] = inverse[r0:r1] @ q[r0:r1]
+    return q
 
 
 def current_divergence(fields: SolutionFields, w: np.ndarray,
                        margin: int = 3) -> ResidualStats:
     """Divergence of the conserved current pair of a transported sample
     w = u^-1 q: sum_slots D_div(A_slot w), read on the rung's connections
-    alone.  ``w`` is only read."""
+    alone, one block of rows at a time from the block plus a halo of two
+    rows.  ``w`` is only read."""
     grid = fields.u.grid
-    div = None
     axes, vs = fields.env.axes, fields.eq.vs
-    # in place, each temporary released once read: G = [A, w] + D_cov w,
-    # then D_div G: the first slot's starts div, each other slot's adds to it
-    for s, conn in zip(fields.eq.slots, fields.connections):
-        cov_axis = axes[vs.index(s.cov_var)]
-        G = commutator(conn, w)
-        G += gradient(w, grid.axes[cov_axis].h, cov_axis)
-        div_axis = axes[vs.index(s.div_var)]
-        G = gradient(G, grid.axes[div_axis].h, div_axis)
-        if div is None:
-            div = G
-        else:
-            div += G
-        del G
-    return fields.stats(div, margin)
+    slots = [(conn, axes[vs.index(s.cov_var)], axes[vs.index(s.div_var)])
+             for s, conn in zip(fields.eq.slots, fields.connections)]
+
+    def fill(r0, r1, dst):
+        # G = [A, w] + D_cov w, then D_div G: the first slot's starts the
+        # block, each other slot's adds to it
+        lo, hi = _halo(r0, r1, grid.counts[0], 2)
+        wb = w[lo:hi]
+        for k, (conn, cov_axis, div_axis) in enumerate(slots):
+            G = commutator(conn[lo:hi], wb)
+            G += gradient(wb, grid.axes[cov_axis].h, cov_axis)
+            G = gradient(G, grid.axes[div_axis].h, div_axis)[r0 - lo:r1 - lo]
+            if dst is None:
+                dst = G
+            elif k == 0:
+                dst[...] = G
+            else:
+                dst += G
+        return dst
+
+    return fields.stats(_fill_rows(grid.counts[0], fill), margin)
 
 
 # ---------------------------------------------------------------------------
@@ -624,27 +731,31 @@ def _staircase_paths(march, coef, start: np.ndarray, grid: Grid, keep: int):
     ``idx``.  Returns the path of edge axis ``keep``, one array per system
     of the promoted dtype of ``start`` and every coefficient, and per
     system its largest difference from the other path, which is compared
-    one slab at a time and never stored."""
+    one slab at a time and never stored.  The other path's edge is the
+    kept path's line at index 0 of axis ``keep``, which the kept sweep
+    marched from ``start`` with the same coefficients, so it is read off
+    the kept path rather than marched again."""
     def at(axis, k, rest):  # grid index: k along axis, rest along the other
         return (k, rest) if axis == 0 else (rest, k)
 
-    def path(e):
+    def sweep(e, edge):
         o = 1 - e
-        edge = np.concatenate(list(march(
-            start, lambda k: coef(e, at(e, k, slice(0, 1))),
-            grid.counts[e], grid.spacings[e])), axis=-3)
         return march(edge, lambda k: coef(o, at(o, k, slice(None))),
                      grid.counts[o], grid.spacings[o])
 
     corner = (slice(0, 1), 0)
     dtype = np.result_type(start, coef(0, corner), coef(1, corner))
     kept = [np.empty(grid.counts + start.shape[-2:], dtype) for _ in start]
-    for k, p in enumerate(path(keep)):
+    edge = np.concatenate(list(march(
+        start, lambda k: coef(keep, at(keep, k, slice(0, 1))),
+        grid.counts[keep], grid.spacings[keep])), axis=-3)
+    for k, p in enumerate(sweep(keep, edge)):
         idx = at(1 - keep, k, slice(None))
         for out, q in zip(kept, p):
             out[idx] = q
+    edge = np.stack([out[at(keep, 0, slice(None))] for out in kept])
     resid = np.zeros(len(kept))
-    for k, p in enumerate(path(1 - keep)):
+    for k, p in enumerate(sweep(1 - keep, edge)):
         idx = at(keep, k, slice(None))
         resid = np.maximum(resid, [np.abs(out[idx] - q).max()
                                    for out, q in zip(kept, p)])
@@ -731,7 +842,8 @@ def eval_rule(fields: SolutionFields, rule: JetExpr,
 
 def _potential_tolerance(grid: Grid, integrands) -> float:
     h = max(grid.spacings)
-    scale = max(float(np.abs(f).max()) for f in integrands.values())
+    scale = max(float(np.abs(f[r0:r1]).max()) for f in integrands.values()
+                for r0, r1 in _row_blocks(f.shape[0]))
     extent = max(ax.h * (ax.n - 1) for ax in grid.axes)
     return 20.0 * (1.0 + scale) * extent * h ** 2
 

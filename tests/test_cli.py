@@ -673,19 +673,22 @@ def test_lax_residual_on_phi_is_the_residual_of_psi(equation, counts):
             assert (got.margin, got.h) == (w.margin, w.h)
 
 
+SO3_MATRICES = {k: np.asarray(v, dtype=float) for k, v in {
+    "A": [[0, -1, 0], [1, 0, 0], [0, 0, 0]],
+    "B": [[0, 0, 0.5], [0, 0, -0.3], [-0.5, 0.3, 0]],
+    "M": [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+    "L": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]}.items()}
+
+
 def _so3_context():
     """A chiral-so3 run context (3 x 3 rotation generators) whose 65^2
     rung 0 holds u^-1, its connections and its potential, as after the
     numeric claims of a report.  A Lax march on a 9-point rung runs first,
     so that no module the march imports on first use (numpy.random, some
     600 kB) counts toward a measured peak."""
-    mats = {"A": [[0, -1, 0], [1, 0, 0], [0, 0, 0]],
-            "B": [[0, 0, 0.5], [0, 0, -0.3], [-0.5, 0.3, 0]],
-            "M": [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
-            "L": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]}
-    mats = {k: np.asarray(v, dtype=float) for k, v in mats.items()}
-    _RunContext(load_config(matrices=mats, counts=(9, 17, 33))).lax(0.25, 0)
-    ctx = _RunContext(load_config(matrices=mats))
+    _RunContext(load_config(matrices=SO3_MATRICES,
+                            counts=(9, 17, 33))).lax(0.25, 0)
+    ctx = _RunContext(load_config(matrices=SO3_MATRICES))
     rung = ctx.rung(0)
     assert rung.u.grid.counts == (65, 65)
     rung.inverse, rung.connections, rung.potential
@@ -710,11 +713,33 @@ def test_tower_characteristic_peak_is_bounded():
 
 
 def test_context_conservation_peak_is_bounded():
-    # the characteristic's sample is freed once transported
+    # the characteristic's sample is transported in place, and the
+    # divergence is formed one block of rows at a time
     ctx, rung = _so3_context()
     seed = next(s for s in ctx.eq.seeds if s.provenance == DEFAULT_SEED)
     assert peak_field_sizes(lambda: ctx.conservation(seed, 0),
-                            rung.u.values.nbytes) <= 5.0
+                            rung.u.values.nbytes) <= 4.5
+
+
+def test_tower_charge_conservation_peak_is_bounded():
+    # level -2's tower potentials, its sample transported in place and the
+    # blocked divergence of it
+    ctx, rung = _so3_context()
+    q = ctx.hierarchy(DEFAULT_SEED, -2, 1).charges[-2]
+    assert peak_field_sizes(lambda: ctx.conservation(q, 0),
+                            rung.u.values.nbytes) <= 4.5
+
+
+def test_potential_relations_peak_is_bounded():
+    # each relation holds X_v, read straight from GridEnv.derivative, and
+    # the rule it subtracts in place; the potentials are made beforehand
+    ctx = _RunContext(load_config(matrices=SO3_MATRICES, counts=(17, 33, 65)))
+    for i in range(3):
+        ctx.rung(i).potential
+    claim = next(c for c in numeric_claims(ctx)
+                 if c.id == "num.potential-defining-relations")
+    assert peak_field_sizes(claim.run,
+                            ctx.rung(2).u.values.nbytes) <= 2.5
 
 
 def test_offshell_ratio_with_zero_on_shell_residual():

@@ -614,7 +614,8 @@ def test_lax_lambda_guards(monkeypatch):
 
 
 def test_lax_march_count_does_not_grow_with_the_stack(monkeypatch):
-    # two edge marches and two sweeps per rung, however many values
+    # one edge march and two sweeps per rung, however many values: the
+    # compared path's edge is read off the kept path
     rung = SolutionFields(CHIRAL,
                           sample_solution(ROTATION_FAMILY, chiral_grid(9)))
     marches = _count_marches(monkeypatch)
@@ -622,7 +623,7 @@ def test_lax_march_count_does_not_grow_with_the_stack(monkeypatch):
     one = len(marches)
     marches.clear()
     integrate_lax(rung, [0.25, 0.5, 1.0, 2.0])
-    assert len(marches) == one == 4
+    assert len(marches) == one == 3
 
 
 @pytest.mark.parametrize("eq,family,grid", [
@@ -1031,16 +1032,166 @@ def test_eval_on_grid_never_writes_into_a_cached_atom():
     assert got is not g_t and np.array_equal(got, g_t)
 
 
-def test_conservation_residual_peak_is_bounded():
-    # with u^-1, the connections and q made beforehand, the divergence of a
-    # 65^2 rung of 3x3 matrices peaks at no more than 5 field sizes
+def _so3_rung(n=65):
+    """A rung of 3x3 rotation generators on an n^2 grid, with u^-1 and the
+    connections made."""
     rung = SolutionFields(CHIRAL, sample_solution(
         SolutionFamily("exponential-product", SO3_A, SO3_B),
-        chiral_grid(65)))
+        chiral_grid(n)))
     rung.inverse, rung.connections
+    return rung
+
+
+def test_conservation_residual_peak_is_bounded():
+    # with u^-1, the connections and q made beforehand, the divergence of a
+    # 65^2 rung of 3x3 matrices holds u^-1 q, the divergence and the
+    # blocks of the one being formed (each about half the grid here)
+    rung = _so3_rung()
     q = GridField(rung.u.grid, rung.u.values @ SO3_A)
     assert peak_field_sizes(lambda: conservation_residual(rung, q),
-                            rung.u.values.nbytes) <= 5.0
+                            rung.u.values.nbytes) <= 4.5
+
+
+def test_field_equation_evaluation_peak_is_bounded():
+    # the residual's one output array and the blocks of its monomials and
+    # derivatives; no whole derivative is formed
+    rung = _so3_rung()
+    residual, env = field_equation_residual(CHIRAL), rung.env.bind()
+    assert peak_field_sizes(lambda: eval_on_grid(residual, env),
+                            rung.u.values.nbytes) <= 4.5
+    assert list(env._cache) == []
+
+
+# ---------------------------------------------------------------------------
+# Row blocks: every blocked evaluation is bit for bit the whole grid's
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [3, 4, 5, 9, 17, 33])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_halo_gives_the_whole_derivative_rows(n, k):
+    # every block of every size, down to one row, differentiated k times
+    # along axis 0 on its halo window, matches those rows of the whole
+    # derivative, edges included
+    f = np.random.default_rng(n + k).standard_normal((n, 4, 2, 2))
+    whole = f
+    for _ in range(k):
+        whole = kernels.gradient(whole, 0.1, 0)
+    for size in range(1, n + 1):
+        for r0 in range(0, n, size):
+            r1 = min(r0 + size, n)
+            lo, hi = numerics._halo(r0, r1, n, k)
+            part = f[lo:hi]
+            for _ in range(k):
+                part = kernels.gradient(part, 0.1, 0)
+            assert np.array_equal(part[r0 - lo:r1 - lo], whole[r0:r1])
+
+
+def _whole_and_blocked(monkeypatch, block, evaluate):
+    """``evaluate()`` with one block over the whole grid, then with blocks
+    of ``block`` rows."""
+    monkeypatch.setattr(numerics, "BLOCK_ROWS", 10 ** 6)
+    whole = evaluate()
+    monkeypatch.setattr(numerics, "BLOCK_ROWS", block)
+    return whole, evaluate()
+
+
+def _divergence_array(monkeypatch, rung, w):
+    """The divergence array ``current_divergence`` forms, before its
+    statistics."""
+    seen = []
+    stats = numerics.residual_stats
+
+    def recorded(arr, *args):
+        seen.append(arr.copy())
+        return stats(arr, *args)
+    monkeypatch.setattr(numerics, "residual_stats", recorded)
+    numerics.current_divergence(rung, w)
+    monkeypatch.setattr(numerics, "residual_stats", stats)
+    return seen.pop()
+
+
+# both rungs have 17 rows (the sdym one on its diagonal); the block sizes
+# are above the row count, equal to it, one below it (so 17 is one above
+# the block) and one 17 is not a multiple of
+BLOCKS = {"below": 32, "equal": 17, "one-above": 16, "not-multiple": 5}
+
+
+@pytest.mark.parametrize("block", list(BLOCKS.values()), ids=list(BLOCKS))
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+@pytest.mark.parametrize("eq,family,grid", [
+    (CHIRAL, ROTATION_FAMILY, chiral_grid(17)),
+    (SDYM, SolutionFamily("lifted-chiral", ROTATION_FAMILY.A,
+                          ROTATION_FAMILY.B), sdym_grid(9))],
+    ids=["chiral", "sdym"])
+def test_row_blocks_are_bit_for_bit_the_whole_grid(monkeypatch, eq, family,
+                                                   grid, dtype, block):
+    sample = sample_solution(family, grid)
+    u = GridField(grid, sample.values.astype(dtype))
+    assert u.grid.counts[0] == 17
+    params = {"M": NILPOTENT_A, "L": NILPOTENT_B}
+
+    def rung():
+        return SolutionFields(eq, u)
+
+    def evaluate():
+        r = rung()
+        out = [eval_on_grid(field_equation_residual(eq), r.env.bind())]
+        out += [eval_characteristic(q, r, params).values
+                for q in eq.catalog]
+        if eq is CHIRAL:
+            tower = generate_hierarchy(eq, _seed(eq, "right-action"),
+                                       -2, 0).charges[-2]
+            out.append(eval_characteristic(tower, r, params).values)
+        w = r.inverse @ out[1]
+        out.append(_divergence_array(monkeypatch, r, w))
+        out.append(numerics.transport(r, out[1].copy()))
+        return out
+
+    whole, blocked = _whole_and_blocked(monkeypatch, block, evaluate)
+    assert len(whole) == len(blocked) >= 5
+    for a, b in zip(whole, blocked):
+        assert a.dtype == b.dtype == np.dtype(dtype)
+        assert np.array_equal(a, b)
+
+
+def test_transport_writes_over_the_sample():
+    rung = SolutionFields(CHIRAL,
+                          sample_solution(ROTATION_FAMILY, chiral_grid(17)))
+    q = rung.u.values @ NILPOTENT_A
+    want = rung.inverse @ q
+    got = numerics.transport(rung, q)
+    assert got is q and np.array_equal(got, want)
+    # a wider result than the sample's dtype is a new array
+    cplx = SolutionFields(CHIRAL, GridField(
+        rung.u.grid, rung.u.values.astype(complex)))
+    q = rung.u.values @ NILPOTENT_A
+    got = numerics.transport(cplx, q)
+    assert got is not q and got.dtype == np.complex128
+    assert np.array_equal(got, cplx.inverse @ q)
+
+
+def test_conservation_and_evaluation_never_write_into_their_inputs():
+    # the sample, the characteristic's samples, u^-1, the connections, the
+    # potential and a cached derivative are all as they were
+    rung = SolutionFields(CHIRAL,
+                          sample_solution(ROTATION_FAMILY, chiral_grid(17)))
+    params = {"M": NILPOTENT_A, "L": NILPOTENT_B}
+    g_t = rung.env.atom_values(Field("g", (1, 0)))
+    inputs = [rung.u.values, rung.inverse, *rung.connections, rung.potential,
+              g_t]
+    samples = [eval_characteristic(q, rung, params) for q in CHIRAL.catalog]
+    kept = [a.copy() for a in inputs + [q.values for q in samples]]
+    for q in samples:
+        conservation_residual(rung, q)
+    env = rung.env.bind(params=params,
+                        potentials={CHIRAL.potential_name: rung.potential})
+    for e in (field_equation_residual(CHIRAL), CHIRAL.vs.field("g", "t")):
+        eval_on_grid(e, rung.env)
+    for q in CHIRAL.catalog:
+        eval_on_grid(q.body.expr, env)
+    assert rung.env.atom_values(Field("g", (1, 0))) is g_t
+    for a, k in zip(inputs + [q.values for q in samples], kept):
+        assert np.array_equal(a, k)
 
 
 @pytest.mark.parametrize("eq,family,grid,provenance", [
