@@ -69,6 +69,7 @@ from .numerics import (
     eval_rule,
     fd_residual_field_equation,
     integrate_lax,
+    lax_elimination,
     rung_grid,
     sample_solution,
     scaled_margins,
@@ -161,10 +162,10 @@ class RunConfig:
                        value if name == "lambdas" else (value,))):
                 raise ConfigInvalid(
                     f"{name} holds an integer too large for a float")
-        for l in self.lambdas:
-            if l == 0 or not np.isfinite(1.0 + l * l):
-                raise ConfigInvalid(f"spectral value {l:g} must be nonzero, "
-                                    f"with 1 + lambda^2 finite")
+        try:
+            lax_elimination(eq, self.lambdas)
+        except SymlaxError as exc:
+            raise ConfigInvalid(f"spectral values {self.lambdas}: {exc}")
         tags = [f"{l:g}" for l in self.lambdas]
         if len(set(tags)) < len(tags):
             raise ConfigInvalid(

@@ -55,9 +55,9 @@ class EquationDef:
     families: Tuple[str, ...]              # sampling families, default first
     extent: float                          # default per-axis grid length
     counts: Tuple[int, ...]                # default refinement ladder
-    # a lifted equation's sampled grid axes, one per ``lift`` pair, each
-    # over the pair's coordinate sum
-    diagonal: Tuple[str, ...] = ()
+    # each grid axis of a diagonal rung, by name, with the variables whose
+    # coordinate sum it runs over; empty when every variable is an axis
+    diagonal: Dict[str, Tuple[str, ...]] = dc_field(default_factory=dict)
 
     @property
     def catalog(self) -> Tuple[Characteristic, ...]:
@@ -66,12 +66,13 @@ class EquationDef:
         return self.seeds + self.derived
 
     @property
-    def lift(self) -> Dict[str, str]:
-        """Plain-to-barred variable pairs of a slot whose covariant
-        variable differs from its divergence variable; empty for an
-        equation whose slots pair each variable with itself."""
-        return {s.cov_var: s.div_var for s in self.slots
-                if s.cov_var != s.div_var}
+    def axes(self) -> Tuple[int, ...]:
+        """The grid axis each variable differentiates along, by position in
+        ``vs.names``: the declared diagonal axis that carries it, or its
+        own."""
+        carried = list(self.diagonal.values()) or [(v,) for v in self.vs.names]
+        return tuple(next(d for d, c in enumerate(carried) if v in c)
+                     for v in self.vs.names)
 
     def slot(self, which: str) -> ConnSlot:
         for s in self.slots:
@@ -297,7 +298,7 @@ def _make_sdym() -> EquationDef:
         families=("lifted-chiral",),
         extent=0.5,
         counts=(9, 17, 33),
-        diagonal=("t", "x"),    # t = y+yb, x = z+zb
+        diagonal={"t": ("y", "yb"), "x": ("z", "zb")},
     )
 
 

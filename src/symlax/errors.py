@@ -39,7 +39,7 @@ class ZeroLambda(SymlaxError):
 
 
 class SingularLambda(SymlaxError):
-    """Spectral parameter too close to the 1 + lambda^2 = 0 singularity."""
+    """Spectral value where the Lax elimination's determinant is near 0 or not finite."""
 
 
 class PathInconsistent(SymlaxError):

@@ -6,47 +6,36 @@ conservation residuals of the charge hierarchy, potential consistency and
 path independence, Lax wavefunction integration, and convergence-order
 measurement.  A perturbed off-shell family provides negative controls.
 
-Every path integral, the potential's X_x = a, X_t = -b and the
-wavefunction's phi_x = [Cx, phi], phi_t = [Ct, phi], goes through one
-function, ``_staircase_paths``: both staircase paths from the grid's corner,
-one kept, the other compared with it; their difference fails off-shell.
+Every path integral, the potential's and the wavefunction's, goes through
+``_staircase_paths``: both staircase paths from the grid's corner, one
+kept, the other compared with it; their difference fails off-shell.  The
+wavefunction's coefficients along the grid axes, and the spectral values
+at which they are singular, come from the equation's Lax pair, solved
+from its slots (``lax_elimination``).
 
-Every grid check takes one rung of a ladder, a ``SolutionFields``: the
-equation, the sampled solution u and the three products of it that many
-checks read, u^-1, the slot connections and the potential, each computed
-once on first use and kept until the Lax march, which keeps only the
-connections.  Field derivatives are not kept: each evaluation computes
-those it reads in an environment of its own, bound from the rung's.  A
-potential rule that is plus or minus a slot connection reads the rung's
-connection.  The tower potentials a characteristic carries go through the
-same staircase integration on each evaluation, since their rules read the
-parameter matrices bound to it.
+Every grid check takes one rung of a ladder, a ``SolutionFields``, which
+keeps u^-1, the slot connections and the potential; field derivatives are
+formed per evaluation, in an environment bound from the rung's.  Every
+full-grid expression, divergence and transport is evaluated one block of
+``BLOCK_ROWS`` rows at a time into its one output array, differentiating
+on the block plus a halo (``_halo``) with the whole grid's per-element
+operations, so a block's rows are bit for bit the whole grid's.
 
-Every full-grid expression, divergence and transport is evaluated one
-block of ``BLOCK_ROWS`` rows (along axis 0) at a time, into its one output
-array.  A block differentiates a field or potential on its rows plus a
-halo of as many rows as the derivative's order along axis 0 (``_halo``),
-so no whole derivative is formed, and each block's temporaries are a
-block's.  Every per-element operation and every per-matrix product is the
-one the whole grid would take, so a block's rows are bit for bit the
-whole grid's.
+An equation that declares a diagonal (``EquationDef.diagonal``; SDYM,
+whose solutions J = g(y+yb, z+zb) depend on each plain/barred pair through
+its sum) is sampled on it only (``rung_grid``): one axis per declared name
+over the sum of the variables it carries, t = y+yb and x = z+zb, with 2n-1
+points at the spacing of an n-point rung, and both variables of a pair
+differentiate along its axis (``EquationDef.axes``).  A central difference
+along y or yb in the interior of the four-variable grid reads exactly the
+samples of the one along t, so every residual, potential and wavefunction
+is measured on the diagonal; ``residual_stats`` weights each diagonal
+point by the number of four-variable points it stands for.
 
-A lifted equation (SDYM, whose solutions J = g(y+yb, z+zb) depend on each
-plain/barred variable pair through its sum) is sampled on its diagonal
-only: ``rung_grid`` gives it one axis per pair, over the coordinate sum
-(t = y+yb, x = z+zb), with 2n-1 points at the spacing of an n-point rung.
-Its rung differentiates both variables of a pair along the pair's axis.  A
-central difference along y or yb in the interior of the four-variable grid
-reads exactly the samples of the difference along t, so every residual,
-potential and wavefunction is measured on the diagonal; ``residual_stats``
-trims a paired axis by twice the four-variable margin and weights each
-diagonal point by the number of four-variable points it stands for.
-
-Grid arrays are real or complex, by promotion: every array takes the dtype
-numpy's promotion gives from the inputs, so a real sample with real
-parameter matrices and a real spectral value stays float64 throughout, and
-a complex input (a loaded snapshot, a complex parameter matrix or spectral
-value) makes complex128 wherever it enters.
+Grid arrays take the dtype numpy's promotion gives from their inputs: a
+real config stays float64, and a complex input (a loaded snapshot, a
+complex parameter matrix or spectral value) makes complex128 wherever it
+enters.
 """
 
 from __future__ import annotations
@@ -281,12 +270,12 @@ def _perturbation(t, x, n):
 
 def rung_grid(eq: EquationDef, origin: float, h: float, n: int) -> Grid:
     """The grid a rung of ``eq`` is sampled on, for a ladder count of n
-    points at spacing h from ``origin`` per variable.  A lifted equation is
-    sampled on its diagonal: one axis per plain/barred pair, named in
-    ``eq.diagonal``, over the pair's coordinate sum, so with 2n - 1 points
-    from 2 * origin."""
-    if eq.lift:
-        return Grid.regular(eq.diagonal, 2 * origin, h, 2 * n - 1)
+    points at spacing h from ``origin`` per variable.  An equation that
+    declares a diagonal is sampled on it: one axis per name of
+    ``eq.diagonal``, over the sum of the two variables it carries, so with
+    2n - 1 points from 2 * origin."""
+    if eq.diagonal:
+        return Grid.regular(tuple(eq.diagonal), 2 * origin, h, 2 * n - 1)
     return Grid.regular(eq.vs.names, origin, h, n)
 
 
@@ -477,7 +466,7 @@ def _eval_rows(e: JetExpr, env: GridEnv, r0: int, r1: int,
         scal = float(coef)
         term = None
         for c in coords:
-            if c not in env.grid.names:  # a lifted rung's plain variable
+            if c not in env.grid.names:  # a diagonal rung's variable
                 raise UnboundAtom(f"no grid data for coordinate {c!r}")
             arr = env.grid.coord_array(c)[r0:r1, ..., None, None]
             term = arr * eye if term is None else term * arr
@@ -596,23 +585,20 @@ class SolutionFields:
     ``u^-1``; it differentiates one block of rows, plus its halo, at a
     time, so no whole derivative is formed.
 
-    Each variable differentiates along one grid axis (``env.axes``): its
-    own, or for a lifted equation the diagonal axis of its plain/barred
-    pair.  A sample over any other number of axes than the equation maps
-    onto raises DimensionMismatch."""
+    Each variable differentiates along its grid axis, ``eq.axes``.  A
+    sample over any other number of axes than the equation maps onto
+    raises DimensionMismatch."""
 
     def __init__(self, eq: EquationDef, u: GridField):
-        pairs = list(eq.lift.items()) or [(v,) for v in eq.vs.names]
-        if len(u.grid.axes) != len(pairs):
+        n_axes = len(set(eq.axes))
+        if len(u.grid.axes) != n_axes:
             raise DimensionMismatch(
                 f"{eq.name} maps its variables {eq.vs.names} onto "
-                f"{len(pairs)} grid axes; the sample has "
-                f"{len(u.grid.axes)}")
+                f"{n_axes} grid axes; the sample has {len(u.grid.axes)}")
         self.eq = eq
         self.u = u
         self.env = GridEnv(u.grid, {eq.field_name: u.values})
-        axis = {v: d for d, pair in enumerate(pairs) for v in pair}
-        self.env.axes = tuple(axis[v] for v in eq.vs.names)
+        self.env.axes = eq.axes
         self._connections: Optional[Tuple[np.ndarray, ...]] = None
         self._potential: Optional[np.ndarray] = None
 
@@ -891,30 +877,49 @@ class LaxIntegration:
         return GridField(u.grid, u.values @ self.phi.values)
 
 
-def _check_lambda(lam):
-    if not np.isfinite(lam):
-        raise ValueError("spectral parameter must be finite")
-    if lam == 0:
+def lax_elimination(eq: EquationDef, lams):
+    """The Lax pair of ``eq`` (``recursion._lax_constraints``) solved for
+    the derivatives of w = u^-1 Psi along the grid axes, at a spectral
+    value or, elementwise, at an array of them.  With each variable read
+    along its axis (``eq.axes``) the constraints are
+    m (w_0, w_1) = (lam [A_1, w], -lam [A_2, w]) over slots 1 and 2.
+    Returns ``coef``, coef[i][k] = adj(m)[i][k] times row k's scalar, and
+    det m, so that w_i = sum_k coef[i][k] [A_k, w] / det.  A zero value
+    raises ZeroLambda; one where det is not finite or below 1e-8 in size,
+    on the pair's singular set, raises SingularLambda."""
+    lam = np.asarray(lams)
+    if np.any(lam == 0):
         raise ZeroLambda("spectral parameter must be nonzero")
-    den = 1.0 + lam * lam
-    if not np.isfinite(den) or abs(den) < 1e-8:
-        raise SingularLambda(f"1 + lambda^2 vanishes or overflows at "
-                             f"lambda = {lam}; elimination is singular")
+    axes, vs = eq.axes, eq.vs
+    s1, s2 = eq.slots
+    m = [[0.0, 0.0], [0.0, 0.0]]
+    with np.errstate(all="ignore"):
+        m[0][axes[vs.index(s2.div_var)]] += 1.0
+        m[0][axes[vs.index(s1.cov_var)]] -= lam
+        m[1][axes[vs.index(s1.div_var)]] += 1.0
+        m[1][axes[vs.index(s2.cov_var)]] += lam
+        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        bad = ~np.isfinite(det) | (np.abs(det) < 1e-8)
+    if np.any(bad):
+        raise SingularLambda(f"the Lax elimination's determinant is "
+                             f"{det[bad]} at lambda = {lam[bad]}")
+    adj = ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
+    return tuple((a0 * lam, a1 * -lam) for a0, a1 in adj), det
 
 
 def integrate_lax(fields: SolutionFields, lams: Sequence[complex],
                   phi0: Optional[np.ndarray] = None) -> List[LaxIntegration]:
-    """Integrate the explicit first-order form of the Lax pair for the
-    wavefunction phi = u^-1 Psi on a rung, along both staircase paths,
-    for every spectral value of ``lams`` at once: one integration per
-    value, in order.  ``phi`` holds the path that runs x first along
-    t = 0, then t along every column; its maximum pointwise difference
-    from the path t first is the compatibility residual (it vanishes with
-    h only on-shell).  Every value is checked before the march, which runs
-    on the rung's connections.  A stack that holds a complex value is
+    """Integrate the Lax pair, solved for the wavefunction phi = u^-1 Psi
+    by ``lax_elimination``, on a rung along both staircase paths, for
+    every spectral value of ``lams`` at once: one integration per value,
+    in order.  ``phi`` holds the path along axis 1 at index 0 of axis 0
+    first, then along axis 0; its largest pointwise difference from the
+    other path is the compatibility residual (it vanishes with h only
+    on-shell).  Every value is checked before the march, which runs on
+    the rung's connections.  A stack that holds a complex value is
     marched in complex."""
-    for lam in lams:
-        _check_lambda(lam)
+    lam = np.asarray(lams).reshape(-1, 1, 1, 1)
+    coefs, det = lax_elimination(fields.eq, lam)
     n = fields.u.n_dim
     if phi0 is None:
         # identity is a fixed point of the commutator flow; default to a
@@ -923,19 +928,12 @@ def integrate_lax(fields: SolutionFields, lams: Sequence[complex],
         phi0 = np.eye(n) + 0.5 * rng.standard_normal((n, n))
     phi0 = np.asarray(phi0)
 
-    lam = np.asarray(lams).reshape(-1, 1, 1, 1)
-    den = 1.0 + lam * lam
-    a, b = fields.connections
-
     def coef(axis, idx):
-        """Ct = -(lam b + lam^2 a)/(1+lam^2) along t, Cx = (lam a -
-        lam^2 b)/(1+lam^2) along x, for the whole stack of values."""
-        ak, bk = a[idx], b[idx]
-        if axis == 0:
-            return -(lam * bk + lam * lam * ak) / den
-        return (lam * ak - lam * lam * bk) / den
+        """sum_k coef[axis][k] A_k / det along ``axis``, for the stack."""
+        return functools.reduce(np.add, (c * conn[idx] for c, conn in zip(
+            coefs[axis], fields.connections))) / det
 
-    # kept path: x first along t = 0, then t along every column
+    # kept path: along axis 1 at index 0 of axis 0, then along axis 0
     grid = fields.u.grid
     phis, resids = _staircase_paths(
         _march_lines, coef, np.broadcast_to(phi0, (len(lam), 1) + phi0.shape),

@@ -8,6 +8,7 @@ BAB = B collapse the series).  These closed forms are the oracles below.
 """
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from symlax.calculus import total_derivative
 from symlax.equations import (
     Characteristic,
     ClosedForm,
+    ConnSlot,
     field_equation_residual,
     get_equation,
 )
@@ -50,6 +52,7 @@ from symlax.numerics import (
     eval_on_grid,
     fd_residual_field_equation,
     integrate_lax,
+    lax_elimination,
     load_snapshot,
     nilpotent_family,
     residual_stats,
@@ -605,7 +608,7 @@ def test_lax_lambda_guards(monkeypatch):
     for lams, error in [([0.0], ZeroLambda), ([1.0j], SingularLambda),
                         ([0.5, 2.0, 0.0], ZeroLambda),
                         ([0.5, -1.0j, 2.0], SingularLambda),
-                        ([0.5, float("nan")], ValueError),
+                        ([0.5, float("nan")], SingularLambda),
                         ([0.5, 1e200], SingularLambda),
                         ([-1e200j], SingularLambda)]:
         with pytest.raises(error):
@@ -666,6 +669,99 @@ def test_lax_lifted_agrees_with_diagonal_problem():
     assert got.compat_residual == want.compat_residual
     assert np.array_equal(got.phi.values, want.phi.values)
     assert np.array_equal(got.psi.values, want.psi.values)
+
+
+def test_singular_set_is_read_off_the_slots():
+    # chiral's connections under the light-cone pairing (t: cov t, div x),
+    # (x: cov x, div t), declared with no diagonal: its rung is the plain
+    # grid, and the elimination (1 - lam) w_t = lam [a, w],
+    # (1 + lam) w_x = -lam [b, w] is singular at lam = +-1, where chiral's
+    # is singular at the roots of 1 + lam^2
+    a, b = (s.connection for s in CHIRAL.slots)
+    light_cone = replace(CHIRAL, name="light-cone",
+                         slots=(ConnSlot("t", a, "t", "x"),
+                                ConnSlot("x", b, "x", "t")))
+    grid = rung_grid(light_cone, 0.0, 0.125, 9)
+    assert (grid.names, grid.counts) == (("t", "x"), (9, 9))
+    coef, det = lax_elimination(light_cone, 0.5)
+    assert coef[0][1] == coef[1][0] == 0.0
+    assert (coef[0][0] / det, coef[1][1] / det) == (1.0, -0.5 / 1.5)
+    u = sample_solution(ROTATION_FAMILY, grid)
+    for eq, singular, regular in [(light_cone, (1.0, -1.0), 1.0j),
+                                  (CHIRAL, (1.0j, -1.0j), 1.0)]:
+        rung = SolutionFields(eq, u)
+        for lam in singular:
+            with pytest.raises(SingularLambda):
+                integrate_lax(rung, [lam])
+        (out,) = integrate_lax(rung, [regular])
+        assert np.isfinite(out.compat_residual)
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.5, 1.0, 2.0, -1.7, 1e-5, 1e100,
+                                 3.0j, 0.3 + 0.7j])
+@pytest.mark.parametrize("eq,family,grid", [
+    (CHIRAL, ROTATION_FAMILY, chiral_grid(9)),
+    (SDYM, SolutionFamily("lifted-chiral", ROTATION_FAMILY.A,
+                          ROTATION_FAMILY.B), sdym_grid(5))],
+    ids=["chiral", "sdym"])
+def test_march_coefficients_are_the_closed_forms_bit_for_bit(
+        monkeypatch, eq, family, grid, lam):
+    # the coefficients the march reads, derived from the slots, against
+    # the hand-solved elimination of both equations, which is chiral's
+    rung = SolutionFields(eq, sample_solution(family, grid))
+    coefs = []
+    staircase = numerics._staircase_paths
+
+    def capture(march, coef, *args, **kw):
+        coefs.append(coef)
+        return staircase(march, coef, *args, **kw)
+    monkeypatch.setattr(numerics, "_staircase_paths", capture)
+    integrate_lax(rung, [lam])
+    whole = (slice(None), slice(None))
+    a, b = rung.connections
+    lam = np.asarray([lam]).reshape(-1, 1, 1, 1)
+    den = 1.0 + lam * lam
+    assert np.array_equal(coefs[0](0, whole),
+                          -(lam * b + lam * lam * a) / den)
+    assert np.array_equal(coefs[0](1, whole),
+                          (lam * a - lam * lam * b) / den)
+
+
+def test_a_wrong_elimination_fails_to_converge(monkeypatch):
+    # the negative control of the derived elimination: its determinant,
+    # -(1 + lam^2) for both equations, made -(1 - lam^2) with the
+    # coefficients kept.  At lam = 0.5 on the rotation pair the path
+    # residual then stays at about 0.206 on every rung, where the right
+    # elimination converges at second order (1.3e-3 -> 8.3e-5 on both
+    # equations' default grids)
+    solve = numerics.lax_elimination
+
+    def wrong(eq, lams):
+        coef, det = solve(eq, lams)
+        lam = np.asarray(lams)
+        return coef, -(1.0 - lam * lam)
+
+    lifted = SolutionFamily("lifted-chiral", ROTATION_FAMILY.A,
+                            ROTATION_FAMILY.B)
+    for eq, family, counts in [(CHIRAL, ROTATION_FAMILY, (17, 33, 65)),
+                               (SDYM, lifted, (9, 17, 33))]:
+        hs = [eq.extent / (n - 1) for n in counts]
+
+        def residuals():
+            return [integrate_lax(SolutionFields(eq, sample_solution(
+                family, rung_grid(eq, 0.0, h, n))), [0.5])[0].compat_residual
+                    for n, h in zip(counts, hs)]
+        right = residuals()
+        assert convergence_order(right, hs).order >= 1.9
+        with monkeypatch.context() as m:
+            m.setattr(numerics, "lax_elimination", wrong)
+            flat = residuals()
+        assert all(0.2 < r < 0.21 for r in flat)
+        try:
+            order = convergence_order(flat, hs).order
+        except NonMonotone:
+            order = 0.0
+        assert order < 0.5
 
 
 # ---------------------------------------------------------------------------
