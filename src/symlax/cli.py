@@ -63,17 +63,16 @@ from .numerics import (
     ResidualStats,
     SolutionFamily,
     SolutionFields,
+    characteristic_rows,
     convergence_order,
     current_divergence,
-    eval_characteristic,
-    eval_rule,
     fd_residual_field_equation,
     integrate_lax,
     lax_elimination,
+    rule_rows,
     rung_grid,
     sample_solution,
     scaled_margins,
-    transport,
 )
 from .recursion import (
     Hierarchy,
@@ -595,8 +594,9 @@ class _RunContext:
             rung.drop_cache()
             lams = self.cfg.lambdas
             for l, lax in zip(lams, integrate_lax(rung, lams)):
+                phi = lax.phi.values
                 self._lax[(l, i)] = (lax.compat_residual, current_divergence(
-                    rung, lax.phi.values, self.margins[i]))
+                    rung, lambda lo, hi: phi[lo:hi], self.margins[i]))
         return self._lax[(lam, i)]
 
     @functools.cached_property
@@ -607,21 +607,30 @@ class _RunContext:
             self.cfg, family=self.eq.families[0],
             lambdas=self.cfg.lambdas[:1]))
 
-    def conservation(self, q: Characteristic, i: int) -> ResidualStats:
-        """Conservation residual of characteristic q on rung i, under the
-        run's parameter matrices.  Its sample is this call's own, so it is
-        transported in place (``transport``)."""
+    def _transported(self, q: Characteristic, i: int):
+        """The transport u^-1 q of characteristic q on rung i, under the
+        run's parameter matrices, as a function of (r0, r1) that evaluates
+        and transports its rows r0:r1 afresh, so neither q nor u^-1 q is
+        ever whole; only q's tower potentials are, since q's form reads
+        them."""
         rung = self.rung(i)
-        w = transport(rung, eval_characteristic(q, rung, self.params).values)
-        return current_divergence(rung, w, self.margins[i])
+        q_rows, inverse = characteristic_rows(q, rung, self.params), rung.inverse
+        return lambda r0, r1: inverse[r0:r1] @ q_rows(r0, r1)
+
+    def conservation(self, q: Characteristic, i: int) -> ResidualStats:
+        """Conservation residual of characteristic q on rung i: the
+        divergence, reduced one block of rows at a time, of the transport
+        evaluated on each block plus a halo of two rows."""
+        return current_divergence(self.rung(i), self._transported(q, i),
+                                  self.margins[i])
 
     def trace(self, q: Characteristic, i: int) -> ResidualStats:
-        """Trace of the transported sample u^-1 q of characteristic q on
-        rung i, under the run's parameter matrices.  The sample is this
-        call's own, so it is transported in place."""
-        rung = self.rung(i)
-        w = transport(rung, eval_characteristic(q, rung, self.params).values)
-        return rung.stats(np.trace(w, axis1=-2, axis2=-1), self.margins[i])
+        """Trace of the transport u^-1 q of characteristic q on rung i,
+        reduced one block of rows at a time."""
+        w_rows = self._transported(q, i)
+        return self.rung(i).reduce_rows(
+            lambda r0, r1: np.trace(w_rows(r0, r1), axis1=-2, axis2=-1),
+            self.margins[i])
 
 
 # ---------------------------------------------------------------------------
@@ -720,16 +729,26 @@ def numeric_claims(ctx: _RunContext) -> List[Claim]:
             lambda i, q=q: ctx.conservation(q, i)))
 
     def potential_relations(i: int) -> ResidualStats:
-        # X_v - rule, with the rule subtracted in place from the fresh X_v
+        # X_v - rule on each block of rows: X_v's rows, differentiated on
+        # the block's halo in an environment that caches nothing, are this
+        # call's own, so the rule is subtracted in place, or, where it is
+        # minus a connection, that connection is added
         rung = ctx.rung(i)
         X = eq.potential_name
         env = rung.env.bind(potentials={X: rung.potential})
 
         def relation(v: str, rhs) -> ResidualStats:
             (atom,) = eq.vs.pot(X, v).atoms()
-            d = env.derivative(rung.potential, atom.orders)
-            d -= eval_rule(rung, rhs, env)
-            return rung.stats(d, ctx.margins[i])
+            rule, sign = rule_rows(rung, rhs, env)
+
+            def rows(r0, r1):
+                d = env.rows(atom, r0, r1)
+                if sign > 0:
+                    d -= rule(r0, r1)
+                else:
+                    d += rule(r0, r1)
+                return d
+            return rung.reduce_rows(rows, ctx.margins[i])
         return max((relation(v, rhs)
                     for v, rhs in eq.potential_rules[X].items()),
                    key=lambda st: st.max)

@@ -6,20 +6,23 @@ conservation residuals of the charge hierarchy, potential consistency and
 path independence, Lax wavefunction integration, and convergence-order
 measurement.  A perturbed off-shell family provides negative controls.
 
-Every path integral, the potential's and the wavefunction's, goes through
-``_staircase_paths``: both staircase paths from the grid's corner, one
-kept, the other compared with it; their difference fails off-shell.  The
-wavefunction's coefficients along the grid axes, and the spectral values
-at which they are singular, come from the equation's Lax pair, solved
-from its slots (``lax_elimination``).
-
 Every grid check takes one rung of a ladder, a ``SolutionFields``, which
 keeps u^-1, the slot connections and the potential; field derivatives are
-formed per evaluation, in an environment bound from the rung's.  Every
-full-grid expression, divergence and transport is evaluated one block of
-``BLOCK_ROWS`` rows at a time into its one output array, differentiating
-on the block plus a halo (``_halo``) with the whole grid's per-element
-operations, so a block's rows are bit for bit the whole grid's.
+formed per evaluation, in an environment bound from the rung's.  The row
+block, ``BLOCK_ROWS`` rows along the first grid axis, is the unit of all
+grid work.  An expression, a divergence or a trapezoid step is formed on
+a block, differentiating on the block plus a halo (``_halo``) with the
+whole grid's per-element operations, so a block's rows are bit for bit
+the whole grid's.  Every residual is reduced block by block
+(``reduce_rows``), so it is never whole, and its statistics are those of
+the whole interior bit for bit (``_PairwiseSum``).  The potentials are
+integrated along both staircase paths by rows (``_trapezoid_paths``): the
+kept path is written into the potential's rows, the other is compared
+with it block by block and never stored, and their difference fails
+off-shell.  The wavefunction's march (``_staircase_paths``) steps along
+lines; its coefficients along the grid axes, and the spectral values at
+which they are singular, come from the equation's Lax pair, solved from
+its slots (``lax_elimination``).
 
 An equation that declares a diagonal (``EquationDef.diagonal``; SDYM,
 whose solutions J = g(y+yb, z+zb) depend on each plain/barred pair through
@@ -29,7 +32,7 @@ points at the spacing of an n-point rung, and both variables of a pair
 differentiate along its axis (``EquationDef.axes``).  A central difference
 along y or yb in the interior of the four-variable grid reads exactly the
 samples of the one along t, so every residual, potential and wavefunction
-is measured on the diagonal; ``residual_stats`` weights each diagonal
+is measured on the diagonal; ``reduce_rows`` weights each diagonal
 point by the number of four-variable points it stands for.
 
 Grid arrays take the dtype numpy's promotion gives from their inputs: a
@@ -398,14 +401,15 @@ class GridEnv:
         return any_field.shape[-1]
 
 
-# rows of a grid evaluated at once: every full-grid expression, divergence
-# and transport is formed block by block, so its temporaries are a block's
+# rows of a grid evaluated at once: every full-grid expression, residual,
+# divergence and path integral is formed block by block, so its temporaries
+# are a block's
 BLOCK_ROWS = 32
 
 
-def _row_blocks(n: int):
-    """The blocks ``(r0, r1)`` of ``BLOCK_ROWS`` rows that cover n rows."""
-    return [(r0, min(r0 + BLOCK_ROWS, n)) for r0 in range(0, n, BLOCK_ROWS)]
+def _row_blocks(r0: int, r1: int):
+    """The blocks ``(a, b)`` of ``BLOCK_ROWS`` rows that cover rows r0:r1."""
+    return [(a, min(a + BLOCK_ROWS, r1)) for a in range(r0, r1, BLOCK_ROWS)]
 
 
 def _halo(r0: int, r1: int, n: int, k: int) -> Tuple[int, int]:
@@ -425,7 +429,7 @@ def _fill_rows(n: int, fill) -> np.ndarray:
     dtype the array takes; ``fill(r0, r1, dst)`` writes every later block
     into ``dst``, its rows of the array."""
     out = None
-    for r0, r1 in _row_blocks(n):
+    for r0, r1 in _row_blocks(0, n):
         if out is None:
             first = fill(r0, r1, None)
             out = np.empty((n,) + first.shape[1:], first.dtype)
@@ -437,24 +441,21 @@ def _fill_rows(n: int, fill) -> np.ndarray:
 
 def eval_on_grid(e: JetExpr, env: GridEnv) -> np.ndarray:
     """Pointwise evaluation of a normal-form expression over the grid, into
-    a new array, filled one block of rows at a time: each monomial's
-    products are formed on the block, from each atom's rows
-    (``GridEnv.rows``), each read once per block.  The input arrays and
-    cached atoms are only read.  A monomial with a power of the spectral
-    parameter, or with a coordinate the grid has no axis for, raises
-    UnboundAtom."""
-    if not e.mons:
-        n = env.matdim()
-        return np.zeros(env.grid.counts + (n, n))
-    return _fill_rows(env.grid.counts[0],
-                      lambda r0, r1, dst: _eval_rows(e, env, r0, r1, dst))
+    a new array, filled one block of rows at a time (``_eval_rows``).  The
+    input arrays and cached atoms are only read.  A monomial with a power
+    of the spectral parameter, or with a coordinate the grid has no axis
+    for, raises UnboundAtom."""
+    return _fill_rows(env.grid.counts[0], functools.partial(_eval_rows, e, env))
 
 
 def _eval_rows(e: JetExpr, env: GridEnv, r0: int, r1: int,
-               dst: Optional[np.ndarray]) -> np.ndarray:
-    """The sum of the monomials of ``e`` on rows r0:r1, accumulated into
-    ``dst`` when given, else into an array of the promoted dtype (which a
-    unit monomial of one atom may leave a view of that atom)."""
+               dst: Optional[np.ndarray] = None) -> np.ndarray:
+    """The sum of the monomials of ``e`` on rows r0:r1: each monomial's
+    products are formed on the block, from each atom's rows
+    (``GridEnv.rows``), each read once per block.  The sum is accumulated
+    into ``dst`` when given, else into an array of the promoted dtype
+    (which a unit monomial of one atom may leave a view of that atom, for
+    the caller only to read); an expression without monomials is zero."""
     n = env.matdim()
     shape = (r1 - r0,) + env.grid.counts[1:] + (n, n)
     eye = np.broadcast_to(np.eye(n), shape)
@@ -494,6 +495,11 @@ def _eval_rows(e: JetExpr, env: GridEnv, r0: int, r1: int,
             out += term
         else:
             out, owned = out + term, True
+    if out is None:  # no monomials
+        if dst is None:
+            return np.zeros(shape)
+        dst[...] = 0.0
+        return dst
     return out
 
 
@@ -509,12 +515,58 @@ class ResidualStats:
     h: float
 
 
-def _interior(arr: np.ndarray, margins: Sequence[int]) -> np.ndarray:
-    for axis, m in enumerate(margins):
-        if arr.shape[axis] <= 2 * m:
-            raise GridTooSmall(
-                f"axis {axis} has {arr.shape[axis]} points, margin {m}")
-    return arr[tuple(slice(m, -m) for m in margins)]
+class _PairwiseSum:
+    """``np.add.reduce`` of a contiguous float64 array of n values, bit for
+    bit, from the array fed in consecutive chunks (``add``).
+
+    numpy sums such an array pairwise: a range of more than 128 values
+    splits at half its size, rounded down to a multiple of 8, and a range
+    of at most 128 is summed by its own unrolled loop; the reduction of any
+    slice sums it by the same rule.  So a range of the tree that lies
+    within one chunk is one ``np.add.reduce`` of it, a range of at most
+    128 values that a chunk edge cuts is carried across the edge and
+    reduced once complete, and the range sums are added in the tree's
+    order.  ``total`` is the sum once all n values are fed."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.total = None
+        self._pos = 0
+        self._carry: List[np.ndarray] = []
+        self._open: Dict[Tuple[int, int], float] = {}  # left halves' sums
+
+    def add(self, chunk: np.ndarray) -> None:
+        """Feed the next ``chunk.size`` values, a 1-D float64 array."""
+        s = self._range(0, self.n, chunk, self._pos)
+        self._pos += chunk.size
+        if s is not None:
+            self.total = s
+
+    def _range(self, lo: int, n: int, chunk: np.ndarray, p: int):
+        """Reduce what ``chunk``, fed from offset p, holds of the range
+        lo:lo+n of the tree, which it reaches; the range's sum if the chunk
+        completes it, else None."""
+        hi, q = lo + n, p + chunk.size
+        if p <= lo and hi <= q:
+            return np.add.reduce(chunk[lo - p:hi - p])
+        if n <= 128:
+            self._carry.append(chunk[max(lo, p) - p:min(hi, q) - p].copy())
+            if hi > q:
+                return None
+            s = np.add.reduce(np.concatenate(self._carry))
+            self._carry = []
+            return s
+        mid = lo + n // 2 - n // 2 % 8
+        left = (self._range(lo, mid - lo, chunk, p) if p < mid
+                else self._open.pop((lo, n)))
+        if left is None:
+            return None
+        right = self._range(mid, hi - mid, chunk, p) if q > mid else None
+        if right is None:
+            self._open[lo, n] = left
+            return None
+        return left + right
+
 
 def scaled_margins(counts: Sequence[int], base: int = 3):
     """Interior-trim margins for a refinement ladder, scaled so every grid is
@@ -538,36 +590,69 @@ def scaled_margins(counts: Sequence[int], base: int = 3):
     return out
 
 
-def residual_stats(arr: np.ndarray, grid: Grid, margin: int,
-                   paired: Sequence[int] = ()) -> ResidualStats:
-    """Maximum and root mean square of ``arr`` over the grid's interior,
-    ``margin`` points in from every edge.  An axis in ``paired`` is the
-    diagonal of a plain/barred pair of n-point axes, each trimmed by
-    ``margin``: it is trimmed by 2 * margin, and in the mean each of its
-    points k counts as the (n - 2 margin) - |k - (n - 1)| index pairs of
-    that interior whose sum it is.  The record keeps ``margin``."""
+def reduce_rows(rows, grid: Grid, margin: int,
+                paired: Sequence[int] = ()) -> ResidualStats:
+    """Maximum and root mean square of an array over the grid's interior,
+    ``margin`` points in from every edge, reduced one block of
+    ``BLOCK_ROWS`` interior rows at a time: ``rows(r0, r1)`` gives the
+    array's rows r0:r1, which are only read, and each block is reduced
+    and dropped before the next is asked for, so the array is never whole
+    and rows outside the interior are never formed.  The maximum is that
+    of the blocks'; the mean of |core|^2 is the one numpy takes of the
+    whole interior, bit for bit, since its sum is fed through
+    ``_PairwiseSum``.
+
+    An axis in ``paired`` is the diagonal of a plain/barred pair of
+    n-point axes, each trimmed by ``margin``: it is trimmed by
+    2 * margin, and in the mean each of its points k counts as the
+    (n - 2 margin) - |k - (n - 1)| index pairs of that interior whose sum
+    it is; each block's |core|^2 is weighted before it is summed, and
+    the weight total is numpy's of the whole interior.  The record keeps
+    ``margin``."""
     margins = [2 * margin if a in paired else margin
                for a in range(len(grid.axes))]
-    core = _interior(arr, margins)
-    mags = np.abs(core)  # a fresh array, squared in place once its max is read
+    for axis, (n, m) in enumerate(zip(grid.counts, margins)):
+        if n <= 2 * m:
+            raise GridTooSmall(f"axis {axis} has {n} points, margin {m}")
     weights = None
-    if paired:
+    if paired:  # each interior point's count of index pairs
         weights = np.ones(())
         for a, (ax, m) in enumerate(zip(grid.axes, margins)):
             k = np.arange(m, ax.n - m)
-            # n points per axis of the pair; m is 2 * margin on it
-            n = (ax.n + 1) // 2
-            c = n - m - np.abs(k - (n - 1)) if a in paired else np.ones(k.size)
-            weights = np.multiply.outer(weights, c)
-        weights = np.broadcast_to(
-            weights.reshape(weights.shape + (1,) * (mags.ndim - weights.ndim)),
-            mags.shape)
-    top = float(mags.max())
-    np.square(mags, out=mags)
-    return ResidualStats(max=top,
-                         l2=float(np.sqrt(np.average(mags, weights=weights))),
-                         margin=margin,
-                         h=max(grid.spacings))
+            n = (ax.n + 1) // 2  # points per axis of the pair
+            weights = np.multiply.outer(weights, n - m - np.abs(k - (n - 1))
+                                        if a in paired else np.ones(k.size))
+    m0, n0 = margins[0], grid.counts[0]
+    inner = tuple(slice(m, -m) for m in margins[1:])
+    tops, total = [], None
+    for r0, r1 in _row_blocks(m0, n0 - m0):
+        mags = np.abs(rows(r0, r1)[(slice(None),) + inner])
+        tops.append(mags.max())
+        np.square(mags, out=mags)
+        if paired:
+            w = weights[r0 - m0:r1 - m0]
+            np.multiply(mags, w.reshape(w.shape + (1,) * (mags.ndim - w.ndim)),
+                        out=mags)
+        if total is None:
+            shape = (n0 - 2 * m0,) + mags.shape[1:]
+            total = _PairwiseSum(math.prod(shape))
+        total.add(mags.reshape(-1))
+        del mags
+    if paired:
+        weights = weights.reshape(weights.shape
+                                  + (1,) * (len(shape) - weights.ndim))
+        mean = total.total / np.broadcast_to(weights, shape).sum(
+            dtype=np.float64)
+    else:
+        mean = total.total / math.prod(shape)
+    return ResidualStats(max=float(np.max(tops)), l2=float(np.sqrt(mean)),
+                         margin=margin, h=max(grid.spacings))
+
+
+def residual_stats(arr: np.ndarray, grid: Grid, margin: int,
+                   paired: Sequence[int] = ()) -> ResidualStats:
+    """``reduce_rows`` of a whole array."""
+    return reduce_rows(lambda r0, r1: arr[r0:r1], grid, margin, paired)
 
 
 # ---------------------------------------------------------------------------
@@ -624,12 +709,12 @@ class SolutionFields:
             self._potential = compute_potential(self).field.values
         return self._potential
 
-    def stats(self, arr: np.ndarray, margin: int) -> ResidualStats:
-        """``residual_stats`` of an array over this rung, whose axes that
-        two variables share are paired."""
+    def reduce_rows(self, rows, margin: int) -> ResidualStats:
+        """``reduce_rows`` over this rung, whose axes that two variables
+        share are paired."""
         axes = self.env.axes
-        return residual_stats(arr, self.u.grid, margin,
-                              {a for a in axes if axes.count(a) > 1})
+        return reduce_rows(rows, self.u.grid, margin,
+                           {a for a in axes if axes.count(a) > 1})
 
     def drop_cache(self) -> None:
         """Drop u^-1, the potential, and any derivative a direct reader of
@@ -642,65 +727,54 @@ class SolutionFields:
 
 def fd_residual_field_equation(fields: SolutionFields,
                                margin: int = 3) -> ResidualStats:
-    """Central-difference evaluation of F[u] over interior points."""
-    F = eval_on_grid(field_equation_residual(fields.eq), fields.env.bind())
-    return fields.stats(F, margin)
+    """Central-difference evaluation of F[u] over interior points, one
+    block of rows at a time."""
+    return fields.reduce_rows(functools.partial(
+        _eval_rows, field_equation_residual(fields.eq), fields.env.bind()),
+        margin)
 
 
 def conservation_residual(fields: SolutionFields, qgrid: GridField,
                           margin: int = 3) -> ResidualStats:
     """Divergence of the conserved current pair built from a characteristic
-    sample: ``current_divergence`` of its transport u^-1 q, formed in an
-    array of its own.  The sample is only read, and it stays alive in the
-    caller for the whole call; a caller that owns its sample and has no
-    further use for it saves that array with ``transport``."""
+    sample: ``current_divergence`` of its transport u^-1 q, formed on each
+    block's rows.  The sample is only read."""
     if qgrid.grid is not fields.u.grid and qgrid.grid != fields.u.grid:
         raise DimensionMismatch("characteristic and solution grids differ")
-    return current_divergence(fields, fields.inverse @ qgrid.values, margin)
+    inverse, q = fields.inverse, qgrid.values
+    return current_divergence(fields, lambda lo, hi: inverse[lo:hi] @ q[lo:hi],
+                              margin)
 
 
-def transport(fields: SolutionFields, q: np.ndarray) -> np.ndarray:
-    """The transport u^-1 q of a characteristic sample of the rung
-    ``fields``, written over ``q`` one block of rows at a time, so ``q``
-    must be the caller's own.  When u^-1 q takes a wider dtype than ``q``
-    it is formed in a new array instead."""
-    inverse = fields.inverse
-    if np.result_type(inverse, q) != q.dtype:
-        return inverse @ q
-    for r0, r1 in _row_blocks(q.shape[0]):
-        q[r0:r1] = inverse[r0:r1] @ q[r0:r1]
-    return q
-
-
-def current_divergence(fields: SolutionFields, w: np.ndarray,
+def current_divergence(fields: SolutionFields, w_rows,
                        margin: int = 3) -> ResidualStats:
     """Divergence of the conserved current pair of a transported sample
     w = u^-1 q: sum_slots D_div(A_slot w), read on the rung's connections
-    alone, one block of rows at a time from the block plus a halo of two
-    rows.  ``w`` is only read."""
+    alone, one block of interior rows at a time (``reduce_rows``) from the
+    block plus a halo of two rows.  ``w_rows(lo, hi)`` gives rows lo:hi of
+    w, which are only read, so no whole w need exist; the divergence is
+    never whole either."""
     grid = fields.u.grid
     axes, vs = fields.env.axes, fields.eq.vs
     slots = [(conn, axes[vs.index(s.cov_var)], axes[vs.index(s.div_var)])
              for s, conn in zip(fields.eq.slots, fields.connections)]
 
-    def fill(r0, r1, dst):
-        # G = [A, w] + D_cov w, then D_div G: the first slot's starts the
-        # block, each other slot's adds to it
+    def divergence(r0, r1):
+        # G = [A, w] + D_cov w, then D_div G, summed over the slots
         lo, hi = _halo(r0, r1, grid.counts[0], 2)
-        wb = w[lo:hi]
-        for k, (conn, cov_axis, div_axis) in enumerate(slots):
+        wb = w_rows(lo, hi)
+        out = None
+        for conn, cov_axis, div_axis in slots:
             G = commutator(conn[lo:hi], wb)
             G += gradient(wb, grid.axes[cov_axis].h, cov_axis)
             G = gradient(G, grid.axes[div_axis].h, div_axis)[r0 - lo:r1 - lo]
-            if dst is None:
-                dst = G
-            elif k == 0:
-                dst[...] = G
+            if out is None:
+                out = G
             else:
-                dst += G
-        return dst
+                out += G
+        return out
 
-    return fields.stats(_fill_rows(grid.counts[0], fill), margin)
+    return fields.reduce_rows(divergence, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +782,8 @@ def current_divergence(fields: SolutionFields, w: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _staircase_paths(march, coef, start: np.ndarray, grid: Grid, keep: int):
-    """Both staircase paths of a first-order system over a two-axis grid
+    """Both staircase paths of the Lax march, a first-order system whose
+    steps are not vectorized over lines of the grid, over a two-axis grid
     from ``start`` at its corner, a stack of systems ``(S, 1, N, N)``.  The
     path of edge axis e marches along e at index 0 of the other axis, then
     from that edge along every line of the other.  ``march(start, coef, m,
@@ -748,18 +823,67 @@ def _staircase_paths(march, coef, start: np.ndarray, grid: Grid, keep: int):
     return kept, resid.tolist()
 
 
-def _trapezoid_leg(start, coef, m, h):
-    """Yield ``start`` plus the running trapezoid integral of ``coef(k)``
-    at each of the m points of a line: the steps h (f[k+1] + f[k]) / 2
-    summed in order, as ``np.cumsum`` sums them."""
-    yield start + 0.0
-    run, f0 = None, coef(0)
-    for k in range(1, m):
-        f1 = coef(k)
-        step = h * (f1 + f0) / 2.0
-        run = step if run is None else run + step
-        yield start + run
-        f0 = f1
+# ---------------------------------------------------------------------------
+# Potential integration
+# ---------------------------------------------------------------------------
+
+def _trapezoid_paths(rows, grid: Grid) -> Tuple[np.ndarray, float]:
+    """Both staircase paths of the trapezoid integral, from zero at the
+    grid's corner, of a gradient field over a two-axis grid, one block of
+    rows at a time: ``rows(r0, r1)`` gives the field's components along
+    axes 0 and 1 on rows r0:r1, which are only read, and each block is
+    asked for once.  Returns the path along axis 0 at index 0 of axis 1,
+    then along axis 1 on every row, in an array of the promoted dtype of
+    the field, and its largest difference from the path along axis 1 at
+    index 0 of axis 0, then along axis 0.
+
+    Each step is h (f[k] + f[k-1]) / 2, and ``np.cumsum`` adds the steps
+    of a line in order.  The kept path's steps along axis 1 are summed in
+    place in its rows of the result.  The compared path's steps along
+    axis 0 are a running sum over rows, carried from block to block in one
+    block buffer; its column 0 is the kept path's edge, and its edge is
+    the kept path's row 0, so each block of it is compared with the kept
+    rows of that block and never stored."""
+    n0, (h0, h1) = grid.counts[0], grid.spacings
+    X = run = prev = None
+    resid = 0.0
+    for r0, r1 in _row_blocks(0, n0):
+        f0, f1 = rows(r0, r1)
+        if X is None:
+            dtype = np.result_type(np.float64, f0, f1)
+            X = np.empty((n0,) + f1.shape[1:], dtype)
+            buf = np.empty((min(BLOCK_ROWS, n0),) + f1.shape[1:], dtype)
+        # the compared path's running sum along axis 0, from zero on row 0
+        b = buf[:r1 - r0]
+        np.add(f0[1:], f0[:-1], out=b[1:])
+        if prev is None:
+            b[0] = 0.0
+        else:
+            np.add(f0[0], prev, out=b[0])
+        b *= h0
+        b /= 2.0
+        if run is not None:
+            b[0] += run
+        np.cumsum(b, axis=0, out=b)
+        run, prev = b[-1].copy(), f0[-1].copy()
+        # the kept rows: the steps along axis 1, formed over the block's
+        # rows laid end to end, so on contiguous arrays, with column 0
+        # zeroed; their running sum; plus the edge, from the zero base
+        Xb = X[r0:r1]
+        g, k = f1.reshape(-1), f1[0, 0].size
+        np.add(g[k:], g[:-k], out=Xb.reshape(-1)[k:])
+        del f0, f1, g
+        Xb[:, 0] = 0.0
+        Xb *= h1
+        Xb /= 2.0
+        np.cumsum(Xb, axis=1, out=Xb)
+        Xb += (b[:, 0] + 0.0)[:, None]
+        # the compared rows, from the kept row 0, against the kept rows
+        b += X[0]
+        np.subtract(Xb, b, out=b)
+        np.abs(b, out=b)
+        resid = np.maximum(resid, b.real.max())
+    return X, float(resid)
 
 
 @dataclass(frozen=True)
@@ -772,8 +896,11 @@ def compute_potential(fields: SolutionFields) -> PotentialResult:
     """Integrate the potential defining system of a rung from the grid's
     corner (base value zero) along the staircase path t first, then x along
     every row; the path x first is compared with it, and their largest
-    difference, ``path_residual``, fails off-shell.  A rule that is plus or
-    minus a slot connection is read off the rung (``eval_rule``)."""
+    difference, ``path_residual``, fails off-shell.  Both paths are formed
+    one block of rows at a time (``_trapezoid_paths``), so beside the
+    potential the integration holds a few blocks: no whole integrand and
+    no stored compared path.  A rule that is plus or minus a slot
+    connection is read off the rung (``rule_rows``)."""
     eq = fields.eq
     X, resid = _integrate_potential(fields, eq.potential_rules[eq.potential_name],
                                     fields.env.bind())
@@ -783,25 +910,35 @@ def compute_potential(fields: SolutionFields) -> PotentialResult:
 def _integrate_potential(fields: SolutionFields, rules: Dict[str, JetExpr],
                          env: GridEnv) -> Tuple[np.ndarray, float]:
     """Samples of the potential whose first derivatives are ``rules``, each
-    evaluated by ``eval_rule`` from ``env`` over the rung ``fields``, along
-    the staircase path t first, and its largest difference from the path x
-    first; a difference above tolerance raises PathInconsistent, a grid
-    axis the rules leave free UnboundAtom."""
+    read by ``rule_rows`` from ``env`` over the rung ``fields`` one block
+    of rows at a time, along the staircase path t first, and its largest
+    difference from the path x first; a difference above tolerance raises
+    PathInconsistent, a grid axis the rules leave free UnboundAtom.  A
+    rule that is minus a connection is negated on the block only."""
     grid = fields.u.grid
-    integrands: Dict[int, np.ndarray] = {}
-    for v, rhs in rules.items():
-        axis = env.axes[fields.eq.vs.index(v)]
-        integrands[axis] = eval_rule(fields, rhs, env)
+    integrands = {env.axes[fields.eq.vs.index(v)]: rule_rows(fields, rhs, env)
+                  for v, rhs in rules.items()}
     if len(integrands) < len(grid.axes):
         raise UnboundAtom(
             f"potential rules along {sorted(rules)} leave a direction of "
             f"the grid free; numerical integration is underdetermined")
+    scale = 0.0
+
+    def rows(r0, r1):
+        nonlocal scale
+        out = []
+        for axis in (0, 1):
+            read, sign = integrands[axis]
+            f = read(r0, r1)
+            scale = max(scale, float(np.abs(f).max()))
+            out.append(f if sign > 0 else -1.0 * f)
+        return out
 
     # kept path: t first along x = 0, then x along every row
-    (X,), (resid,) = _staircase_paths(
-        _trapezoid_leg, lambda axis, idx: integrands[axis][idx],
-        np.zeros((1, 1) + integrands[0].shape[-2:]), grid, keep=0)
-    tol = _potential_tolerance(grid, integrands)
+    X, resid = _trapezoid_paths(rows, grid)
+    h = max(grid.spacings)
+    extent = max(ax.h * (ax.n - 1) for ax in grid.axes)
+    tol = 20.0 * (1.0 + scale) * extent * h ** 2
     if resid > tol:
         raise PathInconsistent(
             f"potential integration is path-dependent "
@@ -810,43 +947,34 @@ def _integrate_potential(fields: SolutionFields, rules: Dict[str, JetExpr],
     return X, resid
 
 
-def eval_rule(fields: SolutionFields, rule: JetExpr,
-              env: GridEnv) -> np.ndarray:
-    """Samples of a potential's defining rule over the rung ``fields``.  A
-    rule that is a slot connection is that connection's array, which the
-    caller only reads; its negative is ``-1.0 * c``, as ``eval_on_grid``
-    forms it.  Any other rule is evaluated in an environment of its own,
-    bound from ``env``, so the derivatives it reads are freed when it
-    returns."""
+def rule_rows(fields: SolutionFields, rule: JetExpr, env: GridEnv):
+    """A potential's defining rule over the rung ``fields``, as a function
+    of (r0, r1) that gives its rows r0:r1 up to a sign, and that sign.  A
+    rule that is plus or minus a slot connection reads that connection's
+    rows, with sign 1.0 or -1.0, so that a caller forms ``-1.0 * c`` on a
+    block only, or adds c where it would subtract the rule.  Any other rule
+    is evaluated on the rows from ``env`` (``_eval_rows``), with sign 1.0.
+    The rows are only read."""
     for k, s in enumerate(fields.eq.slots):
-        if rule == s.connection:
-            return fields.connections[k]
-        if rule == -s.connection:
-            return -1.0 * fields.connections[k]
-    return eval_on_grid(rule, env.bind(env.params, env.potentials))
-
-
-def _potential_tolerance(grid: Grid, integrands) -> float:
-    h = max(grid.spacings)
-    scale = max(float(np.abs(f[r0:r1]).max()) for f in integrands.values()
-                for r0, r1 in _row_blocks(f.shape[0]))
-    extent = max(ax.h * (ax.n - 1) for ax in grid.axes)
-    return 20.0 * (1.0 + scale) * extent * h ** 2
+        for sign, conn in ((1.0, s.connection), (-1.0, -s.connection)):
+            if rule == conn:
+                c = fields.connections[k]
+                return (lambda r0, r1: c[r0:r1]), sign
+    return functools.partial(_eval_rows, rule, env), 1.0
 
 
 # ---------------------------------------------------------------------------
 # Characteristic evaluation
 # ---------------------------------------------------------------------------
 
-def eval_characteristic(q: Characteristic, fields: SolutionFields,
-                        params: Optional[Dict[str, np.ndarray]] = None
-                        ) -> GridField:
-    """Sample a characteristic's closed form on a rung.  The rung supplies
-    u^-1, and its potential when the form or a tower rule reads it.  The
-    tower potentials ``q`` carries are path-integrated here, in the order
-    they were defined, since their rules read ``params``, which bind to
-    this evaluation only; each rule is evaluated in an environment of its
-    own, so no rule's derivatives outlive it."""
+def characteristic_rows(q: Characteristic, fields: SolutionFields,
+                        params: Optional[Dict[str, np.ndarray]] = None):
+    """A characteristic's closed form on a rung, as a function of (r0, r1)
+    that evaluates its rows r0:r1 afresh (``_eval_rows``).  The rung
+    supplies u^-1, and its potential when the form or a tower rule reads
+    it.  The tower potentials ``q`` carries are path-integrated whole,
+    here, in the order they were defined, since the form reads them and
+    their rules read ``params``, which bind to this evaluation only."""
     eq = fields.eq
     exprs = [q.body.expr] + [r for rules in q.potentials.values()
                              for r in rules.values()]
@@ -856,7 +984,17 @@ def eval_characteristic(q: Characteristic, fields: SolutionFields,
         env.potentials[eq.potential_name] = fields.potential
     for name, rules in q.potentials.items():
         env.potentials[name] = _integrate_potential(fields, rules, env)[0]
-    return GridField(fields.u.grid, eval_on_grid(q.body.expr, env))
+    return functools.partial(_eval_rows, q.body.expr, env)
+
+
+def eval_characteristic(q: Characteristic, fields: SolutionFields,
+                        params: Optional[Dict[str, np.ndarray]] = None
+                        ) -> GridField:
+    """Sample a characteristic's closed form on a rung: the rows of
+    ``characteristic_rows``, filled one block at a time."""
+    grid = fields.u.grid
+    return GridField(grid, _fill_rows(grid.counts[0],
+                                      characteristic_rows(q, fields, params)))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,9 @@ from symlax.equations import (
     get_equation,
 )
 from symlax.errors import ConfigInvalid, IoFailure
+from symlax import numerics
 from symlax.numerics import (
+    compute_potential,
     conservation_residual,
     eval_characteristic,
     integrate_lax,
@@ -680,27 +682,30 @@ SO3_MATRICES = {k: np.asarray(v, dtype=float) for k, v in {
     "L": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]}.items()}
 
 
-def _so3_context():
-    """A chiral-so3 run context (3 x 3 rotation generators) whose 65^2
-    rung 0 holds u^-1, its connections and its potential, as after the
-    numeric claims of a report.  A Lax march on a 9-point rung runs first,
-    so that no module the march imports on first use (numpy.random, some
-    600 kB) counts toward a measured peak."""
+def _so3_context(i=0):
+    """A chiral-so3 run context (3 x 3 rotation generators) whose rung i
+    (65^2 for 0, 257^2 for 2) holds u^-1, its connections and its
+    potential, as after the numeric claims of a report.  A Lax march on a
+    9-point rung runs first, so that no module the march imports on first
+    use (numpy.random, some 600 kB) counts toward a measured peak."""
     _RunContext(load_config(matrices=SO3_MATRICES,
                             counts=(9, 17, 33))).lax(0.25, 0)
     ctx = _RunContext(load_config(matrices=SO3_MATRICES))
-    rung = ctx.rung(0)
-    assert rung.u.grid.counts == (65, 65)
+    rung = ctx.rung(i)
+    assert rung.u.grid.counts == ((65, 65), (129, 129), (257, 257))[i]
     rung.inverse, rung.connections, rung.potential
     return ctx, rung
 
 
+# On the 65^2 rung a block of 32 rows is half the grid; on the 257^2 rung
+# it is an eighth, so there the bounds show what the blocks save.
+
 def test_lax_phase_peak_is_bounded():
-    # four wavefunctions and the divergence of one, with no psi, no
-    # u^-1 psi and no u^-1 beside them
+    # four wavefunctions and the blocks of the divergence of one, with no
+    # psi, no u^-1 psi and no u^-1 beside them
     ctx, rung = _so3_context()
     assert peak_field_sizes(lambda: ctx.lax(0.25, 0),
-                            rung.u.values.nbytes) <= 8.5
+                            rung.u.values.nbytes) <= 7.0
 
 
 def test_tower_characteristic_peak_is_bounded():
@@ -713,17 +718,17 @@ def test_tower_characteristic_peak_is_bounded():
 
 
 def test_context_conservation_peak_is_bounded():
-    # the characteristic's sample is transported in place, and the
-    # divergence is formed one block of rows at a time
+    # the characteristic is evaluated and transported on each block's
+    # halo, and the divergence is reduced one block of rows at a time
     ctx, rung = _so3_context()
     seed = next(s for s in ctx.eq.seeds if s.provenance == DEFAULT_SEED)
     assert peak_field_sizes(lambda: ctx.conservation(seed, 0),
-                            rung.u.values.nbytes) <= 4.5
+                            rung.u.values.nbytes) <= 3.5
 
 
 def test_tower_charge_conservation_peak_is_bounded():
-    # level -2's tower potentials, its sample transported in place and the
-    # blocked divergence of it
+    # level -2's tower potentials, and the blocks of its sample, its
+    # transport and its divergence
     ctx, rung = _so3_context()
     q = ctx.hierarchy(DEFAULT_SEED, -2, 1).charges[-2]
     assert peak_field_sizes(lambda: ctx.conservation(q, 0),
@@ -731,15 +736,61 @@ def test_tower_charge_conservation_peak_is_bounded():
 
 
 def test_potential_relations_peak_is_bounded():
-    # each relation holds X_v, read straight from GridEnv.derivative, and
-    # the rule it subtracts in place; the potentials are made beforehand
+    # each relation reads X_v and the rule by blocks of rows, and adds a
+    # connection where the rule is minus it; the potentials are made
+    # beforehand
     ctx = _RunContext(load_config(matrices=SO3_MATRICES, counts=(17, 33, 65)))
     for i in range(3):
         ctx.rung(i).potential
     claim = next(c for c in numeric_claims(ctx)
                  if c.id == "num.potential-defining-relations")
     assert peak_field_sizes(claim.run,
-                            ctx.rung(2).u.values.nbytes) <= 2.5
+                            ctx.rung(2).u.values.nbytes) <= 1.5
+
+
+def test_finest_rung_peaks_are_bounded():
+    # the 257^2 rung: four wavefunctions and divergence blocks in the Lax
+    # phase; the tower potentials beside blocks of the sample's rows and
+    # of its divergence; the potential beside blocks of its integrands
+    # and of the compared path; the seed's conservation in blocks only
+    ctx, rung = _so3_context(2)
+    nbytes = rung.u.values.nbytes
+    q = ctx.hierarchy(DEFAULT_SEED, -2, 1).charges[-2]
+    seed = next(s for s in ctx.eq.seeds if s.provenance == DEFAULT_SEED)
+    peaks = {
+        "tower characteristic": peak_field_sizes(
+            lambda: eval_characteristic(q, rung, ctx.params), nbytes),
+        "compute_potential": peak_field_sizes(
+            lambda: compute_potential(rung), nbytes),
+        "conservation": peak_field_sizes(
+            lambda: ctx.conservation(seed, 2), nbytes),
+        "tower conservation": peak_field_sizes(
+            lambda: ctx.conservation(q, 2), nbytes),
+        "lax": peak_field_sizes(lambda: ctx.lax(0.25, 2), nbytes),
+    }
+    bounds = {"tower characteristic": 2.5, "compute_potential": 1.6,
+              "conservation": 1.0, "tower conservation": 2.0, "lax": 5.0}
+    assert all(peaks[k] <= bounds[k] for k in bounds), peaks
+
+
+def test_every_residual_is_reduced_in_blocks(monkeypatch):
+    # the numeric and Lax claims of a chiral-so3 ladder hand their
+    # statistics blocks of at most BLOCK_ROWS rows, never a whole-grid
+    # residual
+    sizes = []
+    reduce_rows = numerics.reduce_rows
+
+    def recorded(rows, *args):
+        def recording(r0, r1):
+            block = rows(r0, r1)
+            sizes.append(len(block))
+            return block
+        return reduce_rows(recording, *args)
+    monkeypatch.setattr(numerics, "reduce_rows", recorded)
+    ctx = _RunContext(load_config(matrices=SO3_MATRICES, counts=(33, 65, 129)))
+    records = run_claims(numeric_claims(ctx) + lax_claims(ctx))
+    assert not any(r.get("error") for r in records)
+    assert len(sizes) > 50 and max(sizes) == numerics.BLOCK_ROWS == 32
 
 
 def test_offshell_ratio_with_zero_on_shell_residual():

@@ -7,6 +7,7 @@ integrating X_x = g^-1 g_t, X_t = -g^-1 g_x from X(0,0) = 0 (B^2 = 0 and
 BAB = B collapse the series).  These closed forms are the oracles below.
 """
 
+import functools
 import io
 from dataclasses import replace
 
@@ -43,7 +44,7 @@ from symlax.numerics import (
     GridField,
     SolutionFamily,
     SolutionFields,
-    _trapezoid_leg,
+    characteristic_rows,
     compute_potential,
     conservation_residual,
     convergence_order,
@@ -368,20 +369,28 @@ def test_fd_residual_offshell_does_not_converge():
 
 @pytest.mark.parametrize("shape", [(9, 17), (5, 6, 7, 8), (9, 17, 2, 2)],
                          ids=["2d", "4d", "2d-matrix"])
-def test_cumulative_trapezoid_matches_scipy(shape):
-    # the trapezoid leg from a zero start, along every axis
+def test_cumulative_trapezoid_matches_scipy(monkeypatch, shape):
+    # both paths of the row-block integrator over a grid of the first two
+    # axes, from a zero corner, in blocks of 1, 5, 16 and 17 rows and of
+    # more rows than the grid has: the kept path (axis 0 at index 0 of
+    # axis 1, then axis 1 on every row) is scipy's bit for bit, and its
+    # largest difference from the other path is that of scipy's paths
     from scipy.integrate import cumulative_trapezoid
 
-    y = np.random.default_rng(11).standard_normal(shape)
-    for axis in range(len(shape)):
-        for dx in (1.0 / 64, 0.3):
-            want = cumulative_trapezoid(y, dx=dx, axis=axis, initial=0.0)
-            start = np.zeros(shape[:axis] + shape[axis + 1:])
-            got = np.stack(list(_trapezoid_leg(
-                start, lambda k: y.take(k, axis), shape[axis], dx)),
-                axis=axis)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+    f0, f1 = np.random.default_rng(11).standard_normal((2,) + shape)
+    for h0, h1 in ((1.0 / 64, 0.3), (0.3, 1.0 / 64)):
+        grid = Grid((Axis(0.0, h0, shape[0]), Axis(0.0, h1, shape[1])),
+                    ("t", "x"))
+        leg = functools.partial(cumulative_trapezoid, initial=0.0)
+        kept = leg(f0[:, :1], dx=h0, axis=0) + leg(f1, dx=h1, axis=1)
+        other = leg(f1[:1], dx=h1, axis=1) + leg(f0, dx=h0, axis=0)
+        for block in (1, 5, 16, 17, 10 ** 6):
+            monkeypatch.setattr(numerics, "BLOCK_ROWS", block)
+            X, resid = numerics._trapezoid_paths(
+                lambda r0, r1: (f0[r0:r1], f1[r0:r1]), grid)
+            assert X.dtype == kept.dtype
+            assert np.array_equal(X, kept)
+            assert resid == np.abs(kept - other).max() > 0
 
 
 def _two_path_reference(rung):
@@ -978,6 +987,11 @@ def _reference_divergence(env4, w):
     return div
 
 
+def _stats(rung, arr, m):
+    """The statistics of a whole array over the rung."""
+    return rung.reduce_rows(lambda r0, r1: arr[r0:r1], m)
+
+
 @pytest.mark.parametrize("n,m", [(9, 3), (17, 6)])
 def test_lifted_rung_matches_four_variable_reference(n, m):
     # J(y, z, yb, zb) = g(y+yb, z+zb) built by hand from the diagonal
@@ -1000,15 +1014,15 @@ def test_lifted_rung_matches_four_variable_reference(n, m):
               eval_on_grid(field_equation_residual(SDYM), env4))]
     for v, rhs in SDYM.potential_rules[X].items():
         e = SDYM.vs.pot(X, v) - rhs
-        pairs.append((rung.stats(eval_on_grid(e, env), m),
+        pairs.append((_stats(rung, eval_on_grid(e, env), m),
                       eval_on_grid(e, env4)))
     for q in SDYM.catalog:
         Q = eval_characteristic(q, rung, params)
         w4 = inv4 @ eval_on_grid(q.body.expr, env4)
         pairs.append((conservation_residual(rung, Q, m),
                       _reference_divergence(env4, w4)))
-        pairs.append((rung.stats(np.trace(rung.inverse @ Q.values,
-                                          axis1=-2, axis2=-1), m),
+        pairs.append((_stats(rung, np.trace(rung.inverse @ Q.values,
+                                            axis1=-2, axis2=-1), m),
                       np.trace(w4, axis1=-2, axis2=-1)))
     assert len(pairs) == 3 + 2 * len(SDYM.catalog)
     for got, ref in pairs:
@@ -1025,6 +1039,91 @@ def test_unpaired_stats_are_the_plain_root_mean_square():
     core = np.abs(arr[3:-3, 3:-3])
     assert st.max == float(core.max())
     assert st.l2 == float(np.sqrt(np.mean(core ** 2)))
+
+
+# ---------------------------------------------------------------------------
+# Streamed statistics: numpy's reduction, block by block
+# ---------------------------------------------------------------------------
+
+PAIRWISE_SIZES = (list(range(1, 10)) + list(range(127, 131))
+                  + [2 ** k + d for k in range(3, 21) for d in (-1, 1)])
+
+
+def _chunked_sum(a, cuts):
+    """``numerics._PairwiseSum`` of ``a`` fed in the chunks that ``cuts``
+    (sorted offsets) make."""
+    s = numerics._PairwiseSum(a.size)
+    for c0, c1 in zip([0] + cuts, cuts + [a.size]):
+        s.add(a[c0:c1])
+    return s.total
+
+
+@pytest.mark.parametrize("n", PAIRWISE_SIZES)
+def test_pairwise_sum_is_numpys_bit_for_bit(n):
+    # numpy sums a contiguous float64 array pairwise; the streamed sum
+    # reproduces its tree over any chunking: one chunk, random cuts, runs
+    # of one-element chunks, and (up to 300 values) every value alone
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n) * np.exp(4 * rng.standard_normal(n))
+    want = np.add.reduce(a)
+    chunkings = [[]]
+    for _ in range(4):
+        cuts = set(rng.integers(1, n, size=rng.integers(1, 12))) if n > 1 \
+            else set()
+        for c in list(cuts)[:3]:
+            cuts |= {c + 1, c + 2}  # one-element chunks
+        chunkings.append(sorted(c for c in cuts if 0 < c < n))
+    if n <= 300:
+        chunkings.append(list(range(1, n)))
+    for cuts in chunkings:
+        got = _chunked_sum(a, cuts)
+        assert got.tobytes() == want.tobytes(), (n, cuts)
+
+
+def _whole_interior_stats(arr, grid, margin, paired):
+    """The maximum of |core| and numpy's (weighted) mean of |core|^2 over
+    the whole interior, as residual statistics were once formed."""
+    margins = [2 * margin if a in paired else margin
+               for a in range(len(grid.axes))]
+    mags = np.abs(arr[tuple(slice(m, -m) for m in margins)])
+    weights = None
+    if paired:
+        weights = np.ones(())
+        for a, (ax, m) in enumerate(zip(grid.axes, margins)):
+            k = np.arange(m, ax.n - m)
+            n = (ax.n + 1) // 2
+            c = n - m - np.abs(k - (n - 1)) if a in paired \
+                else np.ones(k.size)
+            weights = np.multiply.outer(weights, c)
+        weights = np.broadcast_to(weights.reshape(
+            weights.shape + (1,) * (mags.ndim - weights.ndim)), mags.shape)
+    return (float(mags.max()),
+            float(np.sqrt(np.average(mags ** 2, weights=weights))))
+
+
+@pytest.mark.parametrize("paired", [(), (0, 1)], ids=["unpaired", "paired"])
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+def test_streamed_stats_are_the_whole_interiors_bit_for_bit(
+        monkeypatch, dtype, paired):
+    # random samples of every trailing shape, margins 1 to 12, blocks of
+    # 1, 5, 16, 17 and 32 rows and of more rows than the grid has; the
+    # paired axes are sdym's, odd diagonals weighted by index pairs
+    rng = np.random.default_rng(7 + len(paired))
+    for margin in range(1, 13):
+        scale = 4 if paired else 2
+        counts = (scale * margin + 3 + 2 * (margin % 3),
+                  scale * margin + 5)
+        grid = Grid(tuple(Axis(0.0, 0.1, n) for n in counts), ("t", "x"))
+        tail = [(), (2, 2), (3, 3)][margin % 3]
+        arr = rng.standard_normal(counts + tail).astype(dtype)
+        if dtype is complex:
+            arr += 1j * rng.standard_normal(counts + tail)
+        want = _whole_interior_stats(arr, grid, margin, paired)
+        for block in (1, 5, 16, 17, 32, 10 ** 6):
+            monkeypatch.setattr(numerics, "BLOCK_ROWS", block)
+            st = residual_stats(arr, grid, margin, paired)
+            assert (st.max, st.l2) == want, (margin, block)
+            assert (st.margin, st.h) == (margin, 0.1)
 
 
 def test_cached_fields_match_fresh_evaluation():
@@ -1191,19 +1290,22 @@ def _whole_and_blocked(monkeypatch, block, evaluate):
     return whole, evaluate()
 
 
-def _divergence_array(monkeypatch, rung, w):
-    """The divergence array ``current_divergence`` forms, before its
-    statistics."""
+def _divergence_array(monkeypatch, rung, w_rows):
+    """The interior rows of the divergence that ``current_divergence``
+    forms from ``w_rows``: the blocks its statistics receive, in order."""
     seen = []
-    stats = numerics.residual_stats
+    reduce_rows = numerics.reduce_rows
 
-    def recorded(arr, *args):
-        seen.append(arr.copy())
-        return stats(arr, *args)
-    monkeypatch.setattr(numerics, "residual_stats", recorded)
-    numerics.current_divergence(rung, w)
-    monkeypatch.setattr(numerics, "residual_stats", stats)
-    return seen.pop()
+    def recorded(rows, *args):
+        def recording(r0, r1):
+            block = rows(r0, r1)
+            seen.append(block.copy())
+            return block
+        return reduce_rows(recording, *args)
+    monkeypatch.setattr(numerics, "reduce_rows", recorded)
+    numerics.current_divergence(rung, w_rows)
+    monkeypatch.setattr(numerics, "reduce_rows", reduce_rows)
+    return np.concatenate(seen)
 
 
 # both rungs have 17 rows (the sdym one on its diagonal); the block sizes
@@ -1239,31 +1341,19 @@ def test_row_blocks_are_bit_for_bit_the_whole_grid(monkeypatch, eq, family,
                                        -2, 0).charges[-2]
             out.append(eval_characteristic(tower, r, params).values)
         w = r.inverse @ out[1]
-        out.append(_divergence_array(monkeypatch, r, w))
-        out.append(numerics.transport(r, out[1].copy()))
+        out.append(_divergence_array(monkeypatch, r, lambda lo, hi: w[lo:hi]))
+        # the characteristic evaluated and transported on each halo window
+        q_rows = characteristic_rows(eq.catalog[0], r, params)
+        out.append(_divergence_array(
+            monkeypatch, r, lambda lo, hi: r.inverse[lo:hi] @ q_rows(lo, hi)))
+        out.append(compute_potential(r).field.values)
         return out
 
     whole, blocked = _whole_and_blocked(monkeypatch, block, evaluate)
-    assert len(whole) == len(blocked) >= 5
+    assert len(whole) == len(blocked) >= 6
     for a, b in zip(whole, blocked):
         assert a.dtype == b.dtype == np.dtype(dtype)
         assert np.array_equal(a, b)
-
-
-def test_transport_writes_over_the_sample():
-    rung = SolutionFields(CHIRAL,
-                          sample_solution(ROTATION_FAMILY, chiral_grid(17)))
-    q = rung.u.values @ NILPOTENT_A
-    want = rung.inverse @ q
-    got = numerics.transport(rung, q)
-    assert got is q and np.array_equal(got, want)
-    # a wider result than the sample's dtype is a new array
-    cplx = SolutionFields(CHIRAL, GridField(
-        rung.u.grid, rung.u.values.astype(complex)))
-    q = rung.u.values @ NILPOTENT_A
-    got = numerics.transport(cplx, q)
-    assert got is not q and got.dtype == np.complex128
-    assert np.array_equal(got, cplx.inverse @ q)
 
 
 def test_conservation_and_evaluation_never_write_into_their_inputs():
