@@ -53,7 +53,6 @@ from .calculus import (
 )
 from .equations import (
     Characteristic,
-    ClosedForm,
     EquationDef,
     ImplicitSystem,
     Verdict,

@@ -48,6 +48,7 @@ from .calculus import (
     total_derivative,
 )
 from .equations import (
+    DEFAULT_EQUATION,
     Characteristic,
     EquationDef,
     equation_names,
@@ -63,13 +64,13 @@ from .numerics import (
     ResidualStats,
     SolutionFamily,
     SolutionFields,
-    characteristic_rows,
+    characteristic_conservation,
+    characteristic_trace,
     convergence_order,
-    current_divergence,
     fd_residual_field_equation,
     integrate_lax,
     lax_elimination,
-    rule_rows,
+    potential_relations,
     rung_grid,
     sample_solution,
     scaled_margins,
@@ -120,7 +121,7 @@ def _overflows_float(v) -> bool:
 
 @dataclass
 class RunConfig:
-    equation: str = "chiral"
+    equation: str = DEFAULT_EQUATION
     seed: str = DEFAULT_SEED
     window: Tuple[int, int] = (-2, 1)
     family: str = "exponential-product"
@@ -157,8 +158,10 @@ class RunConfig:
                  "offshell_factor", "eps")
         for name in ("lambdas",) + reals:
             value = getattr(self, name)
-            if any(map(_overflows_float,
-                       value if name == "lambdas" else (value,))):
+            values = value if name == "lambdas" else (value,)
+            if any(np.iscomplexobj(v) for v in values):
+                raise ConfigInvalid(f"{name} must be real, got {value!r}")
+            if any(map(_overflows_float, values)):
                 raise ConfigInvalid(
                     f"{name} holds an integer too large for a float")
         try:
@@ -206,6 +209,8 @@ class RunConfig:
             m = np.asarray(m)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ConfigInvalid(f"matrix {name!r} is not square")
+            if np.iscomplexobj(m):
+                raise ConfigInvalid(f"matrix {name!r} must be real")
             if not np.all(np.isfinite(m)):
                 raise ConfigInvalid(f"matrix {name!r} has a non-finite entry")
         dims = {np.asarray(m).shape[0] for m in self.matrices.values()}
@@ -342,7 +347,7 @@ def load_config(path: Optional[str] = None, **overrides) -> RunConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 cp.read_file(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigInvalid(f"cannot read config {path!r}: {exc}")
         except ConfigParserError as exc:
             raise ConfigInvalid(f"malformed config {path!r}: {exc}")
@@ -544,9 +549,7 @@ class _RunContext:
     """Every product the claims of one run share, each made once, on first
     use: the sampled ladder, the hierarchies, the Lax integrations and, for
     an off-shell run, its on-shell twin.  Rung i is kept as a
-    ``SolutionFields``, which keeps u^-1, the connections and the
-    potential of its sample and drops u^-1 and the potential before its
-    Lax march."""
+    ``SolutionFields``."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -581,22 +584,19 @@ class _RunContext:
 
     def lax(self, lam: float, i: int) -> Tuple[float, ResidualStats]:
         """The compatibility residual of the Lax integration at spectral
-        value ``lam`` on rung i, and the conservation residual of its
-        psi = u phi.  That residual reads u^-1 psi, which is phi, so it is
-        taken on phi itself and neither psi nor u^-1 psi is formed.  Every
-        spectral value of a rung is integrated in one march, at the first
-        read of the rung, which first drops the rung's u^-1 and potential:
-        the march and the residual read only the connections.  Each
-        integration is reduced to these two numbers as soon as it is made,
-        and its arrays are released."""
+        value ``lam`` on rung i, and the symmetry residual of its psi.
+        Every spectral value of a rung is integrated in one march, at the
+        first read of the rung, which first drops the rung's u^-1 and
+        potential: the march and the residual read only the connections.
+        Each integration is reduced to these two numbers as soon as it is
+        made, and its arrays are released."""
         if (lam, i) not in self._lax:
             rung = self.rung(i)
             rung.drop_cache()
             lams = self.cfg.lambdas
             for l, lax in zip(lams, integrate_lax(rung, lams)):
-                phi = lax.phi.values
-                self._lax[(l, i)] = (lax.compat_residual, current_divergence(
-                    rung, lambda lo, hi: phi[lo:hi], self.margins[i]))
+                self._lax[(l, i)] = (lax.compat_residual,
+                                     lax.symmetry_residual(self.margins[i]))
         return self._lax[(lam, i)]
 
     @functools.cached_property
@@ -607,30 +607,15 @@ class _RunContext:
             self.cfg, family=self.eq.families[0],
             lambdas=self.cfg.lambdas[:1]))
 
-    def _transported(self, q: Characteristic, i: int):
-        """The transport u^-1 q of characteristic q on rung i, under the
-        run's parameter matrices, as a function of (r0, r1) that evaluates
-        and transports its rows r0:r1 afresh, so neither q nor u^-1 q is
-        ever whole; only q's tower potentials are, since q's form reads
-        them."""
-        rung = self.rung(i)
-        q_rows, inverse = characteristic_rows(q, rung, self.params), rung.inverse
-        return lambda r0, r1: inverse[r0:r1] @ q_rows(r0, r1)
-
     def conservation(self, q: Characteristic, i: int) -> ResidualStats:
-        """Conservation residual of characteristic q on rung i: the
-        divergence, reduced one block of rows at a time, of the transport
-        evaluated on each block plus a halo of two rows."""
-        return current_divergence(self.rung(i), self._transported(q, i),
-                                  self.margins[i])
+        """Conservation residual of characteristic q on rung i."""
+        return characteristic_conservation(self.rung(i), q, self.params,
+                                           self.margins[i])
 
     def trace(self, q: Characteristic, i: int) -> ResidualStats:
-        """Trace of the transport u^-1 q of characteristic q on rung i,
-        reduced one block of rows at a time."""
-        w_rows = self._transported(q, i)
-        return self.rung(i).reduce_rows(
-            lambda r0, r1: np.trace(w_rows(r0, r1), axis1=-2, axis2=-1),
-            self.margins[i])
+        """Trace of the transport u^-1 q of characteristic q on rung i."""
+        return characteristic_trace(self.rung(i), q, self.params,
+                                    self.margins[i])
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +647,7 @@ def hierarchy_claims(ctx: _RunContext) -> List[Claim]:
                 if cfg.window[0] <= n <= cfg.window[1]}
     for level, form in sorted(expected.items()):
         def check(level=level, form=form):
-            got = hierarchy().charges[level].body.expr
+            got = hierarchy().charges[level].body
             ok = got == form
             return ClaimResult(ok, symbolic="match" if ok else "mismatch",
                                detail="" if ok else
@@ -728,35 +713,12 @@ def numeric_claims(ctx: _RunContext) -> List[Claim]:
             "numeric", offshell,
             lambda i, q=q: ctx.conservation(q, i)))
 
-    def potential_relations(i: int) -> ResidualStats:
-        # X_v - rule on each block of rows: X_v's rows, differentiated on
-        # the block's halo in an environment that caches nothing, are this
-        # call's own, so the rule is subtracted in place, or, where it is
-        # minus a connection, that connection is added
-        rung = ctx.rung(i)
-        X = eq.potential_name
-        env = rung.env.bind(potentials={X: rung.potential})
-
-        def relation(v: str, rhs) -> ResidualStats:
-            (atom,) = eq.vs.pot(X, v).atoms()
-            rule, sign = rule_rows(rung, rhs, env)
-
-            def rows(r0, r1):
-                d = env.rows(atom, r0, r1)
-                if sign > 0:
-                    d -= rule(r0, r1)
-                else:
-                    d += rule(r0, r1)
-                return d
-            return rung.reduce_rows(rows, ctx.margins[i])
-        return max((relation(v, rhs)
-                    for v, rhs in eq.potential_rules[X].items()),
-                   key=lambda st: st.max)
     claims.append(_ladder_claim(
         ctx, "num.potential-defining-relations",
         "the integrated nonlocal potential satisfies both of its defining "
         "relations to second order",
-        "numeric", offshell, potential_relations))
+        "numeric", offshell,
+        lambda i: potential_relations(ctx.rung(i), ctx.margins[i])))
 
     # a backward level does not depend on the forward window, so a default
     # run reads the hierarchy the hier.* claims build
@@ -1100,7 +1062,7 @@ def gen_hierarchy_cmd(config_path, equation, output, fmt, window, seed):
     for n in sorted(h.charges):
         q = h.charges[n]
         levels[str(n)] = {"form": "closed",
-                          "expr": sexpr.dumps(q.body.expr),
+                          "expr": sexpr.dumps(q.body),
                           "verdict": h.verdicts[n],
                           "degenerate": q.degenerate}
         if q.potentials:

@@ -113,11 +113,6 @@ class EquationDef:
 # Characteristics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClosedForm:
-    expr: JetExpr
-
-
 # No longer built: bench/tracer.py imports it to name its spans.
 @dataclass(frozen=True)
 class ImplicitSystem:
@@ -127,12 +122,13 @@ class ImplicitSystem:
 
 @dataclass(frozen=True)
 class Characteristic:
-    """A symmetry characteristic at a hierarchy level.  ``potentials``
-    holds the defining rules ({variable: first derivative}) of the tower
-    potentials its form uses, in the order they were defined: each rule
-    reads only the equation's own potential and earlier tower ones."""
+    """A symmetry characteristic at a hierarchy level, of closed form
+    ``body``.  ``potentials`` holds the defining rules ({variable: first
+    derivative}) of the tower potentials its form uses, in the order they
+    were defined: each rule reads only the equation's own potential and
+    earlier tower ones."""
     index: int
-    body: ClosedForm
+    body: JetExpr
     provenance: str = ""
     degenerate: bool = False
     potentials: Dict[str, Dict[str, JetExpr]] = dc_field(default_factory=dict)
@@ -154,11 +150,11 @@ def field_equation_residual(eq: EquationDef) -> JetExpr:
 def symmetry_condition(eq: EquationDef, q) -> JetExpr:
     """The linearized equation S(Q; u), built by linearizing F along Q.
 
-    Accepts a Characteristic with closed-form body or a bare expression.
+    Accepts a Characteristic or a bare expression.
     After normalization this agrees with the covariant-divergence form
     (see symmetry_condition_covariant); the equality is itself a test.
     """
-    qexpr = q.body.expr if isinstance(q, Characteristic) else q
+    qexpr = q.body if isinstance(q, Characteristic) else q
     ctx = eq.frechet_ctx(qexpr)
     return frechet_derivative(field_equation_residual(eq), ctx)
 
@@ -166,7 +162,7 @@ def symmetry_condition(eq: EquationDef, q) -> JetExpr:
 def symmetry_condition_covariant(eq: EquationDef, q) -> JetExpr:
     """S(Q; u) in its covariant-divergence form: the outer divergence of the
     covariant derivatives of u^-1 Q."""
-    qexpr = q.body.expr if isinstance(q, Characteristic) else q
+    qexpr = q.body if isinstance(q, Characteristic) else q
     w = eq.u_inv() * qexpr
     out = eq.vs.zero()
     for s in eq.slots:
@@ -188,7 +184,7 @@ def verify_symmetry(eq: EquationDef, q) -> Verdict:
     potentials a characteristic carries?  Returns the surviving residue
     verbatim when it does not."""
     if isinstance(q, Characteristic):
-        eq, qexpr = eq.with_potentials(q), q.body.expr
+        eq, qexpr = eq.with_potentials(q), q.body
     else:
         qexpr = q
     s = symmetry_condition(eq, qexpr)
@@ -233,13 +229,13 @@ def _make_chiral() -> EquationDef:
         potential_name="X",
         traceless=False,
         seeds=(
-            Characteristic(0, ClosedForm(g * M), "right-action"),
-            Characteristic(-1, ClosedForm(vs.param("L") * g), "left-action"),
-            Characteristic(0, ClosedForm(vs.field("g", "t")), "t-translation"),
-            Characteristic(0, ClosedForm(vs.field("g", "x")), "x-translation"),
+            Characteristic(0, g * M, "right-action"),
+            Characteristic(-1, vs.param("L") * g, "left-action"),
+            Characteristic(0, vs.field("g", "t"), "t-translation"),
+            Characteristic(0, vs.field("g", "x"), "x-translation"),
         ),
         derived=(
-            Characteristic(1, ClosedForm(g * comm(X, M)),
+            Characteristic(1, g * comm(X, M),
                            "potential-commutator"),
         ),
         expected_forms={"right-action": _right_action_forms(vs, g)},
@@ -273,19 +269,19 @@ def _make_sdym() -> EquationDef:
         potential_name="X",
         traceless=True,
         seeds=(
-            Characteristic(0, ClosedForm(J * M), "right-action"),
-            Characteristic(0, ClosedForm(vs.field("J", "y")), "y-translation"),
-            Characteristic(0, ClosedForm(vs.field("J", "z")), "z-translation"),
-            Characteristic(0, ClosedForm(vs.field("J", "yb")),
+            Characteristic(0, J * M, "right-action"),
+            Characteristic(0, vs.field("J", "y"), "y-translation"),
+            Characteristic(0, vs.field("J", "z"), "z-translation"),
+            Characteristic(0, vs.field("J", "yb"),
                            "yb-translation"),
-            Characteristic(0, ClosedForm(vs.field("J", "zb")),
+            Characteristic(0, vs.field("J", "zb"),
                            "zb-translation"),
         ),
         derived=(
-            Characteristic(-1, ClosedForm(vs.param("L") * J), "left-action"),
-            Characteristic(1, ClosedForm(J * comm(X, M)),
+            Characteristic(-1, vs.param("L") * J, "left-action"),
+            Characteristic(1, J * comm(X, M),
                            "potential-commutator"),
-            Characteristic(1, ClosedForm(J * vs.pot("X", "y")),
+            Characteristic(1, J * vs.pot("X", "y"),
                            "potential-translation"),
         ),
         expected_forms={
@@ -306,6 +302,9 @@ _REGISTRY: Dict[str, Callable[[], EquationDef]] = {
     "chiral": _make_chiral,
     "sdym": _make_sdym,
 }
+
+# the equation a run checks when its config names none
+DEFAULT_EQUATION = "chiral"
 
 _CACHE: Dict[str, EquationDef] = {}
 

@@ -15,7 +15,9 @@ a block, differentiating on the block plus a halo (``_halo``) with the
 whole grid's per-element operations, so a block's rows are bit for bit
 the whole grid's.  Every residual is reduced block by block
 (``reduce_rows``), so it is never whole, and its statistics are those of
-the whole interior bit for bit (``_PairwiseSum``).  The potentials are
+the whole interior bit for bit (``_PairwiseSum``).  Every residual a
+claim reads is read here, from a rung, the run's parameter matrices and
+its margin (``characteristic_conservation`` and the like).  The potentials are
 integrated along both staircase paths by rows (``_trapezoid_paths``): the
 kept path is written into the potential's rows, the other is compared
 with it block by block and never stored, and their difference fails
@@ -24,16 +26,13 @@ lines; its coefficients along the grid axes, and the spectral values at
 which they are singular, come from the equation's Lax pair, solved from
 its slots (``lax_elimination``).
 
-An equation that declares a diagonal (``EquationDef.diagonal``; SDYM,
-whose solutions J = g(y+yb, z+zb) depend on each plain/barred pair through
-its sum) is sampled on it only (``rung_grid``): one axis per declared name
-over the sum of the variables it carries, t = y+yb and x = z+zb, with 2n-1
-points at the spacing of an n-point rung, and both variables of a pair
-differentiate along its axis (``EquationDef.axes``).  A central difference
-along y or yb in the interior of the four-variable grid reads exactly the
-samples of the one along t, so every residual, potential and wavefunction
-is measured on the diagonal; ``reduce_rows`` weights each diagonal
-point by the number of four-variable points it stands for.
+An equation that declares a diagonal (``EquationDef.diagonal``) is
+sampled on it only (``rung_grid``), and both variables of a pair
+differentiate along its axis (``EquationDef.axes``): a central difference
+along y or yb in the interior of SDYM's four-variable grid reads exactly
+the samples of the one along t = y+yb, so every residual, potential and
+wavefunction is measured on the diagonal, each point weighted by the
+four-variable points it stands for (``reduce_rows``).
 
 Grid arrays take the dtype numpy's promotion gives from their inputs: a
 real config stays float64, and a complex input (a loaded snapshot, a
@@ -741,9 +740,60 @@ def conservation_residual(fields: SolutionFields, qgrid: GridField,
     block's rows.  The sample is only read."""
     if qgrid.grid is not fields.u.grid and qgrid.grid != fields.u.grid:
         raise DimensionMismatch("characteristic and solution grids differ")
-    inverse, q = fields.inverse, qgrid.values
-    return current_divergence(fields, lambda lo, hi: inverse[lo:hi] @ q[lo:hi],
-                              margin)
+    q = qgrid.values
+    return current_divergence(
+        fields, _transport(fields, lambda lo, hi: q[lo:hi]), margin)
+
+
+def characteristic_conservation(fields: SolutionFields, q: Characteristic,
+                                params: Optional[Dict[str, np.ndarray]] = None,
+                                margin: int = 3) -> ResidualStats:
+    """Conservation residual of characteristic q on a rung, under the
+    parameter matrices ``params``: the divergence of its transport, formed
+    on each block's halo, so only q's tower potentials are ever whole."""
+    return current_divergence(
+        fields, _transport(fields, characteristic_rows(q, fields, params)),
+        margin)
+
+
+def characteristic_trace(fields: SolutionFields, q: Characteristic,
+                         params: Optional[Dict[str, np.ndarray]] = None,
+                         margin: int = 3) -> ResidualStats:
+    """Trace of the transport u^-1 q of characteristic q on a rung, under
+    the parameter matrices ``params``, one block of rows at a time."""
+    w_rows = _transport(fields, characteristic_rows(q, fields, params))
+    return fields.reduce_rows(
+        lambda r0, r1: np.trace(w_rows(r0, r1), axis1=-2, axis2=-1), margin)
+
+
+def _transport(fields: SolutionFields, q_rows):
+    """The rows lo:hi of u^-1 q, formed afresh from ``q_rows(lo, hi)``,
+    as a function of (lo, hi); u^-1 is read after ``q_rows`` is made."""
+    inverse = fields.inverse
+    return lambda lo, hi: inverse[lo:hi] @ q_rows(lo, hi)
+
+
+def potential_relations(fields: SolutionFields,
+                        margin: int = 3) -> ResidualStats:
+    """The larger residual of the potential's two defining relations on a
+    rung, X_v minus its rule, by blocks of rows: X_v's rows, differentiated
+    on the block's halo in an environment that caches nothing, are this
+    call's own, so the rule's rows are subtracted from them in place."""
+    eq, X = fields.eq, fields.eq.potential_name
+    env = fields.env.bind(potentials={X: fields.potential})
+
+    def relation(v: str, rule: JetExpr) -> ResidualStats:
+        (atom,) = eq.vs.pot(X, v).atoms()
+        read_rule = _rule_rows(fields, rule, env)
+
+        def rows(r0, r1):
+            d = env.rows(atom, r0, r1)
+            d -= read_rule(r0, r1)
+            return d
+        return fields.reduce_rows(rows, margin)
+    return max((relation(v, rule)
+                for v, rule in eq.potential_rules[X].items()),
+               key=lambda st: st.max)
 
 
 def current_divergence(fields: SolutionFields, w_rows,
@@ -781,44 +831,29 @@ def current_divergence(fields: SolutionFields, w_rows,
 # Staircase path integration
 # ---------------------------------------------------------------------------
 
-def _staircase_paths(march, coef, start: np.ndarray, grid: Grid, keep: int):
-    """Both staircase paths of the Lax march, a first-order system whose
-    steps are not vectorized over lines of the grid, over a two-axis grid
-    from ``start`` at its corner, a stack of systems ``(S, 1, N, N)``.  The
-    path of edge axis e marches along e at index 0 of the other axis, then
-    from that edge along every line of the other.  ``march(start, coef, m,
-    h)`` yields the value at each of m points, for every line at once;
-    ``coef(axis, idx)`` is the coefficient along ``axis`` at grid points
-    ``idx``.  Returns the path of edge axis ``keep``, one array per system
-    of the promoted dtype of ``start`` and every coefficient, and per
-    system its largest difference from the other path, which is compared
-    one slab at a time and never stored.  The other path's edge is the
-    kept path's line at index 0 of axis ``keep``, which the kept sweep
-    marched from ``start`` with the same coefficients, so it is read off
-    the kept path rather than marched again."""
-    def at(axis, k, rest):  # grid index: k along axis, rest along the other
-        return (k, rest) if axis == 0 else (rest, k)
-
-    def sweep(e, edge):
-        o = 1 - e
-        return march(edge, lambda k: coef(o, at(o, k, slice(None))),
-                     grid.counts[o], grid.spacings[o])
-
+def _staircase_paths(coef, start: np.ndarray, grid: Grid):
+    """Both staircase paths of the Lax march (``_march_lines``) from
+    ``start``, a stack of systems ``(S, 1, N, N)``, at a two-axis grid's
+    corner, with ``coef(axis, idx)`` the coefficient along ``axis`` at
+    points ``idx``.  Returns the path along axis 1 on row 0, then axis 0,
+    one array per system of the promoted dtype, and per system its largest
+    difference from the path along axis 0 on column 0, then axis 1, whose
+    edge is read off the kept path's column 0 and never stored."""
+    (n0, n1), (h0, h1) = grid.counts, grid.spacings
     corner = (slice(0, 1), 0)
     dtype = np.result_type(start, coef(0, corner), coef(1, corner))
     kept = [np.empty(grid.counts + start.shape[-2:], dtype) for _ in start]
-    edge = np.concatenate(list(march(
-        start, lambda k: coef(keep, at(keep, k, slice(0, 1))),
-        grid.counts[keep], grid.spacings[keep])), axis=-3)
-    for k, p in enumerate(sweep(keep, edge)):
-        idx = at(1 - keep, k, slice(None))
+    row0 = np.concatenate(list(_march_lines(
+        start, lambda k: coef(1, (slice(0, 1), k)), n1, h1)), axis=-3)
+    for k, p in enumerate(_march_lines(
+            row0, lambda k: coef(0, (k, slice(None))), n0, h0)):
         for out, q in zip(kept, p):
-            out[idx] = q
-    edge = np.stack([out[at(keep, 0, slice(None))] for out in kept])
+            out[k] = q
+    col0 = np.stack([out[:, 0] for out in kept])
     resid = np.zeros(len(kept))
-    for k, p in enumerate(sweep(1 - keep, edge)):
-        idx = at(keep, k, slice(None))
-        resid = np.maximum(resid, [np.abs(out[idx] - q).max()
+    for k, p in enumerate(_march_lines(
+            col0, lambda k: coef(1, (slice(None), k)), n1, h1)):
+        resid = np.maximum(resid, [np.abs(out[:, k] - q).max()
                                    for out, q in zip(kept, p)])
     return kept, resid.tolist()
 
@@ -900,7 +935,7 @@ def compute_potential(fields: SolutionFields) -> PotentialResult:
     one block of rows at a time (``_trapezoid_paths``), so beside the
     potential the integration holds a few blocks: no whole integrand and
     no stored compared path.  A rule that is plus or minus a slot
-    connection is read off the rung (``rule_rows``)."""
+    connection is read off the rung (``_rule_rows``)."""
     eq = fields.eq
     X, resid = _integrate_potential(fields, eq.potential_rules[eq.potential_name],
                                     fields.env.bind())
@@ -910,13 +945,12 @@ def compute_potential(fields: SolutionFields) -> PotentialResult:
 def _integrate_potential(fields: SolutionFields, rules: Dict[str, JetExpr],
                          env: GridEnv) -> Tuple[np.ndarray, float]:
     """Samples of the potential whose first derivatives are ``rules``, each
-    read by ``rule_rows`` from ``env`` over the rung ``fields`` one block
+    read by ``_rule_rows`` from ``env`` over the rung ``fields`` one block
     of rows at a time, along the staircase path t first, and its largest
     difference from the path x first; a difference above tolerance raises
-    PathInconsistent, a grid axis the rules leave free UnboundAtom.  A
-    rule that is minus a connection is negated on the block only."""
+    PathInconsistent, a grid axis the rules leave free UnboundAtom."""
     grid = fields.u.grid
-    integrands = {env.axes[fields.eq.vs.index(v)]: rule_rows(fields, rhs, env)
+    integrands = {env.axes[fields.eq.vs.index(v)]: _rule_rows(fields, rhs, env)
                   for v, rhs in rules.items()}
     if len(integrands) < len(grid.axes):
         raise UnboundAtom(
@@ -926,12 +960,8 @@ def _integrate_potential(fields: SolutionFields, rules: Dict[str, JetExpr],
 
     def rows(r0, r1):
         nonlocal scale
-        out = []
-        for axis in (0, 1):
-            read, sign = integrands[axis]
-            f = read(r0, r1)
-            scale = max(scale, float(np.abs(f).max()))
-            out.append(f if sign > 0 else -1.0 * f)
+        out = [integrands[axis](r0, r1) for axis in (0, 1)]
+        scale = max([scale] + [float(np.abs(f).max()) for f in out])
         return out
 
     # kept path: t first along x = 0, then x along every row
@@ -947,20 +977,17 @@ def _integrate_potential(fields: SolutionFields, rules: Dict[str, JetExpr],
     return X, resid
 
 
-def rule_rows(fields: SolutionFields, rule: JetExpr, env: GridEnv):
+def _rule_rows(fields: SolutionFields, rule: JetExpr, env: GridEnv):
     """A potential's defining rule over the rung ``fields``, as a function
-    of (r0, r1) that gives its rows r0:r1 up to a sign, and that sign.  A
-    rule that is plus or minus a slot connection reads that connection's
-    rows, with sign 1.0 or -1.0, so that a caller forms ``-1.0 * c`` on a
-    block only, or adds c where it would subtract the rule.  Any other rule
-    is evaluated on the rows from ``env`` (``_eval_rows``), with sign 1.0.
-    The rows are only read."""
+    of (r0, r1) that gives its rows r0:r1, which are only read.  A rule
+    that is a slot connection reads that connection's rows, and one that
+    is minus a connection negates them on the block only; any other rule
+    is evaluated on the rows from ``env`` (``_eval_rows``)."""
     for k, s in enumerate(fields.eq.slots):
-        for sign, conn in ((1.0, s.connection), (-1.0, -s.connection)):
-            if rule == conn:
-                c = fields.connections[k]
-                return (lambda r0, r1: c[r0:r1]), sign
-    return functools.partial(_eval_rows, rule, env), 1.0
+        if rule in (s.connection, -s.connection):
+            c, plus = fields.connections[k], rule == s.connection
+            return lambda r0, r1: c[r0:r1] if plus else -1.0 * c[r0:r1]
+    return functools.partial(_eval_rows, rule, env)
 
 
 # ---------------------------------------------------------------------------
@@ -976,7 +1003,7 @@ def characteristic_rows(q: Characteristic, fields: SolutionFields,
     here, in the order they were defined, since the form reads them and
     their rules read ``params``, which bind to this evaluation only."""
     eq = fields.eq
-    exprs = [q.body.expr] + [r for rules in q.potentials.values()
+    exprs = [q.body] + [r for rules in q.potentials.values()
                              for r in rules.values()]
     env = fields.env.bind(params=params)
     if any(isinstance(a, Potential) and a.name == eq.potential_name
@@ -984,7 +1011,7 @@ def characteristic_rows(q: Characteristic, fields: SolutionFields,
         env.potentials[eq.potential_name] = fields.potential
     for name, rules in q.potentials.items():
         env.potentials[name] = _integrate_potential(fields, rules, env)[0]
-    return functools.partial(_eval_rows, q.body.expr, env)
+    return functools.partial(_eval_rows, q.body, env)
 
 
 def eval_characteristic(q: Characteristic, fields: SolutionFields,
@@ -1013,6 +1040,12 @@ class LaxIntegration:
     def psi(self) -> GridField:
         u = self.rung.u
         return GridField(u.grid, u.values @ self.phi.values)
+
+    def symmetry_residual(self, margin: int = 3) -> ResidualStats:
+        """The conservation residual of psi, read on u^-1 psi = phi and
+        the rung's connections alone, so psi is never formed."""
+        phi = self.phi.values
+        return current_divergence(self.rung, lambda lo, hi: phi[lo:hi], margin)
 
 
 def lax_elimination(eq: EquationDef, lams):
@@ -1050,12 +1083,11 @@ def integrate_lax(fields: SolutionFields, lams: Sequence[complex],
     """Integrate the Lax pair, solved for the wavefunction phi = u^-1 Psi
     by ``lax_elimination``, on a rung along both staircase paths, for
     every spectral value of ``lams`` at once: one integration per value,
-    in order.  ``phi`` holds the path along axis 1 at index 0 of axis 0
-    first, then along axis 0; its largest pointwise difference from the
-    other path is the compatibility residual (it vanishes with h only
-    on-shell).  Every value is checked before the march, which runs on
-    the rung's connections.  A stack that holds a complex value is
-    marched in complex."""
+    in order.  ``phi`` is the kept path of ``_staircase_paths``, and its
+    largest difference from the other, the compatibility residual,
+    vanishes with h only on-shell.  Every value is checked before the
+    march, which runs on the rung's connections.  A stack that holds a
+    complex value is marched in complex."""
     lam = np.asarray(lams).reshape(-1, 1, 1, 1)
     coefs, det = lax_elimination(fields.eq, lam)
     n = fields.u.n_dim
@@ -1071,11 +1103,9 @@ def integrate_lax(fields: SolutionFields, lams: Sequence[complex],
         return functools.reduce(np.add, (c * conn[idx] for c, conn in zip(
             coefs[axis], fields.connections))) / det
 
-    # kept path: along axis 1 at index 0 of axis 0, then along axis 0
     grid = fields.u.grid
     phis, resids = _staircase_paths(
-        _march_lines, coef, np.broadcast_to(phi0, (len(lam), 1) + phi0.shape),
-        grid, keep=1)
+        coef, np.broadcast_to(phi0, (len(lam), 1) + phi0.shape), grid)
     return [LaxIntegration(fields, GridField(grid, phi), r)
             for phi, r in zip(phis, resids)]
 

@@ -26,7 +26,6 @@ from .calculus import (
 )
 from .equations import (
     Characteristic,
-    ClosedForm,
     EquationDef,
     field_equation_residual,
     symmetry_condition,
@@ -62,7 +61,7 @@ def bt_step(eq: EquationDef, q: Characteristic, direction: str) -> BTSystem:
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward|backward, got {direction!r}")
     eq = eq.with_potentials(q)
-    qe = q.body.expr
+    qe = q.body
     s1, s2 = eq.slots
     w = eq.u_inv() * qe
 
@@ -154,7 +153,7 @@ def integrate_bt_symbolic(sys: BTSystem) -> Characteristic:
     """
     eq = sys.eq
     u = eq.u()
-    qe = sys.known.body.expr
+    qe = sys.known.body
     n = sys.unknown_level
     provenance = f"bt-{sys.direction} from {sys.known.provenance}"
     forward = sys.direction == "forward"
@@ -162,11 +161,11 @@ def integrate_bt_symbolic(sys: BTSystem) -> Characteristic:
     for cand in candidates:
         if _satisfies(sys, cand):
             degen, expr = _is_degenerate(eq, cand)
-            return Characteristic(n, ClosedForm(expr), provenance, degen)
+            return Characteristic(n, expr, provenance, degen)
 
     name = f"P{n}" if forward else f"Z{-n}"
     expr = u * eq.vs.pot(name) if forward else eq.vs.pot(name) * u
-    return Characteristic(n, ClosedForm(expr), provenance,
+    return Characteristic(n, expr, provenance,
                           potentials={**sys.known.potentials, name: sys.rules})
 
 
@@ -244,7 +243,7 @@ def laurent_assemble(charges: Dict[int, Characteristic], lam) -> LaurentSeries:
     vs = None
     total = None
     for n in ks:
-        e = charges[n].body.expr
+        e = charges[n].body
         vs = e.vs
         term = vs.lam(n) * e if symbolic else e.scale(Fraction(lam) ** n)
         total = term if total is None else total + term

@@ -218,10 +218,19 @@ def loads(text: str, vs: Optional[VarSpace] = None) -> JetExpr:
 
 
 def dump(e: JetExpr, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(e) + "\n")
+    """Write ``dumps(e)`` to ``path``; an OSError is raised as IoFailure."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps(e) + "\n")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path!r}: {exc}")
 
 
 def load(path, vs: Optional[VarSpace] = None) -> JetExpr:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read(), vs=vs)
+    """``loads`` of a UTF-8 file; an unreadable one raises IoFailure."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoFailure(f"cannot read {path!r}: {exc}")
+    return loads(text, vs=vs)

@@ -45,7 +45,6 @@ from symlax.cli import (
 )
 from symlax.equations import (
     Characteristic,
-    ClosedForm,
     equation_names,
     get_equation,
 )
@@ -173,6 +172,10 @@ def test_overrides_beat_file(tmp_path):
     dict(counts=(17.0, 33.0, 65.0)),
     dict(base_margin=2.5),
     dict(base_margin=True),
+    # a complex spectral value or parameter matrix: config values are real
+    dict(lambdas=(0.5, 3j)),
+    dict(matrices=dict(_DEFAULT_MATRICES,
+                       M=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))),
 ])
 def test_invalid_configs_rejected(kw):
     with pytest.raises(ConfigInvalid):
@@ -186,6 +189,38 @@ def test_invalid_configs_rejected(kw):
 def test_non_integer_config_value_names_its_key(key, value):
     with pytest.raises(ConfigInvalid, match=key):
         load_config(**{key: value})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("lambdas", (0.5, 3j)), ("eps", 0.1 + 0j),
+    ("matrices", dict(_DEFAULT_MATRICES, L=np.eye(2) * 1j))])
+def test_complex_config_value_names_its_key(key, value):
+    # a complex value used to load, then fail untyped in the report's
+    # config echo (or, in a matrix, lose its imaginary part there)
+    with pytest.raises(ConfigInvalid, match="'L'" if key == "matrices"
+                       else key):
+        load_config(**{key: value})
+
+
+def test_non_utf8_config_is_config_invalid(tmp_path):
+    p = tmp_path / "run.ini"
+    p.write_bytes(b"[run]\nseed = right-action\xff\n")
+    with pytest.raises(ConfigInvalid, match="cannot read config"):
+        load_config(str(p))
+
+
+def test_cli_non_utf8_config_is_a_one_line_error(tmp_path):
+    p = tmp_path / "run.ini"
+    p.write_bytes(b"[run]\nseed = \xff\n")
+    src = os.path.dirname(os.path.dirname(symlax.__file__))
+    r = subprocess.run([sys.executable, "-m", "symlax.cli", "report",
+                        "--config", str(p)],
+                       env=dict(os.environ, PYTHONPATH=src),
+                       capture_output=True, text=True)
+    assert r.returncode != 0 and r.stdout == ""
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("Error: cannot read config")
+    assert len(r.stderr.strip().splitlines()) == 1, r.stderr
 
 
 @pytest.mark.parametrize("text,offender", [
@@ -495,7 +530,7 @@ def test_cli_gen_hierarchy_writes_tower_rules():
     q = generate_hierarchy(eq, eq.seeds[0], -2, 1).charges[-2]
     got = levels["-2"]
     assert got["verdict"] == "holds"
-    assert sexpr.loads(got["expr"], vs=eq.vs) == q.body.expr
+    assert sexpr.loads(got["expr"], vs=eq.vs) == q.body
     assert {name: {v: sexpr.loads(t, vs=eq.vs) for v, t in rules.items()}
             for name, rules in got["potentials"].items()} == q.potentials
     assert not any("potentials" in levels[n] for n in ("-1", "0", "1"))
@@ -643,7 +678,7 @@ def test_sdym_trace_claims_pass_on_the_rotation_pair():
 def test_trace_ladder_fails_a_characteristic_with_trace():
     # Q = J gives tr(J^-1 Q) = 2 on every rung: the ladder cannot pass it
     ctx = _RunContext(load_config(equation="sdym"))
-    q = Characteristic(0, ClosedForm(ctx.eq.u()), "identity")
+    q = Characteristic(0, ctx.eq.u(), "identity")
     claim = _ladder_claim(ctx, "num.trace-constraint.identity", "tr 2",
                           "numeric", False, lambda i: ctx.trace(q, i))
     rec, = run_claims([claim])

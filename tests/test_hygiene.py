@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is used in that module,
 every private function or method is referenced by some module, every
-module parses as the oldest Python that ``pyproject.toml`` supports, and no
+module parses as the oldest Python that ``pyproject.toml`` supports, no
 module calls numpy's ``gradient``: ``kernels.gradient`` is the one
-finite-difference stencil.
+finite-difference stencil, no module but ``equations.py`` names an
+equation, and ``cli.py`` reads every residual through a numerics reader.
 
 An AST scan of ``src/symlax/*.py``.  The package ``__init__.py`` is left
 out of the import check: its imports are the public re-exports.
@@ -13,6 +14,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from symlax.equations import equation_names
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "symlax"
@@ -135,3 +138,48 @@ def test_one_finite_difference_stencil(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     lines = list(_numpy_gradient_calls(tree))
     assert not lines, f"{path.name} calls numpy's gradient on lines {lines}"
+
+
+def _docstrings(tree):
+    """The docstring nodes of the module and of its classes and functions."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) \
+                    and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                yield first.value
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "equations.py"],
+                         ids=lambda p: p.stem)
+def test_only_the_registry_names_an_equation(path):
+    # an equation's facts are data on its EquationDef, so no other module
+    # compares with, defaults to or branches on an equation's name
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docs = {id(d) for d in _docstrings(tree)}
+    names = set(equation_names())
+    lines = [n.lineno for n in ast.walk(tree)
+             if isinstance(n, ast.Constant) and n.value in names
+             and id(n) not in docs]
+    assert not lines, f"{path.name} names an equation on lines {lines}"
+
+
+# the row-block plumbing of a residual, which numerics owns
+ROW_BLOCK_NAMES = {"characteristic_rows", "current_divergence", "rule_rows",
+                   "reduce_rows"}
+ROW_BLOCK_ATTRIBUTES = {"rows", "bind", "reduce_rows"}
+
+
+def test_cli_reads_residuals_through_numerics():
+    # cli binds a run's matrices and margins to numerics' residual readers;
+    # it neither builds row closures nor binds grid environments itself
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    imported = [f"{name} (line {line})" for name, line in _imported_names(tree)
+                if name in ROW_BLOCK_NAMES]
+    read = [f".{n.attr} (line {n.lineno})" for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr in ROW_BLOCK_ATTRIBUTES]
+    assert not imported and not read, \
+        f"cli.py handles row blocks itself: {imported + read}"

@@ -19,7 +19,6 @@ from symlax import kernels, numerics
 from symlax.calculus import total_derivative
 from symlax.equations import (
     Characteristic,
-    ClosedForm,
     ConnSlot,
     field_equation_residual,
     get_equation,
@@ -721,9 +720,9 @@ def test_march_coefficients_are_the_closed_forms_bit_for_bit(
     coefs = []
     staircase = numerics._staircase_paths
 
-    def capture(march, coef, *args, **kw):
+    def capture(coef, *args, **kw):
         coefs.append(coef)
-        return staircase(march, coef, *args, **kw)
+        return staircase(coef, *args, **kw)
     monkeypatch.setattr(numerics, "_staircase_paths", capture)
     integrate_lax(rung, [lam])
     whole = (slice(None), slice(None))
@@ -936,7 +935,7 @@ def test_tower_potential_free_along_an_axis_is_unbound(eq, grid, axes):
     rung = SolutionFields(eq, sample_solution(family, grid))
     vs = eq.vs
     rule = eq.slots[0].connection
-    q = Characteristic(-2, ClosedForm(vs.pot("W") * eq.u()), "hand-made",
+    q = Characteristic(-2, vs.pot("W") * eq.u(), "hand-made",
                        potentials={"W": {v: rule for v in axes}})
     with pytest.raises(UnboundAtom):
         eval_characteristic(q, rung)
@@ -1018,7 +1017,7 @@ def test_lifted_rung_matches_four_variable_reference(n, m):
                       eval_on_grid(e, env4)))
     for q in SDYM.catalog:
         Q = eval_characteristic(q, rung, params)
-        w4 = inv4 @ eval_on_grid(q.body.expr, env4)
+        w4 = inv4 @ eval_on_grid(q.body, env4)
         pairs.append((conservation_residual(rung, Q, m),
                       _reference_divergence(env4, w4)))
         pairs.append((_stats(rung, np.trace(rung.inverse @ Q.values,
@@ -1374,7 +1373,7 @@ def test_conservation_and_evaluation_never_write_into_their_inputs():
     for e in (field_equation_residual(CHIRAL), CHIRAL.vs.field("g", "t")):
         eval_on_grid(e, rung.env)
     for q in CHIRAL.catalog:
-        eval_on_grid(q.body.expr, env)
+        eval_on_grid(q.body, env)
     assert rung.env.atom_values(Field("g", (1, 0))) is g_t
     for a, k in zip(inputs + [q.values for q in samples], kept):
         assert np.array_equal(a, k)
@@ -1388,7 +1387,7 @@ def test_eval_characteristic_binds_the_rung_potential(eq, family, grid,
                                                       provenance):
     u = sample_solution(family, grid)
     q = next(c for c in eq.catalog if c.provenance == provenance)
-    assert q.body.expr.has_potentials()
+    assert q.body.has_potentials()
     params = {"M": NILPOTENT_A, "L": NILPOTENT_B}
     rung = SolutionFields(eq, u)
     got = eval_characteristic(q, rung, params)
@@ -1396,7 +1395,7 @@ def test_eval_characteristic_binds_the_rung_potential(eq, family, grid,
     X = compute_potential(SolutionFields(eq, u)).field.values
     env = SolutionFields(eq, u).env.bind(params=params,
                                           potentials={eq.potential_name: X})
-    assert np.array_equal(got.values, eval_on_grid(q.body.expr, env))
+    assert np.array_equal(got.values, eval_on_grid(q.body, env))
     # the rung integrates its potential once and keeps it
     assert np.array_equal(rung.potential, X)
     assert rung.potential is rung.potential

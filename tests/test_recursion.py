@@ -9,12 +9,11 @@ from symlax import sexpr
 from symlax.calculus import covariant_derivative, total_derivative
 from symlax.equations import (
     Characteristic,
-    ClosedForm,
     get_equation,
     verify_symmetry,
 )
 from symlax.errors import IncompatibleSystem, ZeroLambda
-from symlax.expr import comm
+from symlax.expr import JetExpr, comm
 from symlax.recursion import (
     bt_step,
     generate_hierarchy,
@@ -42,14 +41,14 @@ def test_forward_step_structure_chiral():
 
 def test_forward_step_from_non_symmetry_raises():
     eq = get_equation("chiral")
-    bad = Characteristic(0, ClosedForm(eq.vs.param("M")), "constant")
+    bad = Characteristic(0, eq.vs.param("M"), "constant")
     with pytest.raises(IncompatibleSystem):
         bt_step(eq, bad, "forward")
 
 
 def test_backward_step_from_non_symmetry_raises():
     eq = get_equation("chiral")
-    bad = Characteristic(0, ClosedForm(eq.vs.param("M")), "constant")
+    bad = Characteristic(0, eq.vs.param("M"), "constant")
     with pytest.raises(IncompatibleSystem):
         bt_step(eq, bad, "backward")
 
@@ -59,8 +58,8 @@ def test_forward_integration_chiral_right_action():
     vs = eq.vs
     out = integrate_bt_symbolic(bt_step(eq, _seed(eq, "right-action"),
                                         "forward"))
-    assert isinstance(out.body, ClosedForm)
-    assert out.body.expr == eq.u() * comm(vs.pot("X"), vs.param("M"))
+    assert isinstance(out.body, JetExpr)
+    assert out.body == eq.u() * comm(vs.pot("X"), vs.param("M"))
     assert out.index == 1
 
 
@@ -69,8 +68,8 @@ def test_backward_integration_chiral_right_action():
     vs = eq.vs
     out = integrate_bt_symbolic(bt_step(eq, _seed(eq, "right-action"),
                                         "backward"))
-    assert isinstance(out.body, ClosedForm)
-    assert out.body.expr == vs.param("L") * eq.u()
+    assert isinstance(out.body, JetExpr)
+    assert out.body == vs.param("L") * eq.u()
     assert out.index == -1
 
 
@@ -79,8 +78,8 @@ def test_forward_integration_sdym_y_translation():
     vs = eq.vs
     out = integrate_bt_symbolic(bt_step(eq, _seed(eq, "y-translation"),
                                         "forward"))
-    assert isinstance(out.body, ClosedForm)
-    assert out.body.expr == eq.u() * vs.pot("X", "y")
+    assert isinstance(out.body, JetExpr)
+    assert out.body == eq.u() * vs.pot("X", "y")
 
 
 def test_backward_integration_sdym_y_translation():
@@ -88,8 +87,8 @@ def test_backward_integration_sdym_y_translation():
     vs = eq.vs
     out = integrate_bt_symbolic(bt_step(eq, _seed(eq, "y-translation"),
                                         "backward"))
-    assert isinstance(out.body, ClosedForm)
-    assert out.body.expr == vs.field("J", "zb")
+    assert isinstance(out.body, JetExpr)
+    assert out.body == vs.field("J", "zb")
 
 
 def test_double_backward_gives_published_implicit_pair():
@@ -99,7 +98,7 @@ def test_double_backward_gives_published_implicit_pair():
     back1 = integrate_bt_symbolic(bt_step(eq, _seed(eq, "right-action"),
                                           "backward"))
     out = integrate_bt_symbolic(bt_step(eq, back1, "backward"))
-    assert out.body.expr == vs.pot("Z2") * g
+    assert out.body == vs.pot("Z2") * g
     # Q = Z2 g turns Q_t - Q g^-1 g_t = g * D_x(g^-1 L g) and
     # Q_x - Q g^-1 g_x = -g * D_t(g^-1 L g) into the rules of Z2
     assert out.potentials == {"Z2": {
@@ -113,7 +112,7 @@ def test_closure_every_closed_form_is_again_a_symmetry():
         eq = get_equation(name)
         for direction in ("forward", "backward"):
             out = integrate_bt_symbolic(bt_step(eq, _seed(eq, prov), direction))
-            if isinstance(out.body, ClosedForm):
+            if isinstance(out.body, JetExpr):
                 assert verify_symmetry(eq, out).holds
 
 
@@ -126,9 +125,9 @@ def test_hierarchy_chiral_right_action():
     vs = eq.vs
     h = generate_hierarchy(eq, _seed(eq, "right-action"), -2, 1)
     assert sorted(h.charges) == [-2, -1, 0, 1]
-    assert h.charges[1].body.expr == eq.u() * comm(vs.pot("X"), vs.param("M"))
-    assert h.charges[-1].body.expr == vs.param("L") * eq.u()
-    assert h.charges[-2].body.expr == vs.pot("Z2") * eq.u()
+    assert h.charges[1].body == eq.u() * comm(vs.pot("X"), vs.param("M"))
+    assert h.charges[-1].body == vs.param("L") * eq.u()
+    assert h.charges[-2].body == vs.pot("Z2") * eq.u()
     assert all(v == "holds" for v in h.verdicts.values())
 
 
@@ -136,12 +135,12 @@ def test_hierarchy_sdym_both_seeds():
     eq = get_equation("sdym")
     vs = eq.vs
     h = generate_hierarchy(eq, _seed(eq, "right-action"), -1, 1)
-    assert h.charges[1].body.expr == eq.u() * comm(vs.pot("X"), vs.param("M"))
-    assert h.charges[-1].body.expr == vs.param("L") * eq.u()
+    assert h.charges[1].body == eq.u() * comm(vs.pot("X"), vs.param("M"))
+    assert h.charges[-1].body == vs.param("L") * eq.u()
     h2 = generate_hierarchy(eq, _seed(eq, "y-translation"), -2, 1)
-    assert h2.charges[1].body.expr == eq.u() * vs.pot("X", "y")
-    assert h2.charges[-1].body.expr == vs.field("J", "zb")
-    assert h2.charges[-2].body.expr == vs.pot("Z2") * eq.u()
+    assert h2.charges[1].body == eq.u() * vs.pot("X", "y")
+    assert h2.charges[-1].body == vs.field("J", "zb")
+    assert h2.charges[-2].body == vs.pot("Z2") * eq.u()
 
 
 _LEVEL0_SEEDS = [(name, s.provenance) for name in ("chiral", "sdym")
@@ -159,8 +158,8 @@ def test_hierarchy_runs_both_ways_without_stopping(name, provenance):
     assert all(v == "holds" for v in h.verdicts.values())
     assert not any("stopped" in n for n in h.notes)
     for q in h.charges.values():
-        assert isinstance(q.body, ClosedForm)
-        e = q.body.expr
+        assert isinstance(q.body, JetExpr)
+        e = q.body
         assert sexpr.loads(sexpr.dumps(e), vs=eq.vs) == e
         for rules in q.potentials.values():
             for r in rules.values():
@@ -204,7 +203,7 @@ def test_laurent_single_charge():
     eq = get_equation("chiral")
     q0 = _seed(eq, "right-action")
     s = laurent_assemble({0: q0}, 1)
-    assert s.expr == q0.body.expr
+    assert s.expr == q0.body
     assert s.window == (0, 0)
 
 
@@ -269,7 +268,7 @@ def test_truncation_residues_boundary_only():
         eq = get_equation(name)
         h = generate_hierarchy(eq, _seed(eq, prov), -1, 1)
         closed = {n: q for n, q in h.charges.items()
-                  if isinstance(q.body, ClosedForm)}
+                  if isinstance(q.body, JetExpr)}
         residues = lax_truncation_residues(eq, closed)
         boundary = {-2, -1, 1, 2}
         surviving = set()

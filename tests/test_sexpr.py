@@ -66,6 +66,21 @@ def test_file_roundtrip(tmp_path):
     assert sexpr.load(p) == F
 
 
+def test_unreadable_file_is_an_io_failure(tmp_path):
+    # not UTF-8, missing, or a directory
+    p = tmp_path / "f.sexp"
+    p.write_bytes(sexpr.dumps(VS2.zero()).encode() + b"\xff\n")
+    for path in (p, tmp_path / "missing.sexp", tmp_path):
+        with pytest.raises(IoFailure, match="cannot read"):
+            sexpr.load(path)
+
+
+def test_unwritable_path_is_an_io_failure(tmp_path):
+    for path in (tmp_path / "missing" / "f.sexp", tmp_path):
+        with pytest.raises(IoFailure, match="cannot write"):
+            sexpr.dump(VS2.zero(), path)
+
+
 @settings(max_examples=100, deadline=None)
 @given(norm_expr)
 def test_roundtrip_random(e):
