@@ -14,8 +14,12 @@ key or matrix name the loader does not read is a ``ConfigInvalid``, as is a
 value out of its range.
 
 The claims of one run share one ``_RunContext``: it makes each product they
-share (the sampled ladder, the hierarchies, the Lax integrations and the
-on-shell twin of an off-shell run) once, on first use.
+share (the hierarchies and the on-shell twin of an off-shell run) once, on
+first use, and reads the sampled ladder in one pass.  Each claim registers
+its per-rung reads with the context when the catalog is built; the first
+claim that asks for a result runs the pass, which samples each rung once,
+coarsest first, runs every registered read on it, marches its Lax
+wavefunctions, and releases it before the next rung is sampled.
 
 The environment variable SYMLAX_CONFIG_DIR names the directory searched for
 a config given by bare name (and for ``symlax.ini`` when no config is
@@ -29,6 +33,7 @@ import contextlib
 import functools
 import json
 import math
+import numbers
 import os
 import sys
 import tempfile
@@ -152,6 +157,10 @@ class RunConfig:
                                 f"got {self.window!r}")
         if not (self.window[0] <= 0 <= self.window[1]):
             raise ConfigInvalid("hierarchy window must contain 0")
+        for name in ("lambdas", "counts"):
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise ConfigInvalid(f"{name} must be a tuple, "
+                                    f"got {getattr(self, name)!r}")
         if not self.lambdas:
             raise ConfigInvalid("need at least one spectral value")
         reals = ("origin", "extent", "min_order", "zero_floor",
@@ -161,6 +170,8 @@ class RunConfig:
             values = value if name == "lambdas" else (value,)
             if any(np.iscomplexobj(v) for v in values):
                 raise ConfigInvalid(f"{name} must be real, got {value!r}")
+            if not all(isinstance(v, numbers.Real) for v in values):
+                raise ConfigInvalid(f"{name} must be numeric, got {value!r}")
             if any(map(_overflows_float, values)):
                 raise ConfigInvalid(
                     f"{name} holds an integer too large for a float")
@@ -211,6 +222,8 @@ class RunConfig:
                 raise ConfigInvalid(f"matrix {name!r} is not square")
             if np.iscomplexobj(m):
                 raise ConfigInvalid(f"matrix {name!r} must be real")
+            if m.dtype.kind not in "biuf":
+                raise ConfigInvalid(f"matrix {name!r} must hold numbers")
             if not np.all(np.isfinite(m)):
                 raise ConfigInvalid(f"matrix {name!r} has a non-finite entry")
         dims = {np.asarray(m).shape[0] for m in self.matrices.values()}
@@ -545,11 +558,39 @@ def _seed_by_provenance(eq: EquationDef, name: str) -> Characteristic:
     raise ConfigInvalid(f"unknown seed {name!r}; known: {known}")
 
 
+class _Reader:
+    """A per-rung read that a claim registers with its run context:
+    ``read(view, i)`` on each rung i of ``rungs``, whose view is the rung's
+    ``SolutionFields`` or, for a Lax reader, its march
+    (``_RunContext.march``).  It keeps its result on each rung, or the
+    exception of the rung where it raised, after which it reads no later
+    rung."""
+
+    def __init__(self, read: Callable, rungs: Sequence[int], lax: bool):
+        self.read, self.rungs, self.lax = read, rungs, lax
+        self.results: list = []
+        self.error: Optional[Exception] = None
+
+    def read_rung(self, view: Callable, i: int):
+        try:
+            self.results.append(self.read(view(), i))
+        except Exception as exc:
+            # the traceback keeps where the exception arose, not the locals
+            # of the frames it passed, which hold the rung's arrays
+            traceback.clear_frames(exc.__traceback__)
+            self.error = exc
+
+
 class _RunContext:
     """Every product the claims of one run share, each made once, on first
-    use: the sampled ladder, the hierarchies, the Lax integrations and, for
-    an off-shell run, its on-shell twin.  Rung i is kept as a
-    ``SolutionFields``."""
+    use: the readings of the sampled ladder, the hierarchies and, for an
+    off-shell run, its on-shell twin.
+
+    The ladder is read in one pass, rung-major (``_read_ladder``): each
+    claim registers its per-rung reads when the catalog is built
+    (``reader``), and the first claim that asks for a result reads every
+    rung for every registered reader, so that each rung is sampled once
+    and released before the next one is sampled."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -564,15 +605,64 @@ class _RunContext:
                       for n in cfg.counts]
         self.margins = scaled_margins(cfg.counts, cfg.base_margin)
         self.hs = [max(g.spacings) for g in self.grids]
-        self._rungs: Dict[int, SolutionFields] = {}
         self._hierarchies: Dict[Tuple[str, int, int], Hierarchy] = {}
-        self._lax: Dict[Tuple[float, int], Tuple[float, ResidualStats]] = {}
+        self._pending: List[_Reader] = []
 
-    def rung(self, i: int) -> SolutionFields:
-        if i not in self._rungs:
-            u = sample_solution(self.family, self.grids[i])
-            self._rungs[i] = SolutionFields(self.eq, u)
-        return self._rungs[i]
+    def reader(self, read: Callable, rungs: Optional[Sequence[int]] = None,
+               lax: bool = False) -> Callable[[], list]:
+        """Register ``read(view, i)`` for the rungs ``rungs`` (every rung by
+        default), with the rung's march as its view if ``lax``, else the
+        rung.  Returns a function that gives its results, coarsest rung
+        first, or raises again the exception ``read`` raised; its first
+        call reads the ladder for every reader registered since the last
+        pass."""
+        r = _Reader(read, range(len(self.grids)) if rungs is None else rungs,
+                    lax)
+        self._pending.append(r)
+
+        def results() -> list:
+            if self._pending:
+                self._read_ladder()
+            if r.error is not None:
+                raise r.error
+            return r.results
+        return results
+
+    def _read_ladder(self):
+        """One pass over the ladder for the pending readers.  Each rung,
+        coarsest first, is sampled once, read by every field reader in the
+        order they registered, released to its connections and marched
+        once for the Lax readers, then dropped whole before the next rung
+        is sampled.  A rung no reader still reads is not sampled."""
+        readers, self._pending = self._pending, []
+        for i in range(len(self.grids)):
+            live = [r for r in readers if i in r.rungs and r.error is None]
+            # made on first read; a sample or march that raises is
+            # attempted again by the next reader, and raises for it too
+            rung = functools.cache(functools.partial(self.sample, i))
+            march = functools.cache(lambda: self.march(rung(), i))
+            for r in sorted(live, key=lambda r: r.lax):
+                r.read_rung(march if r.lax else rung, i)
+            rung.cache_clear()
+            march.cache_clear()
+
+    def sample(self, i: int) -> SolutionFields:
+        """Rung i, sampled afresh."""
+        return SolutionFields(self.eq,
+                              sample_solution(self.family, self.grids[i]))
+
+    def march(self, rung: SolutionFields, i: int
+              ) -> Dict[float, Tuple[float, ResidualStats]]:
+        """The Lax integration of every spectral value on rung i, in one
+        march, reduced to the compatibility residual and the symmetry
+        residual of its psi as soon as it is made, so that its arrays are
+        released.  The march reads only the connections, so the rung is
+        released to them first."""
+        rung.release()
+        lams = self.cfg.lambdas
+        return {l: (lax.compat_residual,
+                    lax.symmetry_residual(self.margins[i]))
+                for l, lax in zip(lams, integrate_lax(rung, lams))}
 
     def hierarchy(self, seed: str, lo: int, hi: int) -> Hierarchy:
         """The hierarchy of levels lo..hi from the named level-0 seed."""
@@ -582,40 +672,25 @@ class _RunContext:
                 self.eq, _seed_by_provenance(self.eq, seed), lo, hi)
         return self._hierarchies[key]
 
-    def lax(self, lam: float, i: int) -> Tuple[float, ResidualStats]:
-        """The compatibility residual of the Lax integration at spectral
-        value ``lam`` on rung i, and the symmetry residual of its psi.
-        Every spectral value of a rung is integrated in one march, at the
-        first read of the rung, which first drops the rung's u^-1 and
-        potential: the march and the residual read only the connections.
-        Each integration is reduced to these two numbers as soon as it is
-        made, and its arrays are released."""
-        if (lam, i) not in self._lax:
-            rung = self.rung(i)
-            rung.drop_cache()
-            lams = self.cfg.lambdas
-            for l, lax in zip(lams, integrate_lax(rung, lams)):
-                self._lax[(l, i)] = (lax.compat_residual,
-                                     lax.symmetry_residual(self.margins[i]))
-        return self._lax[(lam, i)]
-
     @functools.cached_property
     def twin(self) -> "_RunContext":
         """The unperturbed counterpart of the run, for the off-shell ratio
-        claims, which read only its first spectral value."""
+        claims, which read only its finest rung and first spectral
+        value."""
         return _RunContext(replace(
             self.cfg, family=self.eq.families[0],
             lambdas=self.cfg.lambdas[:1]))
 
-    def conservation(self, q: Characteristic, i: int) -> ResidualStats:
+    def conservation(self, q: Characteristic, rung: SolutionFields,
+                     i: int) -> ResidualStats:
         """Conservation residual of characteristic q on rung i."""
-        return characteristic_conservation(self.rung(i), q, self.params,
+        return characteristic_conservation(rung, q, self.params,
                                            self.margins[i])
 
-    def trace(self, q: Characteristic, i: int) -> ResidualStats:
+    def trace(self, q: Characteristic, rung: SolutionFields,
+              i: int) -> ResidualStats:
         """Trace of the transport u^-1 q of characteristic q on rung i."""
-        return characteristic_trace(self.rung(i), q, self.params,
-                                    self.margins[i])
+        return characteristic_trace(rung, q, self.params, self.margins[i])
 
 
 # ---------------------------------------------------------------------------
@@ -684,12 +759,12 @@ def hierarchy_claims(ctx: _RunContext) -> List[Claim]:
 
 def _ladder_claim(ctx: _RunContext, cid: str, anchor: str, kind: str,
                   expected_fail: bool,
-                  rung_stats: Callable[[int], ResidualStats]) -> Claim:
-    """A claim that measures ``rung_stats(i)`` on every rung i of the
-    ladder of ``ctx``, coarsest first, and judges the ladder by
-    ``_order_result``."""
+                  reads: Callable[[], List[ResidualStats]]) -> Claim:
+    """A claim that judges by ``_order_result`` the residual stats of a
+    reader of ``ctx`` over every rung, ``reads`` (``_RunContext.reader``),
+    coarsest first."""
     def check() -> ClaimResult:
-        stats = [rung_stats(i) for i in range(len(ctx.grids))]
+        stats = reads()
         return _order_result([s.max for s in stats],
                              [_stats_dict(s) for s in stats], ctx.hs,
                              ctx.cfg)
@@ -698,12 +773,13 @@ def _ladder_claim(ctx: _RunContext, cid: str, anchor: str, kind: str,
 
 def numeric_claims(ctx: _RunContext) -> List[Claim]:
     eq, offshell = ctx.eq, ctx.offshell
+    field_equation = ctx.reader(
+        lambda rung, i: fd_residual_field_equation(rung, ctx.margins[i]))
     claims: List[Claim] = [_ladder_claim(
         ctx, "num.field-equation",
         "the finite-difference residual of the field equation converges at "
         "second order on the sampled solution",
-        "numeric", offshell,
-        lambda i: fd_residual_field_equation(ctx.rung(i), ctx.margins[i]))]
+        "numeric", offshell, field_equation)]
 
     for q in eq.catalog:
         claims.append(_ladder_claim(
@@ -711,14 +787,15 @@ def numeric_claims(ctx: _RunContext) -> List[Claim]:
             f"the conserved current of the {q.provenance} characteristic has "
             f"second-order divergence residual on the grid",
             "numeric", offshell,
-            lambda i, q=q: ctx.conservation(q, i)))
+            ctx.reader(lambda rung, i, q=q: ctx.conservation(q, rung, i))))
 
     claims.append(_ladder_claim(
         ctx, "num.potential-defining-relations",
         "the integrated nonlocal potential satisfies both of its defining "
         "relations to second order",
         "numeric", offshell,
-        lambda i: potential_relations(ctx.rung(i), ctx.margins[i])))
+        ctx.reader(
+            lambda rung, i: potential_relations(rung, ctx.margins[i]))))
 
     # a backward level does not depend on the forward window, so a default
     # run reads the hierarchy the hier.* claims build
@@ -731,12 +808,17 @@ def numeric_claims(ctx: _RunContext) -> List[Claim]:
         "path-integrated tower potential, is conserved to the expected "
         "order",
         "numeric", offshell,
-        lambda i: ctx.conservation(tower_charge(), i)))
+        ctx.reader(
+            lambda rung, i: ctx.conservation(tower_charge(), rung, i))))
 
     if eq.traceless:
+        deviation = ctx.reader(
+            lambda rung, i: float(np.abs(np.linalg.det(rung.u.values)
+                                         - 1.0).max()),
+            rungs=[len(ctx.grids) - 1])
+
         def det_preserved() -> ClaimResult:
-            u = ctx.rung(len(ctx.grids) - 1).u
-            dev = float(np.abs(np.linalg.det(u.values) - 1.0).max())
+            (dev,) = deviation()
             ok = dev <= 1e-10
             return ClaimResult(ok, detail=f"max |det - 1| = {dev:.3e}")
         claims.append(Claim(
@@ -750,10 +832,10 @@ def numeric_claims(ctx: _RunContext) -> List[Claim]:
                 f"the {q.provenance} characteristic keeps the transported "
                 f"field traceless to the expected order",
                 "numeric", False,
-                lambda i, q=q: ctx.trace(q, i)))
+                ctx.reader(lambda rung, i, q=q: ctx.trace(q, rung, i))))
 
     if offshell:
-        claims.extend(_negative_control_claims(ctx))
+        claims.extend(_negative_control_claims(ctx, field_equation))
     return claims
 
 
@@ -764,32 +846,41 @@ def _offshell_ratio(off: float, on: float) -> float:
     return math.inf if off > 0 else 0.0
 
 
-def _negative_control_claims(ctx: _RunContext) -> List[Claim]:
+def _negative_control_claims(ctx: _RunContext, field_equation: Callable
+                             ) -> List[Claim]:
+    """The off-shell controls.  The ratio claims read the finest rung of
+    the run and of its on-shell twin; the twin samples no other rung.  The
+    non-convergence claim reads ``field_equation``, the reader of the
+    field equation's residual over the ladder."""
     cfg = ctx.cfg
-    i = len(ctx.grids) - 1
+    finest = [len(ctx.grids) - 1]
     seed_q = _seed_by_provenance(ctx.eq, DEFAULT_SEED)
+    lam = cfg.lambdas[0]
+    off_conservation, on_conservation = (
+        c.reader(lambda rung, i, c=c: c.conservation(seed_q, rung, i),
+                 finest) for c in (ctx, ctx.twin))
+    off_compat, on_compat = (
+        c.reader(lambda marched, i: marched[lam][0], finest, lax=True)
+        for c in (ctx, ctx.twin))
 
     def conservation_ratio() -> ClaimResult:
-        twin = ctx.twin
-        off = ctx.conservation(seed_q, i)
-        on = twin.conservation(seed_q, i)
+        (off,) = off_conservation()
+        (on,) = on_conservation()
         ratio = _offshell_ratio(off.max, on.max)
         ok = ratio >= cfg.offshell_factor
         return ClaimResult(ok, residuals=[_stats_dict(off), _stats_dict(on)],
                            detail=f"off/on ratio = {ratio:.3e}")
 
     def lax_ratio() -> ClaimResult:
-        lam = cfg.lambdas[0]
-        off, _ = ctx.lax(lam, i)
-        on, _ = ctx.twin.lax(lam, i)
+        (off,) = off_compat()
+        (on,) = on_compat()
         ratio = _offshell_ratio(off, on)
         ok = ratio >= cfg.offshell_factor
         return ClaimResult(ok, detail=f"off/on ratio = {ratio:.3e} "
                                       f"(off {off:.3e}, on {on:.3e})")
 
     def nonconvergence() -> ClaimResult:
-        stats = [fd_residual_field_equation(ctx.rung(j), ctx.margins[j])
-                 for j in range(len(ctx.grids))]
+        stats = field_equation()
         vals = [s.max for s in stats]
         try:
             est = convergence_order(vals, ctx.hs, zero_floor=cfg.zero_floor)
@@ -829,9 +920,11 @@ def lax_claims(ctx: _RunContext) -> List[Claim]:
     claims: List[Claim] = []
     for lam in ctx.cfg.lambdas:
         tag = f"{lam:g}"
+        compat_residuals = ctx.reader(
+            lambda marched, i, lam=lam: marched[lam][0], lax=True)
 
-        def compat(lam=lam) -> ClaimResult:
-            vals = [ctx.lax(lam, i)[0] for i in range(len(ctx.grids))]
+        def compat(read=compat_residuals) -> ClaimResult:
+            vals = read()
             stats = [{"max": _fmt(v), "h": _fmt(h)}
                      for v, h in zip(vals, ctx.hs)]
             return _order_result(vals, stats, ctx.hs, ctx.cfg)
@@ -848,7 +941,8 @@ def lax_claims(ctx: _RunContext) -> List[Claim]:
             f"the integrated wavefunction satisfies the linearized equation "
             f"to second order at spectral value {tag}",
             "lax", ctx.offshell,
-            lambda i, lam=lam: ctx.lax(lam, i)[1]))
+            ctx.reader(lambda marched, i, lam=lam: marched[lam][1],
+                       lax=True)))
     return claims
 
 

@@ -660,14 +660,14 @@ def residual_stats(arr: np.ndarray, grid: Grid, margin: int,
 
 class SolutionFields:
     """One rung of a solution ladder: the sampled solution ``u`` of ``eq``
-    and the arrays derived from it that it keeps, each computed on first
-    use: ``u^-1`` (cached in the grid environment ``env``), the slot
-    connections and the samples of the equation's potential.
-    ``drop_cache`` frees u^-1 and the potential, and keeps the
-    connections, all the Lax march and its residual read.  A check that
-    reads field derivatives evaluates in ``env.bind()``, which shares
-    ``u^-1``; it differentiates one block of rows, plus its halo, at a
-    time, so no whole derivative is formed.
+    on its ``grid``, and the arrays derived from it that it keeps, each
+    computed on first use: ``u^-1`` (cached in the grid environment
+    ``env``), the slot connections and the samples of the equation's
+    potential.  ``release`` keeps only the grid and the connections, all
+    the Lax march and its residual read.  A check that reads field
+    derivatives evaluates in ``env.bind()``, which shares ``u^-1``; it
+    differentiates one block of rows, plus its halo, at a time, so no
+    whole derivative is formed.
 
     Each variable differentiates along its grid axis, ``eq.axes``.  A
     sample over any other number of axes than the equation maps onto
@@ -680,11 +680,13 @@ class SolutionFields:
                 f"{eq.name} maps its variables {eq.vs.names} onto "
                 f"{n_axes} grid axes; the sample has {len(u.grid.axes)}")
         self.eq = eq
-        self.u = u
-        self.env = GridEnv(u.grid, {eq.field_name: u.values})
+        self.grid = u.grid
+        self.u: Optional[GridField] = u
+        self.env: Optional[GridEnv] = GridEnv(u.grid,
+                                              {eq.field_name: u.values})
         self.env.axes = eq.axes
         self._connections: Optional[Tuple[np.ndarray, ...]] = None
-        self._potential: Optional[np.ndarray] = None
+        self._potential = None
 
     @property
     def inverse(self) -> np.ndarray:
@@ -702,26 +704,32 @@ class SolutionFields:
     @property
     def potential(self) -> np.ndarray:
         """Samples of the potential, integrated by ``compute_potential`` on
-        first use.  An off-shell sample raises PathInconsistent on every
-        use."""
+        first use.  An off-shell sample raises PathInconsistent on first
+        use, and the same exception again on every later one, without
+        integrating again."""
         if self._potential is None:
-            self._potential = compute_potential(self).field.values
+            try:
+                self._potential = compute_potential(self).field.values
+            except PathInconsistent as exc:
+                self._potential = exc
+        if isinstance(self._potential, PathInconsistent):
+            raise self._potential
         return self._potential
 
     def reduce_rows(self, rows, margin: int) -> ResidualStats:
         """``reduce_rows`` over this rung, whose axes that two variables
         share are paired."""
-        axes = self.env.axes
-        return reduce_rows(rows, self.u.grid, margin,
+        axes = self.eq.axes
+        return reduce_rows(rows, self.grid, margin,
                            {a for a in axes if axes.count(a) > 1})
 
-    def drop_cache(self) -> None:
-        """Drop u^-1, the potential, and any derivative a direct reader of
-        ``env`` cached there; u and the connections stay.  A later reader
-        recomputes what was dropped with the same code, so its values do
-        not change."""
-        self.env._cache = {}
-        self._potential = None
+    def release(self) -> None:
+        """Keep only the grid and the connections, made first if they are
+        not yet: u, u^-1, the potential and every array ``env`` cached go.
+        Afterwards only a reader of the connections can read the rung: the
+        Lax march, and ``current_divergence`` of rows the caller gives."""
+        self.connections
+        self.u = self.env = self._potential = None
 
 
 def fd_residual_field_equation(fields: SolutionFields,
@@ -738,7 +746,7 @@ def conservation_residual(fields: SolutionFields, qgrid: GridField,
     """Divergence of the conserved current pair built from a characteristic
     sample: ``current_divergence`` of its transport u^-1 q, formed on each
     block's rows.  The sample is only read."""
-    if qgrid.grid is not fields.u.grid and qgrid.grid != fields.u.grid:
+    if qgrid.grid is not fields.grid and qgrid.grid != fields.grid:
         raise DimensionMismatch("characteristic and solution grids differ")
     q = qgrid.values
     return current_divergence(
@@ -804,8 +812,8 @@ def current_divergence(fields: SolutionFields, w_rows,
     block plus a halo of two rows.  ``w_rows(lo, hi)`` gives rows lo:hi of
     w, which are only read, so no whole w need exist; the divergence is
     never whole either."""
-    grid = fields.u.grid
-    axes, vs = fields.env.axes, fields.eq.vs
+    grid = fields.grid
+    axes, vs = fields.eq.axes, fields.eq.vs
     slots = [(conn, axes[vs.index(s.cov_var)], axes[vs.index(s.div_var)])
              for s, conn in zip(fields.eq.slots, fields.connections)]
 
@@ -939,7 +947,7 @@ def compute_potential(fields: SolutionFields) -> PotentialResult:
     eq = fields.eq
     X, resid = _integrate_potential(fields, eq.potential_rules[eq.potential_name],
                                     fields.env.bind())
-    return PotentialResult(GridField(fields.u.grid, X), resid)
+    return PotentialResult(GridField(fields.grid, X), resid)
 
 
 def _integrate_potential(fields: SolutionFields, rules: Dict[str, JetExpr],
@@ -949,7 +957,7 @@ def _integrate_potential(fields: SolutionFields, rules: Dict[str, JetExpr],
     of rows at a time, along the staircase path t first, and its largest
     difference from the path x first; a difference above tolerance raises
     PathInconsistent, a grid axis the rules leave free UnboundAtom."""
-    grid = fields.u.grid
+    grid = fields.grid
     integrands = {env.axes[fields.eq.vs.index(v)]: _rule_rows(fields, rhs, env)
                   for v, rhs in rules.items()}
     if len(integrands) < len(grid.axes):
@@ -1019,7 +1027,7 @@ def eval_characteristic(q: Characteristic, fields: SolutionFields,
                         ) -> GridField:
     """Sample a characteristic's closed form on a rung: the rows of
     ``characteristic_rows``, filled one block at a time."""
-    grid = fields.u.grid
+    grid = fields.grid
     return GridField(grid, _fill_rows(grid.counts[0],
                                       characteristic_rows(q, fields, params)))
 
@@ -1031,7 +1039,7 @@ def eval_characteristic(q: Characteristic, fields: SolutionFields,
 @dataclass(frozen=True)
 class LaxIntegration:
     """The wavefunction phi of one spectral value on a rung, and
-    ``psi = u phi``."""
+    ``psi = u phi`` while the rung holds u."""
     rung: SolutionFields
     phi: GridField
     compat_residual: float
@@ -1090,7 +1098,7 @@ def integrate_lax(fields: SolutionFields, lams: Sequence[complex],
     complex value is marched in complex."""
     lam = np.asarray(lams).reshape(-1, 1, 1, 1)
     coefs, det = lax_elimination(fields.eq, lam)
-    n = fields.u.n_dim
+    n = fields.connections[0].shape[-1]
     if phi0 is None:
         # identity is a fixed point of the commutator flow; default to a
         # generic well-conditioned start instead
@@ -1103,7 +1111,7 @@ def integrate_lax(fields: SolutionFields, lams: Sequence[complex],
         return functools.reduce(np.add, (c * conn[idx] for c, conn in zip(
             coefs[axis], fields.connections))) / det
 
-    grid = fields.u.grid
+    grid = fields.grid
     phis, resids = _staircase_paths(
         coef, np.broadcast_to(phi0, (len(lam), 1) + phi0.shape), grid)
     return [LaxIntegration(fields, GridField(grid, phi), r)

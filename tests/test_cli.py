@@ -1,11 +1,13 @@
 """Configuration loading, claim catalog, report emission, command line."""
 
 import dataclasses
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +57,7 @@ from symlax.numerics import (
     conservation_residual,
     eval_characteristic,
     integrate_lax,
+    potential_relations,
 )
 from symlax.recursion import generate_hierarchy
 
@@ -176,6 +179,15 @@ def test_overrides_beat_file(tmp_path):
     dict(lambdas=(0.5, 3j)),
     dict(matrices=dict(_DEFAULT_MATRICES,
                        M=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))),
+    # text where a number belongs, from a Python caller
+    dict(eps="0.1"),
+    dict(origin="0"),
+    dict(lambdas=("0.5",)),
+    dict(matrices=dict(_DEFAULT_MATRICES, M=[["0", "1"], ["0", "0"]])),
+    # a number, or an array, where a tuple belongs
+    dict(lambdas=0.5),
+    dict(counts=65),
+    dict(lambdas=np.array([0.5, 2.0])),
 ])
 def test_invalid_configs_rejected(kw):
     with pytest.raises(ConfigInvalid):
@@ -197,6 +209,20 @@ def test_non_integer_config_value_names_its_key(key, value):
 def test_complex_config_value_names_its_key(key, value):
     # a complex value used to load, then fail untyped in the report's
     # config echo (or, in a matrix, lose its imaginary part there)
+    with pytest.raises(ConfigInvalid, match="'L'" if key == "matrices"
+                       else key):
+        load_config(**{key: value})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("eps", "0.1"), ("origin", "0"), ("lambdas", ("0.5",)),
+    ("lambdas", (0.5, None)), ("min_order", [2.0]), ("lambdas", 0.5),
+    ("counts", 65),
+    ("matrices", dict(_DEFAULT_MATRICES, L=[["0", "0"], ["1", "0"]]))])
+def test_non_numeric_config_value_names_its_key(key, value):
+    # a Python caller's text, None, list or scalar in the wrong place is
+    # a ConfigInvalid naming the key, not a TypeError or numpy's
+    # UFuncTypeError from deep in validation
     with pytest.raises(ConfigInvalid, match="'L'" if key == "matrices"
                        else key):
         load_config(**{key: value})
@@ -593,6 +619,86 @@ def test_run_integrates_each_rung_potential_once(monkeypatch):
     assert len({id(f) for f in calls}) == 3
 
 
+_OFFSHELL = dict(family="perturbed-offshell", counts=(17, 33, 65))
+
+
+@pytest.mark.parametrize("kw,sampled,integrated", [
+    (dict(), [65, 129, 257], [65, 129, 257]),
+    # sdym samples 2n - 1 points per diagonal axis
+    (dict(equation="sdym"), [17, 33, 65], [17, 33, 65]),
+    # the off-shell potential fails on the coarsest rung, so no reader
+    # asks for it again; the twin samples the finest rung only
+    (_OFFSHELL, [17, 33, 65, 65], [17]),
+], ids=["chiral", "sdym", "offshell"])
+def test_a_run_samples_each_rung_once_and_one_at_a_time(
+        monkeypatch, kw, sampled, integrated):
+    import symlax.cli as cli
+    sampled_counts, samples, potentials = [], [], []
+    sample = cli.sample_solution
+    compute = numerics.compute_potential
+
+    def sampling(family, grid):
+        # every earlier rung, its u and all that was made from it, is gone
+        # by the time the next one is sampled
+        assert all(ref() is None for ref in samples), \
+            f"a rung outlives its pass: {sampled_counts}"
+        sampled_counts.append(grid.counts[0])
+        u = sample(family, grid)
+        samples.append(weakref.ref(u.values))
+        return u
+
+    def integrating(fields):
+        potentials.append(fields.grid.counts[0])
+        return compute(fields)
+    monkeypatch.setattr(cli, "sample_solution", sampling)
+    monkeypatch.setattr(numerics, "compute_potential", integrating)
+    # without the cyclic collector, only references keep a rung alive
+    gc.disable()
+    try:
+        run(load_config(**kw))
+    finally:
+        gc.enable()
+    assert sampled_counts == sampled
+    assert potentials == integrated
+
+
+@pytest.mark.parametrize("target,ids", [
+    ("fd_residual_field_equation", ["num.field-equation"]),
+    ("integrate_lax", _LAX_IDS),
+], ids=["field-reader", "lax-reader"])
+def test_a_reader_raising_on_a_rung_fails_only_its_claims(
+        monkeypatch, target, ids):
+    # a reader that raises on rung 1 makes the record of an unexpected
+    # exception, with the frame where it arose, and reads no later rung;
+    # every other claim's record is unchanged
+    import symlax.cli as cli
+    cfg = load_config(counts=(17, 33, 65))
+    want = run(cfg)["claims"]
+    original, rungs = getattr(cli, target), []
+
+    def raising(rung, *args):
+        rungs.append(len(rung.connections[0]))
+        if rungs[-1] == 33:
+            return 1 / 0
+        return original(rung, *args)
+    monkeypatch.setattr(cli, target, raising)
+    got = run(cfg)["claims"]
+    line = raising.__code__.co_firstlineno + 3
+    detail = (f"ZeroDivisionError: division by zero "
+              f"(at test_cli.py:{line} in raising)")
+    assert [r["id"] for r in got] == [r["id"] for r in want]
+    for rec, before in zip(got, want):
+        if rec["id"] in ids:
+            assert rec == {k: before[k] for k in
+                           ("id", "anchor", "kind", "expected_fail")} | {
+                "passed": False, "detail": detail, "error": True}
+        else:
+            assert rec == before
+    # a raising march is attempted again by each claim that reads it, as
+    # when each claim read its own rungs
+    assert rungs == [17] + [33] * len(ids)
+
+
 def test_cli_output_file(tmp_path):
     dest = tmp_path / "report.json"
     r = CliRunner().invoke(main, ["verify-symbolic", "--output", str(dest)])
@@ -680,7 +786,8 @@ def test_trace_ladder_fails_a_characteristic_with_trace():
     ctx = _RunContext(load_config(equation="sdym"))
     q = Characteristic(0, ctx.eq.u(), "identity")
     claim = _ladder_claim(ctx, "num.trace-constraint.identity", "tr 2",
-                          "numeric", False, lambda i: ctx.trace(q, i))
+                          "numeric", False,
+                          ctx.reader(lambda rung, i: ctx.trace(q, rung, i)))
     rec, = run_claims([claim])
     assert not rec["passed"] and rec["order"] == "non-monotone"
     assert [float(s["max"]) for s in rec["residuals"]] == \
@@ -693,17 +800,19 @@ _ROTATION = {"A": [[0.0, -1.0], [1.0, 0.0]], "B": [[0.3, 0.8], [-0.5, -0.3]]}
 @pytest.mark.parametrize("equation,counts", [
     ("chiral", (17, 33, 65)), ("sdym", (9, 17, 33))])
 def test_lax_residual_on_phi_is_the_residual_of_psi(equation, counts):
-    # ctx.lax reads the residual of psi = u phi on phi = u^-1 psi; it is
-    # the residual of psi itself up to the round-off of u^-1 (u phi)
+    # ctx.march reads the residual of psi = u phi on phi = u^-1 psi; it
+    # is the residual of psi itself up to the round-off of u^-1 (u phi)
     mats = dict(_DEFAULT_MATRICES, **_ROTATION)
     ctx = _RunContext(load_config(
         equation=equation, counts=counts,
         matrices={k: np.asarray(v) for k, v in mats.items()}))
     for i in range(len(counts)):
-        want = [conservation_residual(ctx.rung(i), lax.psi, ctx.margins[i])
-                for lax in integrate_lax(ctx.rung(i), ctx.cfg.lambdas)]
+        rung = ctx.sample(i)
+        want = [conservation_residual(rung, lax.psi, ctx.margins[i])
+                for lax in integrate_lax(rung, ctx.cfg.lambdas)]
+        marched = ctx.march(rung, i)
         for lam, w in zip(ctx.cfg.lambdas, want):
-            got = ctx.lax(lam, i)[1]
+            got = marched[lam][1]
             assert w.max > 1e-8
             assert got.max == pytest.approx(w.max, rel=1e-5)
             assert got.l2 == pytest.approx(w.l2, rel=1e-5)
@@ -718,15 +827,15 @@ SO3_MATRICES = {k: np.asarray(v, dtype=float) for k, v in {
 
 
 def _so3_context(i=0):
-    """A chiral-so3 run context (3 x 3 rotation generators) whose rung i
-    (65^2 for 0, 257^2 for 2) holds u^-1, its connections and its
-    potential, as after the numeric claims of a report.  A Lax march on a
-    9-point rung runs first, so that no module the march imports on first
-    use (numpy.random, some 600 kB) counts toward a measured peak."""
-    _RunContext(load_config(matrices=SO3_MATRICES,
-                            counts=(9, 17, 33))).lax(0.25, 0)
+    """A chiral-so3 run context (3 x 3 rotation generators) and its rung i
+    (65^2 for 0, 257^2 for 2), which holds u^-1, its connections and its
+    potential, as after the field readers of a report's pass.  A Lax march
+    on a 9-point rung runs first, so that no module the march imports on
+    first use (numpy.random, some 600 kB) counts toward a measured peak."""
+    warm = _RunContext(load_config(matrices=SO3_MATRICES, counts=(9, 17, 33)))
+    warm.march(warm.sample(0), 0)
     ctx = _RunContext(load_config(matrices=SO3_MATRICES))
-    rung = ctx.rung(i)
+    rung = ctx.sample(i)
     assert rung.u.grid.counts == ((65, 65), (129, 129), (257, 257))[i]
     rung.inverse, rung.connections, rung.potential
     return ctx, rung
@@ -739,7 +848,7 @@ def test_lax_phase_peak_is_bounded():
     # four wavefunctions and the blocks of the divergence of one, with no
     # psi, no u^-1 psi and no u^-1 beside them
     ctx, rung = _so3_context()
-    assert peak_field_sizes(lambda: ctx.lax(0.25, 0),
+    assert peak_field_sizes(lambda: ctx.march(rung, 0),
                             rung.u.values.nbytes) <= 7.0
 
 
@@ -757,7 +866,7 @@ def test_context_conservation_peak_is_bounded():
     # halo, and the divergence is reduced one block of rows at a time
     ctx, rung = _so3_context()
     seed = next(s for s in ctx.eq.seeds if s.provenance == DEFAULT_SEED)
-    assert peak_field_sizes(lambda: ctx.conservation(seed, 0),
+    assert peak_field_sizes(lambda: ctx.conservation(seed, rung, 0),
                             rung.u.values.nbytes) <= 3.5
 
 
@@ -766,7 +875,7 @@ def test_tower_charge_conservation_peak_is_bounded():
     # transport and its divergence
     ctx, rung = _so3_context()
     q = ctx.hierarchy(DEFAULT_SEED, -2, 1).charges[-2]
-    assert peak_field_sizes(lambda: ctx.conservation(q, 0),
+    assert peak_field_sizes(lambda: ctx.conservation(q, rung, 0),
                             rung.u.values.nbytes) <= 4.5
 
 
@@ -775,12 +884,13 @@ def test_potential_relations_peak_is_bounded():
     # connection where the rule is minus it; the potentials are made
     # beforehand
     ctx = _RunContext(load_config(matrices=SO3_MATRICES, counts=(17, 33, 65)))
-    for i in range(3):
-        ctx.rung(i).potential
-    claim = next(c for c in numeric_claims(ctx)
-                 if c.id == "num.potential-defining-relations")
-    assert peak_field_sizes(claim.run,
-                            ctx.rung(2).u.values.nbytes) <= 1.5
+    rungs = [ctx.sample(i) for i in range(3)]
+    for rung in rungs:
+        rung.potential
+    assert peak_field_sizes(
+        lambda: [potential_relations(rung, margin)
+                 for rung, margin in zip(rungs, ctx.margins)],
+        rungs[2].u.values.nbytes) <= 1.5
 
 
 def test_finest_rung_peaks_are_bounded():
@@ -798,10 +908,11 @@ def test_finest_rung_peaks_are_bounded():
         "compute_potential": peak_field_sizes(
             lambda: compute_potential(rung), nbytes),
         "conservation": peak_field_sizes(
-            lambda: ctx.conservation(seed, 2), nbytes),
+            lambda: ctx.conservation(seed, rung, 2), nbytes),
         "tower conservation": peak_field_sizes(
-            lambda: ctx.conservation(q, 2), nbytes),
-        "lax": peak_field_sizes(lambda: ctx.lax(0.25, 2), nbytes),
+            lambda: ctx.conservation(q, rung, 2), nbytes),
+        # last: the march releases the rung to its connections
+        "lax": peak_field_sizes(lambda: ctx.march(rung, 2), nbytes),
     }
     bounds = {"tower characteristic": 2.5, "compute_potential": 1.6,
               "conservation": 1.0, "tower conservation": 2.0, "lax": 5.0}
@@ -826,6 +937,22 @@ def test_every_residual_is_reduced_in_blocks(monkeypatch):
     records = run_claims(numeric_claims(ctx) + lax_claims(ctx))
     assert not any(r.get("error") for r in records)
     assert len(sizes) > 50 and max(sizes) == numerics.BLOCK_ROWS == 32
+
+
+def test_whole_run_peak_is_bounded():
+    # the numeric and Lax claims of a chiral-so3 ladder read one rung at a
+    # time: the peak is the finest rung's u, u^-1, connections and
+    # potential beside its largest reader (level -2's tower potentials),
+    # with no coarser rung still held (9.15 finest field sizes when every
+    # rung was kept until its march)
+    warm = _RunContext(load_config(matrices=SO3_MATRICES, counts=(9, 17, 33)))
+    run_claims(numeric_claims(warm) + lax_claims(warm))
+    ctx = _RunContext(load_config(matrices=SO3_MATRICES, counts=(33, 65, 129)))
+    ctx.hierarchy(DEFAULT_SEED, -2, 1)
+    nbytes = 129 * 129 * 3 * 3 * 8
+    assert peak_field_sizes(
+        lambda: run_claims(numeric_claims(ctx) + lax_claims(ctx)),
+        nbytes) <= 8.0
 
 
 def test_offshell_ratio_with_zero_on_shell_residual():

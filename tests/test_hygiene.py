@@ -3,7 +3,8 @@ every private function or method is referenced by some module, every
 module parses as the oldest Python that ``pyproject.toml`` supports, no
 module calls numpy's ``gradient``: ``kernels.gradient`` is the one
 finite-difference stencil, no module but ``equations.py`` names an
-equation, and ``cli.py`` reads every residual through a numerics reader.
+equation, ``cli.py`` reads every residual through a numerics reader, and
+only its run context samples or marches a rung.
 
 An AST scan of ``src/symlax/*.py``.  The package ``__init__.py`` is left
 out of the import check: its imports are the public re-exports.
@@ -183,3 +184,26 @@ def test_cli_reads_residuals_through_numerics():
             if isinstance(n, ast.Attribute) and n.attr in ROW_BLOCK_ATTRIBUTES]
     assert not imported and not read, \
         f"cli.py handles row blocks itself: {imported + read}"
+
+
+# what samples, integrates or marches a rung
+RUNG_MAKERS = {"sample_solution", "integrate_lax", "SolutionFields"}
+RUNG_METHODS = {"rung", "sample", "march"}
+
+
+def test_cli_reads_rungs_only_through_the_pass():
+    # a claim registers its per-rung reads with the run context, whose
+    # pass samples each rung once and marches it once; no claim closure
+    # samples, integrates or marches a rung itself
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    context = next(n for n in tree.body if isinstance(n, ast.ClassDef)
+                   and n.name == "_RunContext")
+    inside = {id(n) for n in ast.walk(context)}
+    calls = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call) and id(n) not in inside:
+            f = n.func
+            if isinstance(f, ast.Name) and f.id in RUNG_MAKERS \
+                    or isinstance(f, ast.Attribute) and f.attr in RUNG_METHODS:
+                calls.append(f"{ast.unparse(f)} (line {n.lineno})")
+    assert not calls, f"cli.py reads a rung outside its pass: {calls}"

@@ -9,6 +9,7 @@ BAB = B collapse the series).  These closed forms are the oracles below.
 
 import functools
 import io
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -1144,25 +1145,47 @@ def test_cached_fields_match_fresh_evaluation():
     (SDYM, SolutionFamily("lifted-chiral", ROTATION_FAMILY.A,
                           ROTATION_FAMILY.B), sdym_grid(7))],
     ids=["chiral", "sdym"])
-def test_dropped_cache_is_recomputed_equal(eq, family, grid):
+def test_released_rung_marches_as_a_whole_one(eq, family, grid):
+    # release keeps the grid and the connections, made first if they were
+    # not, and drops u, u^-1, the potential and every cached derivative;
+    # the march and its residual read the connections alone, bit for bit
+    whole = SolutionFields(eq, sample_solution(family, grid))
+    want = integrate_lax(whole, [0.5, 2.0])
     rung = SolutionFields(eq, sample_solution(family, grid))
     nv = len(eq.vs.names)
-    atoms = [Field(eq.field_name, orders)
-             for orders in ((1,) + (0,) * (nv - 1), (1, 1) + (0,) * (nv - 2))]
-    before = [rung.env.atom_values(a) for a in atoms]
-    potential, inverse = rung.potential, rung.inverse
-    connections = rung.connections
-    rung.drop_cache()
-    # the connections stay; u^-1, derivatives and the potential go, and
-    # each is recomputed equal
-    assert rung.connections is connections
-    assert rung.env._cache == {}
-    assert rung.inverse is not inverse
-    assert np.array_equal(rung.inverse, inverse)
-    for a, want in zip(atoms, before):
-        assert np.array_equal(rung.env.atom_values(a), want)
-    assert rung.potential is not potential
-    assert np.array_equal(rung.potential, potential)
+    rung.potential, rung.inverse
+    rung.env.atom_values(Field(eq.field_name, (1,) + (0,) * (nv - 1)))
+    held = [weakref.ref(a) for a in
+            [rung.u.values, rung.potential, rung.inverse]
+            + list(rung.env._cache.values())]
+    rung.release()
+    assert rung.u is None and rung.env is None
+    assert all(r() is None for r in held)
+    assert rung.grid == grid
+    for got, conn in zip(rung.connections, whole.connections):
+        assert np.array_equal(got, conn)
+    for got, out in zip(integrate_lax(rung, [0.5, 2.0]), want):
+        assert np.array_equal(got.phi.values, out.phi.values)
+        assert got.compat_residual == out.compat_residual
+        assert got.symmetry_residual(2) == out.symmetry_residual(2)
+
+
+def test_potential_failure_is_kept(monkeypatch):
+    # an off-shell rung integrates its potential once; every later read
+    # raises the same PathInconsistent without integrating again
+    calls = []
+    compute = numerics.compute_potential
+    monkeypatch.setattr(numerics, "compute_potential",
+                        lambda fields: calls.append(fields) or compute(fields))
+    rung = SolutionFields(CHIRAL, sample_solution(
+        nilpotent_family("perturbed-offshell", 0.1), chiral_grid(17)))
+    errors = []
+    for _ in range(3):
+        with pytest.raises(PathInconsistent) as info:
+            rung.potential
+        errors.append(info.value)
+    assert len(calls) == 1
+    assert errors[0] is errors[1] is errors[2]
 
 
 def test_eval_characteristic_reuses_rung_fields():
